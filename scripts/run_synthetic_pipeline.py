@@ -10,29 +10,15 @@ import argparse
 import time
 
 from vistrack import (
-    CLUTTER,
     AssociationConfig,
     EvalConfig,
     SynthConfig,
     evaluate,
     generate,
+    id_switches,
     track_video_with_trace,
 )
 from vistrack.core import VideoMeta
-
-
-def id_switches(corpus, video, trace):
-    """Per ground-truth object, count changes of the assigned track id."""
-    seqs = {}
-    for fd in corpus.detections[video.video_id]:
-        for d_idx in range(len(fd.detections)):
-            tid = corpus.identity_key[(video.video_id, fd.frame_index, d_idx)]
-            if tid == CLUTTER:
-                continue
-            got = trace.get((fd.frame_index, d_idx))
-            if got is not None:
-                seqs.setdefault(tid, []).append(got)
-    return sum(sum(1 for a, b in zip(s, s[1:]) if a != b) for s in seqs.values())
 
 
 def main():
@@ -66,7 +52,7 @@ def main():
         meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
         tracks, trace = track_video_with_trace(corpus.detections[g.video_id], assoc, meta)
         predictions[g.video_id] = tracks
-        n = id_switches(corpus, g, trace)
+        n = id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)
         total_switches += n
         switch_free += n == 0
     report = evaluate(predictions, corpus.ground_truth, EvalConfig())

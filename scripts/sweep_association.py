@@ -11,13 +11,13 @@ Usage:
 import argparse
 
 from vistrack import (
-    CLUTTER,
     AssociationConfig,
     EvalConfig,
     SimilarityKind,
     SynthConfig,
     evaluate,
     generate,
+    id_switches,
     track_video_with_trace,
 )
 from vistrack.core import VideoMeta
@@ -30,16 +30,7 @@ def run_setting(corpus, assoc):
         meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
         tracks, trace = track_video_with_trace(corpus.detections[g.video_id], assoc, meta)
         predictions[g.video_id] = tracks
-        seqs = {}
-        for fd in corpus.detections[g.video_id]:
-            for d_idx in range(len(fd.detections)):
-                tid = corpus.identity_key[(g.video_id, fd.frame_index, d_idx)]
-                if tid == CLUTTER:
-                    continue
-                got = trace.get((fd.frame_index, d_idx))
-                if got is not None:
-                    seqs.setdefault(tid, []).append(got)
-        switches += sum(sum(1 for a, b in zip(s, s[1:]) if a != b) for s in seqs.values())
+        switches += id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)
     report = evaluate(predictions, corpus.ground_truth, EvalConfig())
     return report.overall.ap, switches
 

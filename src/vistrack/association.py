@@ -80,8 +80,12 @@ class AssociationConfig:
             raise ConfigError("memory_momentum must lie in [0, 1]")
         if self.keep_top_n_per_frame < 1:
             raise ConfigError("keep_top_n_per_frame must be at least 1")
-        if not isinstance(self.similarity_kind, SimilarityKind):
-            raise ConfigError("similarity_kind must be 'bisoftmax' or 'cosine'")
+        try:
+            object.__setattr__(self, "similarity_kind", SimilarityKind(self.similarity_kind))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(
+                f"unknown similarity_kind: {self.similarity_kind!r} (expected 'bisoftmax' or 'cosine')"
+            ) from e
 
 
 @dataclass(frozen=True)
@@ -134,14 +138,6 @@ def cosine_scores(pred: np.ndarray, mem: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + cos)
 
 
-def pairwise_dots(pred_embeddings: list[Embedding], memory: MemoryBank) -> np.ndarray:
-    pred = _stack(pred_embeddings)
-    mem = _stack([inst.embedding for inst in memory.instances])
-    if pred.shape[1] != mem.shape[1]:
-        raise DimensionMismatch("prediction and memory embeddings must share one length")
-    return pred @ mem.T
-
-
 def similarity(
     pred_embeddings: list[Embedding],
     memory: MemoryBank,
@@ -175,35 +171,28 @@ def assign(
 ) -> list[Assignment]:
     """Greedy one-to-one assignment of predictions to memory instances.
 
-    Candidate pairs are taken in descending similarity; a claimed memory
-    instance becomes unavailable and losing predictions re-evaluate over
-    what remains. A prediction whose best remaining similarity is not
-    strictly above ``match_threshold`` opens a new instance when its
-    detection score reaches ``new_instance_score`` and is discarded
-    otherwise. Ties break toward the lowest prediction index, then the
-    lowest (oldest) memory index.
+    Candidate pairs are taken in descending similarity; a pair is accepted
+    while both its prediction and its memory instance are still free. A
+    prediction left without a pair strictly above ``match_threshold``
+    opens a new instance when its detection score reaches
+    ``new_instance_score`` and is discarded otherwise. Ties break toward
+    the lowest prediction index, then the lowest (oldest) memory index:
+    the stable sort keeps equal scores in row-major (i, j) order.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape != (len(detections), len(memory.instances)):
         raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
     n, m = s.shape
-    available = [True] * m
-    pending = list(range(n))
+    flat = s.ravel()
     matched: dict[int, int] = {}
-    while pending and any(available):
-        best_value = -np.inf
-        best_pair = None
-        for i in pending:
-            for j in range(m):
-                if available[j] and s[i, j] > best_value:
-                    best_value = s[i, j]
-                    best_pair = (i, j)
-        if best_pair is None or best_value <= cfg.match_threshold:
-            break
-        i, j = best_pair
-        matched[i] = j
-        available[j] = False
-        pending.remove(i)
+    taken_cols: set[int] = set()
+    for k in np.argsort(-flat, kind="stable").tolist():
+        if len(matched) == min(n, m) or not flat[k] > cfg.match_threshold:
+            break  # NaN sorts last, so it stops the walk too
+        i, j = divmod(k, m)
+        if i not in matched and j not in taken_cols:
+            matched[i] = j
+            taken_cols.add(j)
     out = []
     for i in range(n):
         if i in matched:

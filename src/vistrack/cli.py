@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import formats
@@ -34,16 +33,9 @@ def _cmd_track(args) -> int:
     cfg = formats.load_run_config(args.config)
     det_file = formats.load_detections(args.detections)
     vids = sorted(det_file.videos)
-
-    def run(vid: int):
-        return track_video(det_file.videos[vid], cfg.association, det_file.metas[vid])
-
-    if args.threads > 1 and len(vids) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            tracked = list(pool.map(run, vids))
-    else:
-        tracked = [run(vid) for vid in vids]
-    results = dict(zip(vids, tracked))
+    results = {
+        vid: track_video(det_file.videos[vid], cfg.association, det_file.metas[vid]) for vid in vids
+    }
     lengths = {vid: det_file.metas[vid].length for vid in vids}
     formats.save_results(results, args.out, lengths)
     return 0
@@ -172,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval", help="score tracks against ground truth")

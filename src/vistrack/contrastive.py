@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -108,28 +107,8 @@ def matching_cost(
 
 
 def _optimal_assignment(cost: np.ndarray) -> dict[int, int]:
-    """Minimum-total-cost one-to-one assignment, as {column -> row}.
-
-    Exhaustive enumeration on tiny instances, Hungarian otherwise; both
-    return an exact optimum of size min(rows, columns).
-    """
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return {}
-    if max(n, m) <= 8:
-        if n >= m:
-            best = None
-            for rows in permutations(range(n), m):
-                total = sum(cost[r, c] for c, r in enumerate(rows))
-                if best is None or total < best[0]:
-                    best = (total, rows)
-            return {c: r for c, r in enumerate(best[1])}
-        best = None
-        for cols in permutations(range(m), n):
-            total = sum(cost[r, c] for r, c in enumerate(cols))
-            if best is None or total < best[0]:
-                best = (total, cols)
-        return {c: r for r, c in enumerate(best[1])}
+    """Minimum-total-cost one-to-one assignment of size min(rows, columns),
+    as {column -> row}, by the Hungarian method."""
     rows, cols = linear_sum_assignment(cost)
     return {int(c): int(r) for r, c in zip(rows, cols)}
 

@@ -12,14 +12,15 @@ emission order).
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Track, VideoGroundTruth, rle_intersection_area
+from .core import FrameDetections, Track, VideoGroundTruth, rle_intersection_area
 from .errors import ConfigError, DimensionMismatch, UnknownCategory, UnknownVideoId
+from .synth import CLUTTER
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -109,35 +110,41 @@ def _score_order(tracks: Sequence[Track]) -> list[int]:
     return sorted(range(len(tracks)), key=lambda i: (-tracks[i].score, i))
 
 
-def _greedy_tp_flags(
-    iou: np.ndarray, threshold: float, limit: int | None = None
-) -> tuple[list[bool], int]:
+def _st_iou_matrix(
+    preds: Sequence[Track],
+    gts: Sequence[Track],
+    video_length: int,
+    video_dims: tuple[int, int] | None,
+) -> np.ndarray:
+    """ST-IoU of every (prediction, ground truth) pair, rows in the given order."""
+    iou = np.zeros((len(preds), len(gts)))
+    for r, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            iou[r, j] = st_iou(p, g, video_length, video_dims)
+    return iou
+
+
+def _greedy_match(iou: np.ndarray, threshold: float) -> list[int]:
     """Row-by-row greedy matching of score-sorted predictions.
 
-    Each prediction takes the unmatched ground-truth column with the
-    highest IoU at or above the threshold (ties: lowest column index).
-    Returns per-prediction hit flags and the number of matched columns.
+    Each row takes the unmatched column with the highest IoU at or above
+    the threshold (ties: lowest column index). Returns the matched column
+    per row, -1 where none qualifies. Rows are matched in order, so the
+    first k entries are the matching of the first k rows alone.
     """
-    n_pred, n_gt = iou.shape
-    rows = n_pred if limit is None else min(n_pred, limit)
     matched_cols: set[int] = set()
-    flags = []
-    for r in range(rows):
+    out = []
+    for row in iou.tolist():
         best_j = -1
         best_v = -1.0
-        for j in range(n_gt):
-            if j in matched_cols:
-                continue
-            v = iou[r, j]
-            if v >= threshold and v > best_v:
+        for j, v in enumerate(row):
+            if j not in matched_cols and v >= threshold and v > best_v:
                 best_v = v
                 best_j = j
         if best_j >= 0:
             matched_cols.add(best_j)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, len(matched_cols)
+        out.append(best_j)
+    return out
 
 
 def match_tracks(
@@ -159,28 +166,9 @@ def match_tracks(
     if category is not None:
         preds = [t for t in preds if t.category_id == category]
         gts = [t for t in gts if t.category_id == category]
-    order = _score_order(preds)
-    iou = np.zeros((len(preds), len(gts)))
-    for r, p in enumerate(order):
-        for j, g in enumerate(gts):
-            iou[r, j] = st_iou(preds[p], g, video_length, video_dims)
-    out: list[tuple[Track, Track | None]] = []
-    matched_cols: set[int] = set()
-    for r, p in enumerate(order):
-        best_j = -1
-        best_v = -1.0
-        for j in range(len(gts)):
-            if j in matched_cols:
-                continue
-            if iou[r, j] >= iou_threshold and iou[r, j] > best_v:
-                best_v = iou[r, j]
-                best_j = j
-        if best_j >= 0:
-            matched_cols.add(best_j)
-            out.append((preds[p], gts[best_j]))
-        else:
-            out.append((preds[p], None))
-    return out
+    ranked = [preds[i] for i in _score_order(preds)]
+    cols = _greedy_match(_st_iou_matrix(ranked, gts, video_length, video_dims), iou_threshold)
+    return [(p, gts[j] if j >= 0 else None) for p, j in zip(ranked, cols)]
 
 
 def _ap_from_flags(flags: Sequence[bool], n_gt: int, recall_points: int) -> float:
@@ -229,7 +217,7 @@ class _CategoryPool:
     # one row per prediction: (score, video_id, emission index, {thr: tp})
     rows: list[tuple[float, int, int, dict[float, bool]]] = field(default_factory=list)
     # (thr, k) -> matched ground-truth count
-    recalled: dict[tuple[float, int], int] = field(default_factory=dict)
+    recalled: Counter[tuple[float, int]] = field(default_factory=Counter)
 
 
 def evaluate(
@@ -275,10 +263,6 @@ def evaluate(
     thresholds = list(cfg.iou_thresholds)
     all_thr = sorted(set(thresholds) | {0.5, 0.75})
     pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
-    for c in categories:
-        for t in all_thr:
-            for k in cfg.max_detections:
-                pools[c].recalled[(t, k)] = 0
 
     for vid in sorted(gt_by_vid):
         g = gt_by_vid[vid]
@@ -289,25 +273,14 @@ def evaluate(
             pool = pools[c]
             pool.n_gt += len(gts)
             emitted = [(i, t) for i, t in enumerate(vid_preds) if cat_of(t) == c]
-            if not emitted:
-                continue
-            order = sorted(range(len(emitted)), key=lambda i: (-emitted[i][1].score, i))
-            iou = np.zeros((len(emitted), len(gts)))
-            for r, e in enumerate(order):
-                for j, gt_track in enumerate(gts):
-                    iou[r, j] = st_iou(emitted[e][1], gt_track, g.length, dims)
-            flags_by_thr: dict[float, list[bool]] = {}
+            ranked = [emitted[e] for e in _score_order([t for _, t in emitted])]
+            iou = _st_iou_matrix([t for _, t in ranked], gts, g.length, dims)
+            flags = {t: [j >= 0 for j in _greedy_match(iou, t)] for t in all_thr}
             for t in all_thr:
-                flags, _ = _greedy_tp_flags(iou, t)
-                flags_by_thr[t] = flags
                 for k in cfg.max_detections:
-                    _, matched = _greedy_tp_flags(iou, t, limit=k)
-                    pool.recalled[(t, k)] += matched
-            for r, e in enumerate(order):
-                emission_idx, track = emitted[e]
-                pool.rows.append(
-                    (track.score, vid, emission_idx, {t: flags_by_thr[t][r] for t in all_thr})
-                )
+                    pool.recalled[(t, k)] += sum(flags[t][:k])
+            for r, (emission_idx, track) in enumerate(ranked):
+                pool.rows.append((track.score, vid, emission_idx, {t: flags[t][r] for t in all_thr}))
 
     per_category: dict[int, Metrics | None] = {}
     for c in categories:
@@ -347,3 +320,28 @@ def evaluate(
             },
         )
     return EvalReport(per_category=per_category, overall=overall)
+
+
+# ---------------------------------------------------------------------------
+# Identity switches
+
+
+def id_switches(
+    frames: Sequence[FrameDetections],
+    identity_key: Mapping[tuple[int, int, int], int],
+    video_id: int,
+    trace: Mapping[tuple[int, int], int],
+) -> int:
+    """Identity switches of one tracked video (CLEAR MOT): per true object
+    of ``identity_key``, the changes of the track id that ``trace`` (from
+    ``track_video_with_trace``) assigns to its detections in frame order."""
+    seqs: dict[int, list[int]] = {}
+    for fd in frames:
+        for d_idx in range(len(fd.detections)):
+            tid = identity_key[(video_id, fd.frame_index, d_idx)]
+            if tid == CLUTTER:
+                continue
+            got = trace.get((fd.frame_index, d_idx))
+            if got is not None:
+                seqs.setdefault(tid, []).append(got)
+    return sum(sum(1 for a, b in zip(s, s[1:]) if a != b) for s in seqs.values())

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .association import AssociationConfig, SimilarityKind
+from .association import AssociationConfig
 from .contrastive import LossWeights, MatchWeights
 from .core import (
     BBox,
@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
 from .evaluation import EvalConfig, EvalReport
-from .fusion import FusionConfig, ScoreRule
+from .fusion import FusionConfig
 from .pseudo_pair import CropConfig, CropPairSample
 from .synth import SynthConfig
 
@@ -139,6 +139,38 @@ def _rle_from(value: Any, where: str) -> RleMask:
         raise CountsMismatch(f"{where}: {e}") from e
 
 
+def _entries_json(t: Track, length: int) -> tuple[list[Any], list[Any]]:
+    """A track's per-frame ``segmentations`` and ``bboxes`` arrays, null
+    where the track has no entry."""
+    segs: list[Any] = [None] * length
+    boxes: list[Any] = [None] * length
+    for f, e in t.entries.items():
+        if f >= length:
+            raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
+        segs[f] = _rle_json(e.mask) if e.mask is not None else None
+        boxes[f] = _bbox_json(e.bbox)
+    return segs, boxes
+
+
+def _entries_from(segs: list, boxes: list, where: str, score: float) -> dict[int, TrackEntry]:
+    """Track entries from equal-length per-frame arrays. A frame with a
+    mask but no box takes the mask's bounding box; a frame with neither,
+    or with only an empty mask, has no entry."""
+    entries: dict[int, TrackEntry] = {}
+    for f, (seg, box) in enumerate(zip(segs, boxes)):
+        if seg is None and box is None:
+            continue
+        mask = _rle_from(seg, f"{where}.segmentations[{f}]") if seg is not None else None
+        if box is not None:
+            bbox = _bbox_from(box, f"{where}.bboxes[{f}]")
+        else:
+            bbox = bbox_of_mask(mask) if mask is not None else None
+            if bbox is None:
+                continue
+        entries[f] = TrackEntry(bbox=bbox, mask=mask, score=score)
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # Annotations (ground truth)
 
@@ -156,11 +188,7 @@ def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> Non
     annotations = []
     for g in sorted(ground_truth, key=lambda g: g.video_id):
         for t in sorted(g.gt_tracks, key=lambda t: t.track_id):
-            segs: list[Any] = [None] * g.length
-            boxes: list[Any] = [None] * g.length
-            for f, e in t.entries.items():
-                segs[f] = _rle_json(e.mask) if e.mask is not None else None
-                boxes[f] = _bbox_json(e.bbox)
+            segs, boxes = _entries_json(t, g.length)
             annotations.append(
                 {
                     "id": t.track_id,
@@ -217,20 +245,7 @@ def load_annotations(path: str) -> list[VideoGroundTruth]:
             raise SchemaError(
                 f"{where}: segmentations and bboxes must have exactly video length ({length}) entries"
             )
-        entries: dict[int, TrackEntry] = {}
-        for f in range(length):
-            seg = segs[f]
-            box = boxes[f]
-            if seg is None and box is None:
-                continue
-            mask = _rle_from(seg, f"{where}.segmentations[{f}]") if seg is not None else None
-            if box is not None:
-                bbox = _bbox_from(box, f"{where}.bboxes[{f}]")
-            else:
-                bbox = bbox_of_mask(mask) if mask is not None else None
-                if bbox is None:
-                    continue  # empty mask with no box: nothing on this frame
-            entries[f] = TrackEntry(bbox=bbox, mask=mask, score=1.0)
+        entries = _entries_from(segs, boxes, where, 1.0)
         try:
             track = Track(track_id=tid, category_id=cid, score=1.0, entries=entries)
         except ValueError as e:
@@ -326,14 +341,15 @@ def load_detections(path: str) -> DetectionsFile:
         vid = _as_int(_get(obj, "video_id", where), f"{where}.video_id")
         if vid in out.videos:
             raise SchemaError(f"{where}: duplicate video_id {vid}")
-        height = _as_int(obj["height"], f"{where}.height") if "height" in obj else None
-        width = _as_int(obj["width"], f"{where}.width") if "width" in obj else None
+        height, width = (_positive_int(obj, key, where) for key in ("height", "width"))
         frames: list[FrameDetections] = []
         last_frame = -1
         for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
             fwhere = f"{where}.frames[{j}]"
             fobj = _expect_object(fr, fwhere)
             fidx = _as_int(_get(fobj, "frame_index", fwhere), f"{fwhere}.frame_index")
+            if fidx < 0:
+                raise SchemaError(f"{fwhere}: frame_index must be non-negative")
             if fidx <= last_frame:
                 raise SchemaError(f"{fwhere}: frame_index must be strictly increasing within a video")
             last_frame = fidx
@@ -344,13 +360,24 @@ def load_detections(path: str) -> DetectionsFile:
                 frames.append(FrameDetections(frame_index=fidx, detections=dets))
             except ValueError as e:
                 raise SchemaError(f"{fwhere}: {e}") from e
-        length = _as_int(obj["length"], f"{where}.length") if "length" in obj else last_frame + 1
-        length = max(length, 1)
+        length = _positive_int(obj, "length", where)
+        if length is None:
+            length = max(last_frame + 1, 1)  # no frames and no declared length: one empty frame
         if last_frame >= length:
             raise SchemaError(f"{where}: frame_index {last_frame} outside declared length {length}")
         out.videos[vid] = frames
         out.metas[vid] = VideoMeta(length=length, height=height, width=width, video_id=vid)
     return out
+
+
+def _positive_int(obj: dict, key: str, where: str) -> int | None:
+    """An optional declared size: absent gives None, present must be >= 1."""
+    if key not in obj:
+        return None
+    value = _as_int(obj[key], f"{where}.{key}")
+    if value < 1:
+        raise SchemaError(f"{where}.{key}: must be at least 1, got {value}")
+    return value
 
 
 def _detection_from(value: Any, where: str, dim: int, height: int | None, width: int | None) -> Detection:
@@ -405,13 +432,7 @@ def save_results(
             raise SchemaError(f"no video length provided for video {vid}")
         length = video_lengths[vid]
         for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id)):
-            segs: list[Any] = [None] * length
-            boxes: list[Any] = [None] * length
-            for f, e in t.entries.items():
-                if f >= length:
-                    raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
-                segs[f] = _rle_json(e.mask) if e.mask is not None else None
-                boxes[f] = _bbox_json(e.bbox)
+            segs, boxes = _entries_json(t, length)
             records.append(
                 {
                     "video_id": vid,
@@ -449,19 +470,7 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
         if vid in lengths and lengths[vid] != len(segs):
             raise SchemaError(f"{where}: inconsistent video length for video {vid}")
         lengths.setdefault(vid, len(segs))
-        entries: dict[int, TrackEntry] = {}
-        for f in range(len(segs)):
-            seg, box = segs[f], boxes[f]
-            if seg is None and box is None:
-                continue
-            mask = _rle_from(seg, f"{where}.segmentations[{f}]") if seg is not None else None
-            if box is not None:
-                bbox = _bbox_from(box, f"{where}.bboxes[{f}]")
-            else:
-                bbox = bbox_of_mask(mask) if mask is not None else None
-                if bbox is None:
-                    continue
-            entries[f] = TrackEntry(bbox=bbox, mask=mask, score=score)
+        entries = _entries_from(segs, boxes, where, score)
         try:
             track = Track(track_id=tid, category_id=cid, score=score, entries=entries)
         except ValueError as e:
@@ -558,18 +567,6 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
-_ENUM_FIELDS = {
-    ("association", "similarity"): SimilarityKind,
-    ("fusion", "score_rule"): ScoreRule,
-}
-_TUPLE_FIELDS = {
-    ("synth", "canvas"),
-    ("eval", "iou_thresholds"),
-    ("eval", "max_detections"),
-    ("fusion", "source_weights"),
-}
-
-
 def load_run_config(path: str | None) -> RunConfig:
     """Run configuration from a JSON file of per-section objects.
 
@@ -591,14 +588,6 @@ def load_run_config(path: str | None) -> RunConfig:
         for key, raw in obj.items():
             if key not in allowed:
                 raise ConfigError(f"config.{name}: unknown field '{key}'")
-            enum_cls = _ENUM_FIELDS.get((name, key))
-            if enum_cls is not None:
-                try:
-                    raw = enum_cls(raw)
-                except ValueError as e:
-                    raise ConfigError(f"config.{name}.{key}: {e}") from e
-            elif (name, key) in _TUPLE_FIELDS and isinstance(raw, list):
-                raw = tuple(raw)
             ctor_kwargs[key] = raw
         try:
             kwargs[name] = cls(**ctor_kwargs)

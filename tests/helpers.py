@@ -12,7 +12,20 @@ import itertools
 
 import numpy as np
 
-from vistrack import BBox, RleMask, Track, TrackEntry, rle_decode, rle_encode
+from vistrack import (
+    CLUTTER,
+    Assignment,
+    BBox,
+    DimensionMismatch,
+    Outcome,
+    RleMask,
+    Track,
+    TrackEntry,
+    rle_decode,
+    rle_encode,
+    track_video_with_trace,
+)
+from vistrack.core import VideoMeta
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +280,79 @@ def matching_margin(scores: np.ndarray, pairs: set[tuple[int, int]]) -> float:
         if rivals:
             margin = min(margin, float(scores[i, j]) - max(float(r) for r in rivals))
     return margin
+
+
+# ---------------------------------------------------------------------------
+# Rescanning greedy assignment
+
+
+def reference_assign(scores, detections, memory, cfg) -> list[Assignment]:
+    """The association step by its definition: repeatedly rescan every
+    pending x available pair for the maximum score (ties: lowest
+    prediction, then lowest memory index) and stop once it is not
+    strictly above the threshold."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or s.shape != (len(detections), len(memory.instances)):
+        raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
+    n, m = s.shape
+    available = [True] * m
+    pending = list(range(n))
+    matched: dict[int, int] = {}
+    while pending and any(available):
+        best_value = -np.inf
+        best_pair = None
+        for i in pending:
+            for j in range(m):
+                if available[j] and s[i, j] > best_value:
+                    best_value = s[i, j]
+                    best_pair = (i, j)
+        if best_pair is None or best_value <= cfg.match_threshold:
+            break
+        i, j = best_pair
+        matched[i] = j
+        available[j] = False
+        pending.remove(i)
+    out = []
+    for i in range(n):
+        if i in matched:
+            out.append(Assignment(i, Outcome.MATCHED, memory.instances[matched[i]].track_id))
+        elif detections[i].score >= cfg.new_instance_score:
+            out.append(Assignment(i, Outcome.NEW_INSTANCE))
+        else:
+            out.append(Assignment(i, Outcome.DISCARDED))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Identity switches against a synthetic identity key
+
+
+def reference_id_switches(frames, identity_key, video_id, trace) -> int:
+    """Per ground-truth object, count changes of the assigned track id."""
+    seqs = {}
+    for fd in frames:
+        for d_idx in range(len(fd.detections)):
+            tid = identity_key[(video_id, fd.frame_index, d_idx)]
+            if tid == CLUTTER:
+                continue
+            got = trace.get((fd.frame_index, d_idx))
+            if got is not None:
+                seqs.setdefault(tid, []).append(got)
+    return sum(sum(1 for a, b in zip(s, s[1:]) if a != b) for s in seqs.values())
+
+
+def traced_videos(corpus, cfg):
+    """Yield (video ground truth, frames, tracker trace) per corpus video."""
+    for g in corpus.ground_truth:
+        frames = corpus.detections[g.video_id]
+        meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
+        _, trace = track_video_with_trace(frames, cfg, meta)
+        yield g, frames, trace
+
+
+def videos_with_id_switches(corpus, cfg) -> int:
+    """Number of videos with at least one identity switch."""
+    return sum(
+        reference_id_switches(frames, corpus.identity_key, g.video_id, trace) > 0
+        for g, frames, trace in traced_videos(corpus, cfg)
+    )

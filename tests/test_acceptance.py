@@ -19,9 +19,9 @@ from helpers import (
     matching_margin,
     random_micro_corpus,
     track_from_grids,
+    videos_with_id_switches,
 )
 from vistrack import (
-    CLUTTER,
     AssociationConfig,
     BBox,
     CropConfig,
@@ -47,10 +47,8 @@ from vistrack import (
     rle_decode,
     rle_encode,
     st_iou,
-    track_video_with_trace,
 )
 from vistrack.cli import entrypoint
-from vistrack.core import VideoMeta
 from vistrack.formats import save_pairs
 
 
@@ -149,26 +147,6 @@ def test_criterion_3_association_oracle():
 # 4. end-to-end synthetic tracking
 
 
-def _videos_with_id_switches(corpus, cfg):
-    bad = 0
-    for g in corpus.ground_truth:
-        frames = corpus.detections[g.video_id]
-        meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
-        _, trace = track_video_with_trace(frames, cfg, meta)
-        seqs = {}
-        for fd in frames:
-            for d_idx in range(len(fd.detections)):
-                tid = corpus.identity_key[(g.video_id, fd.frame_index, d_idx)]
-                if tid == CLUTTER:
-                    continue
-                got = trace.get((fd.frame_index, d_idx))
-                if got is not None:
-                    seqs.setdefault(tid, []).append(got)
-        if any(a != b for s in seqs.values() for a, b in zip(s, s[1:])):
-            bad += 1
-    return bad
-
-
 def _pipeline_metrics(tmp_path, tag, synth_overrides):
     d = tmp_path / tag
     d.mkdir()
@@ -194,7 +172,7 @@ def test_criterion_4_end_to_end(tmp_path):
     assert overall["ap"] >= 0.90
 
     corpus = generate(SynthConfig(rng_seed=42, **noisy))
-    bad = _videos_with_id_switches(corpus, AssociationConfig())
+    bad = videos_with_id_switches(corpus, AssociationConfig())
     n_videos = len(corpus.ground_truth)
     assert (n_videos - bad) / n_videos >= 0.95
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import best_matching, matching_margin
+from helpers import best_matching, matching_margin, reference_assign
 from vistrack import (
     Assignment,
     AssociationConfig,
@@ -218,6 +218,23 @@ def test_assign_matches_enumeration_when_margin_clear(seed):
         (a.pred_index, a.track_id - 1) for a in out if a.outcome is Outcome.MATCHED
     }
     assert greedy_pairs == oracle_pairs
+
+
+COARSE_SCORES = (0.3, 0.5, 0.6, 0.8)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_assign_equals_rescanning_reference(n, m, data):
+    """The sorted single pass gives the same assignments as rescanning every
+    free pair, on a coarse score grid where ties are the rule."""
+    scores = np.array(
+        data.draw(st.lists(st.sampled_from(COARSE_SCORES), min_size=n * m, max_size=n * m))
+    ).reshape(n, m)
+    dets = [det(data.draw(st.sampled_from((0.1, 0.2, 0.9))), (1, 0)) for _ in range(n)]
+    cfg = AssociationConfig(match_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.5, 0.6))))
+    bank = bank_of(*[(1, 0)] * m)
+    assert assign(scores, dets, bank, cfg) == reference_assign(scores, dets, bank, cfg)
 
 
 # ---------------------------------------------------------------------------

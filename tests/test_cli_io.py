@@ -1,8 +1,12 @@
 """JSON formats (golden bytes, round trips, rejection messages), the
 run-config loader, and the command-line entrypoints with their exit codes."""
 
+import enum
 import filecmp
 import json
+import typing
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from vistrack import (
     ParseError,
     SchemaError,
     ScoreRule,
+    SimilarityKind,
     Track,
     TrackEntry,
     VideoGroundTruth,
@@ -25,6 +30,7 @@ from vistrack import (
 from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
+    RunConfig,
     load_annotations,
     load_detections,
     load_identity,
@@ -330,6 +336,52 @@ def test_out_of_order_frames_rejected(tmp_path):
         load_detections(str(p))
 
 
+def _tiny_detections_doc(tmp_path):
+    p = tmp_path / "det.json"
+    save_detections(
+        tiny_detections(), str(p), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+    )
+    return p, json.loads(p.read_text())
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_declared_length_below_one_rejected(tmp_path, length):
+    p, doc = _tiny_detections_doc(tmp_path)
+    doc["videos"][0]["length"] = length
+    doc["videos"][0]["frames"] = []
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="length"):
+        load_detections(str(p))
+
+
+@pytest.mark.parametrize("key", ["height", "width"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_declared_dimension_not_positive_rejected(tmp_path, key, value):
+    p, doc = _tiny_detections_doc(tmp_path)
+    doc["videos"][0][key] = value
+    doc["videos"][0]["frames"] = []
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=key):
+        load_detections(str(p))
+
+
+@pytest.mark.parametrize("fidx", [-1, -7])
+def test_negative_frame_index_rejected(tmp_path, fidx):
+    p, doc = _tiny_detections_doc(tmp_path)
+    doc["videos"][0]["frames"][0]["frame_index"] = fidx
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="non-negative"):
+        load_detections(str(p))
+
+
+def test_video_without_frames_or_length_has_length_one(tmp_path):
+    p, doc = _tiny_detections_doc(tmp_path)
+    del doc["videos"][0]["length"]
+    doc["videos"][0]["frames"] = []
+    p.write_text(json.dumps(doc))
+    assert load_detections(str(p)).metas[1].length == 1
+
+
 def test_duplicate_result_track_rejected(tmp_path):
     p = tmp_path / "res.json"
     save_results({1: tiny_gt()[0].gt_tracks}, str(p), video_lengths={1: 2})
@@ -399,6 +451,63 @@ def test_run_config_bad_value(tmp_path):
         load_run_config(str(p))
 
 
+def test_run_config_cosine_similarity(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"association": {"similarity_kind": "cosine"}}))
+    assert load_run_config(str(p)).association.similarity_kind is SimilarityKind.COSINE
+
+
+def test_run_config_bad_similarity_kind(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"association": {"similarity_kind": "euclidean"}}))
+    with pytest.raises(ConfigError, match="similarity_kind"):
+        load_run_config(str(p))
+
+
+def _json_forms():
+    """(section, field, JSON value, expected loaded value) for every Enum-
+    and tuple-typed field of every RunConfig section: each enum member,
+    and each tuple default (or a one-element tuple where the default is None)."""
+    cases = []
+    for section in fields(RunConfig):
+        cls = section.default_factory
+        hints = get_type_hints(cls)
+        default = cls()
+        for f in fields(cls):
+            kinds = [hints[f.name], *typing.get_args(hints[f.name])]
+            enums = [k for k in kinds if isinstance(k, type) and issubclass(k, enum.Enum)]
+            tuples = [k for k in kinds if typing.get_origin(k) is tuple]
+            if enums:
+                cases += [(section.name, f.name, m.value, m) for m in enums[0]]
+            elif tuples:
+                value = getattr(default, f.name)
+                if value is None:
+                    value = (typing.get_args(tuples[0])[0](1),)
+                cases.append((section.name, f.name, list(value), value))
+    return cases
+
+
+@pytest.mark.parametrize("section,key,raw,expected", _json_forms())
+def test_run_config_enum_and_tuple_fields_load_from_json(tmp_path, section, key, raw, expected):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({section: {key: raw}}))
+    loaded = getattr(getattr(load_run_config(str(p)), section), key)
+    assert loaded == expected
+    assert type(loaded) is type(expected)
+
+
+def test_run_config_json_forms_cover_every_enum_and_tuple_field():
+    keys = {(s, k) for s, k, _, _ in _json_forms()}
+    assert {
+        ("association", "similarity_kind"),
+        ("fusion", "score_rule"),
+        ("synth", "canvas"),
+        ("eval", "iou_thresholds"),
+        ("eval", "max_detections"),
+        ("fusion", "source_weights"),
+    } <= keys
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -419,11 +528,11 @@ def test_synth_writes_corpus(corpus_dir, tmp_path):
         assert filecmp.cmp(corpus_dir / name, tmp_path / name, shallow=False)
 
 
-def test_track_is_deterministic_and_thread_safe(corpus_dir, tmp_path):
+def test_track_is_deterministic(corpus_dir, tmp_path):
     det = str(corpus_dir / "detections.json")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert entrypoint(["track", "--detections", det, "--out", str(a)]) == 0
-    assert entrypoint(["track", "--detections", det, "--out", str(b), "--threads", "3"]) == 0
+    assert entrypoint(["track", "--detections", det, "--out", str(b)]) == 0
     assert filecmp.cmp(a, b, shallow=False)
 
 
@@ -511,3 +620,13 @@ def test_exit_code_bad_config(corpus_dir, tmp_path, capsys):
     )
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,code", [("cosine", 0), ("bisoftmax", 0), ("euclidean", 3)])
+def test_track_similarity_kind_from_config(corpus_dir, tmp_path, capsys, kind, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"association": {"similarity_kind": kind}}))
+    argv = ["track", "--detections", str(corpus_dir / "detections.json"), "--config", str(cfg)]
+    assert entrypoint(argv + ["--out", str(tmp_path / "o.json")]) == code
+    if code:
+        assert "similarity_kind" in capsys.readouterr().err

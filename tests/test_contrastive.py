@@ -102,7 +102,7 @@ def test_match_weights_validation():
 
 
 # ---------------------------------------------------------------------------
-# optimal assignment (both routes)
+# optimal assignment (Hungarian) against exhaustive enumeration
 
 
 def _oracle_min_cost(cost: np.ndarray) -> float:
@@ -129,7 +129,7 @@ def test_assignment_total_matches_enumeration(seed):
 
 
 def test_assignment_hungarian_route_matches_enumeration():
-    # max(n, m) = 9 exceeds the exhaustive cutoff, forcing the LAP solver
+    # a 9 x 5 instance: larger than the hypothesis cases above
     rng = np.random.default_rng(3)
     cost = rng.random((9, 5))
     picked = _optimal_assignment(cost)

@@ -6,16 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate_brute, grid_st_iou, random_micro_corpus, track_from_grids
+from helpers import (
+    evaluate_brute,
+    grid_st_iou,
+    random_micro_corpus,
+    reference_id_switches,
+    traced_videos,
+    track_from_grids,
+)
 from vistrack import (
+    AssociationConfig,
     DimensionMismatch,
     EvalConfig,
+    SynthConfig,
     Track,
     TrackEntry,
     UnknownCategory,
     UnknownVideoId,
     VideoGroundTruth,
     evaluate,
+    generate,
+    id_switches,
     match_tracks,
     st_iou,
 )
@@ -336,3 +347,19 @@ def test_evaluate_matches_brute_force(seed):
     else:
         assert report.overall.ap == pytest.approx(brute["overall"]["ap"], abs=1e-9)
         assert report.overall.ar[1] == pytest.approx(brute["overall"]["ar"][1], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# identity switches
+
+
+def test_id_switches_equals_reference_on_hard_corpus():
+    corpus = generate(
+        SynthConfig(embedding_noise_sigma=0.3, detector_dropout=0.2, clutter_rate=1.0, rng_seed=42)
+    )
+    total = 0
+    for g, frames, trace in traced_videos(corpus, AssociationConfig()):
+        expected = reference_id_switches(frames, corpus.identity_key, g.video_id, trace)
+        assert id_switches(frames, corpus.identity_key, g.video_id, trace) == expected
+        total += expected
+    assert total > 0  # the hard regime does switch identities
