@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import BBox, Detection, Embedding, box_giou
 from .errors import (
@@ -108,7 +107,13 @@ def matching_cost(
 
 def _optimal_assignment(cost: np.ndarray) -> dict[int, int]:
     """Minimum-total-cost one-to-one assignment of size min(rows, columns),
-    as {column -> row}, by the Hungarian method."""
+    as {column -> row}, by the Hungarian method.
+
+    scipy is imported here, not at module level: importing
+    ``scipy.optimize`` costs most of the CLI's cold start, and only
+    ``select_samples`` needs it."""
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return {int(c): int(r) for r, c in zip(rows, cols)}
 

@@ -12,7 +12,9 @@ oracles).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,12 +62,16 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        try:
+            counts = tuple(map(operator.index, self.counts))
+        except TypeError:
+            raise CountsMismatch("counts must be integers") from None
+        object.__setattr__(self, "counts", counts)
         if self.height <= 0 or self.width <= 0:
             raise CountsMismatch("mask dimensions must be positive")
-        if any(c < 0 for c in self.counts):
+        if counts and min(counts) < 0:
             raise CountsMismatch("counts must be non-negative")
-        if any(c == 0 for c in self.counts[1:]):
+        if 0 in counts[1:]:
             raise CountsMismatch("counts must have no internal zero entries except the first")
         if sum(self.counts) != self.height * self.width:
             raise CountsMismatch("counts must sum to height*width")
@@ -83,10 +89,10 @@ class Embedding:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise ValueError("embedding must be non-empty")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("embedding entries must be finite")
 
     def __len__(self) -> int:
@@ -288,14 +294,31 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
 
 
 def bbox_of_mask(mask: RleMask) -> BBox | None:
-    """Tight bounding box of the foreground, or None for an empty mask."""
-    grid = rle_decode(mask)
-    rows, cols = np.nonzero(grid)
-    if rows.size == 0:
+    """Tight bounding box of the foreground, or None for an empty mask.
+
+    Computed from the one-runs without decoding, so the cost follows the
+    number of runs, not the declared size: a run's column is its
+    position // height, and a run that crosses into the next column
+    covers the last row of one column and the first row of the next.
+    """
+    h = mask.height
+    bounds = list(accumulate(mask.counts))
+    # one-run k covers the flat positions [bounds[2k], bounds[2k+1])
+    runs = list(zip(bounds[0::2], bounds[1::2]))
+    if not runs:
         return None
-    x0 = float(cols.min())
-    y0 = float(rows.min())
-    return BBox(x0, y0, float(cols.max()) + 1.0 - x0, float(rows.max()) + 1.0 - y0)
+    top, bottom = h - 1, 0
+    for start, end in runs:
+        col0, row0 = divmod(start, h)
+        col1, row1 = divmod(end - 1, h)
+        if col0 != col1:
+            top, bottom = 0, h - 1
+            break
+        top = min(top, row0)
+        bottom = max(bottom, row1)
+    x0 = float(runs[0][0] // h)
+    y0 = float(top)
+    return BBox(x0, y0, float((runs[-1][1] - 1) // h) + 1.0 - x0, float(bottom) + 1.0 - y0)
 
 
 def rle_crop(mask: RleMask, x0: int, y0: int, x1: int, y1: int) -> RleMask:

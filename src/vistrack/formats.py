@@ -3,10 +3,17 @@ pairs, evaluation reports, and run configuration.
 
 All writers quantize floats to 6 significant digits and serialize with
 sorted keys and 2-space indentation, so repeated runs produce
-byte-identical files. Loaders accept and ignore unknown object keys,
-but reject values that violate a documented invariant with an error
-naming it; malformed JSON raises ParseError carrying the line and
-column.
+byte-identical files. The byte contract of the writer, ``dumps_json``,
+is ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
+exactly: ASCII-escaped strings, ``int.__repr__`` and ``float.__repr__``
+for numbers, ValueError for NaN and infinities and TypeError for any
+other type. It is a specialized writer because ``json.dumps`` with an
+indent runs the pure-Python encoder, one generator step per value.
+
+Loaders accept and ignore unknown object keys, but reject values that
+violate a documented invariant with an error naming it; malformed JSON
+raises ParseError carrying the line and column. Arrays of numbers (RLE
+counts, embeddings, boxes) are type-checked in bulk.
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .association import AssociationConfig
@@ -50,8 +58,91 @@ def _q(x: float) -> float:
     return float(f"{float(x):.6g}")
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_INT = frozenset((int,))
+_FLOAT = frozenset((float,))
+_NUMBER = frozenset((int, float))
+
+
 def dumps_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``obj`` as sorted-key, 2-space-indented JSON plus a final newline;
+    the same bytes as ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj: Any, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
+    plus the indentation of the line ``obj`` starts on."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{_key(key)}: ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
+            # One join per array of scalars; all-int and all-finite-float
+            # arrays skip the per-element dispatch.
+            if kinds == _INT:
+                text = map(int.__repr__, obj)
+            elif kinds == _FLOAT and all(map(math.isfinite, obj)):
+                text = map(float.__repr__, obj)
+            else:
+                text = map(_scalar, obj)
+            out.append("[" + inner + sep.join(text) + nl + "]")
+            return
+        lead = "[" + inner
+        for value in obj:
+            if value is None:
+                out.append(lead + "null")
+            else:
+                out.append(lead)
+                _emit(value, inner, out)
+            lead = sep
+        out.append(nl + "]")
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(value: Any) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write(obj: Any, path: str) -> None:
@@ -87,19 +178,33 @@ def _get(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _as_ints(values: Sequence[Any], where: str) -> tuple[int, ...]:
+    """The integers of a JSON array, type-checked in bulk (booleans are
+    not integers)."""
+    if not _INT.issuperset(map(type, values)):
         raise SchemaError(f"{where}: expected an integer")
-    return value
+    return tuple(values)
+
+
+def _as_int(value: Any, where: str) -> int:
+    return _as_ints((value,), where)[0]
+
+
+def _as_numbers(values: Sequence[Any], where: str) -> tuple[float, ...]:
+    """The finite floats of a JSON array of numbers, checked in bulk."""
+    if not _NUMBER.issuperset(map(type, values)):
+        raise SchemaError(f"{where}: expected a number")
+    try:
+        out = tuple(map(float, values))
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{where}: value must be finite") from None
+    if not all(map(math.isfinite, out)):
+        raise SchemaError(f"{where}: value must be finite")
+    return out
 
 
 def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise SchemaError(f"{where}: value must be finite")
-    return v
+    return _as_numbers((value,), where)[0]
 
 
 def _bbox_json(b: BBox) -> list[float]:
@@ -110,7 +215,7 @@ def _bbox_from(value: Any, where: str) -> BBox:
     arr = _expect_list(value, where)
     if len(arr) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-    x, y, w, h = (_as_number(v, where) for v in arr)
+    x, y, w, h = _as_numbers(arr, where)
     try:
         return BBox(x, y, w, h)
     except ValueError as e:
@@ -130,9 +235,8 @@ def _rle_from(value: Any, where: str) -> RleMask:
     if isinstance(counts, str):
         raise SchemaError(f"{where}.counts: compressed string counts are not supported; use an integer array")
     counts = _expect_list(counts, f"{where}.counts")
-    h = _as_int(size[0], f"{where}.size")
-    w = _as_int(size[1], f"{where}.size")
-    vals = tuple(_as_int(c, f"{where}.counts") for c in counts)
+    h, w = _as_ints(size, f"{where}.size")
+    vals = _as_ints(counts, f"{where}.counts")
     try:
         return RleMask(height=h, width=w, counts=vals)
     except CountsMismatch as e:
@@ -385,14 +489,9 @@ def _detection_from(value: Any, where: str, dim: int, height: int | None, width:
     bbox = _bbox_from(_get(obj, "bbox", where), f"{where}.bbox")
     score = _as_number(_get(obj, "score", where), f"{where}.score")
     cid = _as_int(_get(obj, "category_id", where), f"{where}.category_id")
-    probs = tuple(
-        _as_number(p, f"{where}.class_probs")
-        for p in _expect_list(_get(obj, "class_probs", where), f"{where}.class_probs")
-    )
-    emb_vals = tuple(
-        _as_number(x, f"{where}.embedding")
-        for x in _expect_list(_get(obj, "embedding", where), f"{where}.embedding")
-    )
+    probs_where, emb_where = f"{where}.class_probs", f"{where}.embedding"
+    probs = _as_numbers(_expect_list(_get(obj, "class_probs", where), probs_where), probs_where)
+    emb_vals = _as_numbers(_expect_list(_get(obj, "embedding", where), emb_where), emb_where)
     if len(emb_vals) != dim:
         raise SchemaError(
             f"{where}.embedding: length {len(emb_vals)} violates the declared "
@@ -547,7 +646,7 @@ def load_identity(path: str) -> dict[tuple[int, int, int], int]:
         arr = _expect_list(row, f"identity[{i}]")
         if len(arr) != 4:
             raise SchemaError(f"identity[{i}]: expected [video, frame, detection, track]")
-        v, f, d, t = (_as_int(x, f"identity[{i}]") for x in arr)
+        v, f, d, t = _as_ints(arr, f"identity[{i}]")
         out[(v, f, d)] = t
     return out
 

@@ -9,6 +9,7 @@ routes to the same quantity.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -26,6 +27,15 @@ from vistrack import (
     track_video_with_trace,
 )
 from vistrack.core import VideoMeta
+
+
+# ---------------------------------------------------------------------------
+# JSON writer oracle
+
+
+def reference_dumps(obj) -> str:
+    """The byte contract of ``formats.dumps_json``, by the stdlib encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,21 @@ run-config loader, and the command-line entrypoints with their exit codes."""
 import enum
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import vistrack
+from helpers import reference_dumps
 from vistrack import (
     BBox,
     ConfigError,
@@ -27,10 +35,12 @@ from vistrack import (
     bbox_of_mask,
     rle_encode,
 )
+from vistrack import core
 from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
     RunConfig,
+    dumps_json,
     load_annotations,
     load_detections,
     load_identity,
@@ -238,6 +248,81 @@ def test_results_golden_bytes(tmp_path):
     assert p.read_text() == GOLDEN_RESULTS
 
 
+# ---------------------------------------------------------------------------
+# the writer against the stdlib encoder
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 1e16, 1e-7, 123456789.0]),
+    st.text(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_dumps_json_matches_reference(obj):
+    assert dumps_json(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        [[], {}, ()],
+        {"a": [], "b": {}},
+        "",
+        "caf\u00e9 \u2603 \U0001f600 \u2028 \x00 \x1f \x7f \" \\ /",
+        -0.0,
+        [1e-05, 1e16, -0.0, 0.1, 2.5e-300],
+        2**100,
+        [2**100, -(2**70), 0],
+        True,
+        None,
+        [True, False, None, 1, 1.0, "x"],
+        [None, {"counts": [1, 3], "size": [2, 2]}, None],
+        {"ar": {"1": 0.5, "10": 0.25}, "ap": 0.75},
+        {3: "c", 1: None, 2: [1.5]},
+        {2.5: 1, -1.0: 0},
+        {None: 0},
+        (1, (2.0, "x")),
+    ],
+)
+def test_dumps_json_matches_reference_on_edge_cases(obj):
+    assert dumps_json(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [float("nan"), float("inf"), [1.0, float("-inf")], [0.5, "x", float("nan")], {"a": [[float("inf")]]}],
+)
+def test_dumps_json_rejects_non_finite_floats(obj):
+    with pytest.raises(ValueError):
+        reference_dumps(obj)
+    with pytest.raises(ValueError):
+        dumps_json(obj)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, [0, {1}], {"a": frozenset()}, {(1, 2): 0}, np.int64(3)])
+def test_dumps_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        reference_dumps(obj)
+    with pytest.raises(TypeError):
+        dumps_json(obj)
+
+
 def test_annotations_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_annotations(tiny_gt(), str(a))
@@ -390,6 +475,24 @@ def test_duplicate_result_track_rejected(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="duplicate"):
         load_results(str(p))
+
+
+def test_null_bbox_of_huge_mask_is_taken_from_runs(tmp_path, monkeypatch):
+    def no_decode(mask):
+        raise AssertionError("the mask was decoded to a dense grid")
+
+    monkeypatch.setattr(core, "rle_decode", no_decode)
+    side = 100_000
+    # one-runs over rows 5..6 of column 3 and from the last row of
+    # column 7 to the first row of column 8, at column-major positions
+    first, second = 3 * side + 5, 7 * side + side - 1
+    counts = [first, 2, second - (first + 2), 2, side * side - (second + 2)]
+    record = {"video_id": 1, "id": 1, "category_id": 1, "score": 0.5, "bboxes": [None]}
+    record["segmentations"] = [{"size": [side, side], "counts": counts}]
+    p = tmp_path / "res.json"
+    p.write_text(json.dumps([record]))
+    tracks, _ = load_results(str(p))
+    assert tracks[1][0].entries[0].bbox == BBox(3.0, 0.0, 6.0, float(side))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +705,44 @@ def test_exit_code_bad_rle(corpus_dir, tmp_path, capsys):
     code = entrypoint(["track", "--detections", str(p), "--out", str(tmp_path / "o.json")])
     assert code == 2
     assert "sum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("counts", True, "expected an integer"),
+        ("counts", 1.5, "expected an integer"),
+        ("embedding", "x", "expected a number"),
+        ("embedding", True, "expected a number"),
+        ("embedding", float("nan"), "value must be finite"),
+    ],
+)
+def test_exit_code_bad_array_element(corpus_dir, tmp_path, capsys, key, value, message):
+    doc = json.loads((corpus_dir / "detections.json").read_text())
+    det = doc["videos"][0]["frames"][0]["detections"][0]
+    (det["segmentation"] if key == "counts" else det)[key][1] = value
+    p = tmp_path / "det.json"
+    p.write_text(json.dumps(doc))
+    code = entrypoint(["track", "--detections", str(p), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert f".{key}: {message}" in capsys.readouterr().err
+
+
+def test_exit_code_embedding_beyond_float_range(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "detections.json").read_text())
+    doc["videos"][0]["frames"][0]["detections"][0]["embedding"][0] = 10**400
+    p = tmp_path / "det.json"
+    p.write_text(json.dumps(doc))
+    code = entrypoint(["track", "--detections", str(p), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert ".embedding: value must be finite" in capsys.readouterr().err
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    src = Path(vistrack.__file__).resolve().parents[1]
+    probe = "import sys, vistrack.cli; sys.exit(int('scipy' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 def test_exit_code_bad_config(corpus_dir, tmp_path, capsys):

@@ -81,6 +81,14 @@ def test_counts_reject_bad_dims():
         RleMask(height=0, width=2, counts=())
 
 
+def test_counts_must_be_integers():
+    with pytest.raises(CountsMismatch, match="counts must be integers"):
+        RleMask(height=2, width=2, counts=(1.7, 3))
+    m = RleMask(height=2, width=2, counts=(np.int64(1), np.int32(3)))
+    assert m.counts == (1, 3)
+    assert all(type(c) is int for c in m.counts)
+
+
 # ---------------------------------------------------------------------------
 # Intersection / IoU
 
@@ -120,7 +128,18 @@ def test_intersection_rejects_mixed_dims():
 # bbox_of_mask / crop
 
 
-@given(grids())
+def sparse_grids(max_side=12):
+    """Grids of a few pixels, so that most one-runs stay within a column."""
+    return st.integers(1, max_side).flatmap(
+        lambda h: st.integers(1, max_side).flatmap(
+            lambda w: st.sets(st.integers(0, h * w - 1), max_size=4).map(
+                lambda cells: np.isin(np.arange(h * w), list(cells)).reshape(h, w)
+            )
+        )
+    )
+
+
+@given(st.one_of(grids(), sparse_grids()))
 def test_bbox_of_mask_is_tight(grid):
     box = bbox_of_mask(rle_encode(grid))
     ys, xs = np.nonzero(grid)
