@@ -38,6 +38,8 @@ def run_setting(corpus, assoc):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--videos", type=int, default=10)
+    ap.add_argument("--frames", type=int, default=20)
     ap.add_argument("--sigma", type=float, default=0.15)
     ap.add_argument("--dropout", type=float, default=0.15)
     ap.add_argument("--clutter", type=float, default=1.0)
@@ -48,6 +50,8 @@ def main():
 
     corpus = generate(
         SynthConfig(
+            n_videos=args.videos,
+            frames_per_video=args.frames,
             embedding_noise_sigma=args.sigma,
             detector_dropout=args.dropout,
             clutter_rate=args.clutter,

@@ -286,10 +286,14 @@ def gradient_check_suite(
         pos = [draw(dim) for _ in range(n_pos)]
         neg = [draw(dim) for _ in range(n_neg)]
 
+        anchor0 = Embedding(tuple(v))
+        ps0 = [Embedding(tuple(p)) for p in pos]
+        ns0 = [Embedding(tuple(n)) for n in neg]
+
         def loss_with(vv=None, pp=None, nn=None):
-            anchor = Embedding(tuple(v if vv is None else vv))
-            ps = [Embedding(tuple(p)) for p in pos]
-            ns = [Embedding(tuple(n)) for n in neg]
+            # only the bumped vector is rebuilt; the others are reused
+            anchor = anchor0 if vv is None else Embedding(tuple(vv))
+            ps, ns = list(ps0), list(ns0)
             if pp is not None:
                 idx, vals = pp
                 ps[idx] = Embedding(tuple(vals))
@@ -298,11 +302,7 @@ def gradient_check_suite(
                 ns[idx] = Embedding(tuple(vals))
             return embed_loss(anchor, ps, ns)
 
-        grad_v, grad_pos, grad_neg = embed_loss_grad(
-            Embedding(tuple(v)),
-            [Embedding(tuple(p)) for p in pos],
-            [Embedding(tuple(n)) for n in neg],
-        )
+        grad_v, grad_pos, grad_neg = embed_loss_grad(anchor0, ps0, ns0)
         rel, ab = _compare(grad_v.vector, _numeric_grad(lambda x: loss_with(vv=x), v.copy(), h))
         worst_rel = max(worst_rel, rel)
         worst_abs = max(worst_abs, ab)

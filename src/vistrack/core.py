@@ -12,6 +12,7 @@ oracles).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -82,6 +83,20 @@ class RleMask:
         return sum(self.counts[1::2])
 
 
+def _as_floats(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats. Entries must be real numbers (int,
+    float, numpy real scalars); str, bool and complex are rejected rather
+    than converted."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {float}:  # the loaders' case: nothing to check or convert
+        return values
+    for t in types:
+        if not issubclass(t, numbers.Real) or issubclass(t, bool):
+            raise ValueError(f"{name} entries must be real numbers")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Fixed-length appearance vector attached to a detection."""
@@ -89,7 +104,7 @@ class Embedding:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "values", _as_floats(self.values, "embedding"))
         if not self.values:
             raise ValueError("embedding must be non-empty")
         if not all(map(math.isfinite, self.values)):
@@ -120,7 +135,7 @@ class Detection:
     mask: RleMask | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "class_probs", tuple(float(p) for p in self.class_probs))
+        object.__setattr__(self, "class_probs", _as_floats(self.class_probs, "class_probs"))
         if not self.class_probs:
             raise ValueError("class_probs must be non-empty")
         if any(not math.isfinite(p) or p < 0.0 for p in self.class_probs):
@@ -253,34 +268,36 @@ def rle_decode(mask: RleMask) -> np.ndarray:
     return flat.reshape((mask.height, mask.width), order="F")
 
 
-def _runs(counts: tuple[int, ...]):
-    """Yield (value, length) runs, skipping zero-length entries."""
-    value = False
-    for c in counts:
-        if c:
-            yield value, c
-        value = not value
-
-
 def rle_intersection_area(a: RleMask, b: RleMask) -> int:
-    """Overlap pixel count of two masks, computed directly on the runs."""
+    """Overlap pixel count of two masks, computed directly on the runs.
+
+    One pass over both lists of one-runs: each step adds the overlap of
+    the two current runs and advances the one that ends first.
+    """
     if (a.height, a.width) != (b.height, b.width):
         raise DimensionMismatch("masks must share height and width")
-    it_a = _runs(a.counts)
-    it_b = _runs(b.counts)
-    run_a = next(it_a, None)
-    run_b = next(it_b, None)
+    bounds_a = list(accumulate(a.counts))
+    bounds_b = list(accumulate(b.counts))
+    # one-run k covers the flat positions [bounds[2k], bounds[2k+1])
+    starts_a, ends_a = bounds_a[0::2], bounds_a[1::2]
+    starts_b, ends_b = bounds_b[0::2], bounds_b[1::2]
+    na, nb = len(ends_a), len(ends_b)
+    i = j = 0
     area = 0
-    while run_a is not None and run_b is not None:
-        va, la = run_a
-        vb, lb = run_b
-        step = min(la, lb)
-        if va and vb:
-            area += step
-        la -= step
-        lb -= step
-        run_a = (va, la) if la else next(it_a, None)
-        run_b = (vb, lb) if lb else next(it_b, None)
+    while i < na and j < nb:
+        end_a = ends_a[i]
+        end_b = ends_b[j]
+        start_a = starts_a[i]
+        start_b = starts_b[j]
+        lo = start_a if start_a > start_b else start_b  # not max(): a call per step costs 2x
+        if end_a < end_b:
+            hi = end_a
+            i += 1
+        else:
+            hi = end_b
+            j += 1
+        if hi > lo:
+            area += hi - lo
     return area
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FrameDetections, Track, VideoGroundTruth, rle_intersection_area
+from .core import FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
 from .errors import ConfigError, DimensionMismatch, UnknownCategory, UnknownVideoId
 from .synth import CLUTTER
 
@@ -78,27 +78,55 @@ def st_iou(
     A frame missing from a track (or present without a mask) contributes
     an empty mask. When both sums are zero the tracks are identical as
     pixel sets, so the value is 1.0.
+
+    Cost: one pass over each track's entries, then one mask intersection
+    per frame where both tracks have a mask, so O(shared frames) once the
+    tracks are summarized. ``evaluate`` and ``fuse_tracks`` summarize each
+    track once, not once per pair.
     """
-    inter_sum = 0
-    union_sum = 0
-    for f in set(a.entries) | set(b.entries):
+    return _pixel_iou(
+        _track_pixels(a, video_length, video_dims),
+        _track_pixels(b, video_length, video_dims),
+    )
+
+
+# A track's masks by frame and their total area.
+_Pixels = tuple[dict[int, RleMask], int]
+
+
+def _track_pixels(track: Track, video_length: int, video_dims: tuple[int, int] | None) -> _Pixels:
+    """Check every entry of a track once; return its masks by frame and
+    their total area."""
+    masks = {}
+    area = 0
+    for f, e in track.entries.items():
         if f >= video_length:
             raise DimensionMismatch("track entry frame index must be below the video length")
-        ea = a.entries.get(f)
-        eb = b.entries.get(f)
-        ma = ea.mask if ea is not None else None
-        mb = eb.mask if eb is not None else None
-        for m in (ma, mb):
-            if m is not None and video_dims is not None and (m.height, m.width) != video_dims:
-                raise DimensionMismatch("track mask dimensions must equal video dimensions")
-        area_a = ma.area if ma is not None else 0
-        area_b = mb.area if mb is not None else 0
-        inter = rle_intersection_area(ma, mb) if (ma is not None and mb is not None) else 0
-        inter_sum += inter
-        union_sum += area_a + area_b - inter
-    if union_sum == 0:
+        m = e.mask
+        if m is None:
+            continue
+        if video_dims is not None and (m.height, m.width) != video_dims:
+            raise DimensionMismatch("track mask dimensions must equal video dimensions")
+        masks[f] = m
+        area += m.area
+    return masks, area
+
+
+def _pixel_iou(pa: _Pixels, pb: _Pixels) -> float:
+    """ST-IoU of two ``_track_pixels`` summaries: the union is both areas
+    minus the intersection, which only frames with two masks can have."""
+    (masks_a, area_a), (masks_b, area_b) = pa, pb
+    if len(masks_b) < len(masks_a):
+        masks_a, masks_b = masks_b, masks_a
+    inter = 0
+    for f, ma in masks_a.items():
+        mb = masks_b.get(f)
+        if mb is not None:
+            inter += rle_intersection_area(ma, mb)
+    union = area_a + area_b - inter
+    if union == 0:
         return 1.0
-    return inter_sum / union_sum
+    return inter / union
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +146,13 @@ def _st_iou_matrix(
 ) -> np.ndarray:
     """ST-IoU of every (prediction, ground truth) pair, rows in the given order."""
     iou = np.zeros((len(preds), len(gts)))
+    if not preds or not gts:  # a track is checked only when it is compared
+        return iou
+    gt_pixels = [_track_pixels(g, video_length, video_dims) for g in gts]
     for r, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            iou[r, j] = st_iou(p, g, video_length, video_dims)
+        pp = _track_pixels(p, video_length, video_dims)
+        for j, pg in enumerate(gt_pixels):
+            iou[r, j] = _pixel_iou(pp, pg)
     return iou
 
 

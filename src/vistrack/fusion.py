@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import Track
 from .errors import ConfigError, VideoMismatch
-from .evaluation import st_iou
+from .evaluation import _pixel_iou, _track_pixels
 
 
 class ScoreRule(str, Enum):
@@ -77,6 +77,7 @@ def fuse_tracks(
         for p, t in enumerate(ts)
     ]
     pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
+    pixels = [_track_pixels(t, video_length, video_dims) for t, _, _, _ in pool]
 
     claimed = [False] * len(pool)
     fused: list[Track] = []
@@ -91,7 +92,7 @@ def fuse_tracks(
             cand, w_j, _, _ = pool[j]
             if cand.category_id != seed.category_id:
                 continue
-            if st_iou(seed, cand, video_length, video_dims) >= cfg.merge_iou:
+            if _pixel_iou(pixels[i], pixels[j]) >= cfg.merge_iou:
                 claimed[j] = True
                 members.append((cand, w_j))
         if cfg.score_rule is ScoreRule.MAX:

@@ -90,6 +90,54 @@ def grid_st_iou(a: Track, b: Track, length: int, h: int, w: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Greedy spatio-temporal NMS
+
+
+def reference_fuse(track_sets, length: int, h: int, w: int, cfg) -> list[Track]:
+    """Track fusion by its definition, on decoded-grid ST-IoU.
+
+    Pool every track in descending score (ties: source, then position).
+    Until the pool is empty, take its first track as a seed and remove it
+    together with every same-category track whose ST-IoU with the seed
+    reaches ``cfg.merge_iou``; the cluster keeps the seed's geometry and
+    scores the max or the weighted mean of its members. Clusters are
+    ranked by score (stable), cut to ``cfg.max_output_tracks``, and a
+    track id already used by a higher-ranked output becomes one past the
+    largest id of the output.
+    """
+    weights = cfg.source_weights or [1.0] * len(track_sets)
+    pool = [(t, weights[s], s, p) for s, ts in enumerate(track_sets) for p, t in enumerate(ts)]
+    pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
+    fused = []
+    while pool:
+        seed = pool[0][0]
+        members = [pool[0]]
+        rest = []
+        for row in pool[1:]:
+            same = row[0].category_id == seed.category_id
+            if same and grid_st_iou(seed, row[0], length, h, w) >= cfg.merge_iou:
+                members.append(row)
+            else:
+                rest.append(row)
+        pool = rest
+        if cfg.score_rule.value == "max":
+            score = max(t.score for t, *_ in members)
+        else:
+            score = sum(t.score * wt for t, wt, *_ in members) / sum(wt for _, wt, *_ in members)
+        fused.append(Track(seed.track_id, seed.category_id, score, seed.entries))
+    fused.sort(key=lambda t: -t.score)
+    out = fused[: cfg.max_output_tracks]
+    next_id = max((t.track_id for t in out), default=0) + 1
+    seen = set()
+    for t in out:
+        if t.track_id in seen:
+            t.track_id = next_id
+            next_id += 1
+        seen.add(t.track_id)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Definition-level corpus evaluator
 
 

@@ -3,7 +3,7 @@ tracking, and the exhaustive-matching oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import best_matching, matching_margin, reference_assign
@@ -70,16 +70,19 @@ def test_bisoftmax_ln3_gap():
     assert f[0, 1] == pytest.approx(0.625)
 
 
-@given(
-    st.integers(1, 5),
-    st.integers(1, 5),
-    st.data(),
-)
+@st.composite
+def dot_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    return np.array(draw(st.lists(st.floats(-30, 30), min_size=n * m, max_size=n * m))).reshape(n, m)
+
+
+@given(dot_matrices())
+# a near-tie: the shift rounds row 1 to an exact tie, so its argmax moves
+@example(np.array([0.0, 0.0, 0.0, 2.220446049250313e-16]).reshape(2, 2))
 @settings(max_examples=100)
-def test_bisoftmax_row_term_properties(n, m, data):
-    dots = np.array(
-        data.draw(st.lists(st.floats(-30, 30), min_size=n * m, max_size=n * m))
-    ).reshape(n, m)
+def test_bisoftmax_row_term_properties(dots):
+    n = dots.shape[0]
     rows = row_softmax(dots)
     assert np.allclose(rows.sum(axis=1), 1.0)
     f = bisoftmax_scores(dots)
@@ -87,7 +90,10 @@ def test_bisoftmax_row_term_properties(n, m, data):
     # shift invariance of the row term: adding a constant per row changes nothing
     shifted = dots + np.arange(n)[:, None] * 7.5
     assert np.allclose(row_softmax(shifted), rows)
-    assert np.array_equal(np.argmax(row_softmax(shifted), axis=1), np.argmax(rows, axis=1))
+    # in floats the shift may break a near-tie either way, but the shifted
+    # argmax still picks a maximal entry of the original row
+    picked = np.argmax(row_softmax(shifted), axis=1)
+    assert np.all(rows[np.arange(n), picked] >= rows.max(axis=1) - 1e-12)
 
 
 def test_cosine_range_and_zero_vector():

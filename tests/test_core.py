@@ -10,6 +10,8 @@ from vistrack import (
     BBox,
     CountsMismatch,
     DegenerateBox,
+    Detection,
+    Embedding,
     RleMask,
     bbox_of_mask,
     box_giou,
@@ -89,6 +91,36 @@ def test_counts_must_be_integers():
     assert all(type(c) is int for c in m.counts)
 
 
+def _detection(class_probs):
+    return Detection(
+        bbox=BBox(0.0, 0.0, 1.0, 1.0),
+        score=0.5,
+        category_id=0,
+        class_probs=class_probs,
+        embedding=Embedding((1.0,)),
+    )
+
+
+@pytest.mark.parametrize("bad", ["1.5", True, np.bool_(True), None, 1j])
+def test_embedding_and_class_probs_reject_non_reals(bad):
+    with pytest.raises(ValueError, match="embedding"):
+        Embedding((0.5, bad))
+    with pytest.raises(ValueError, match="class_probs"):
+        _detection((0.5, bad))
+
+
+def test_embedding_and_class_probs_accept_real_scalars():
+    mixed = (1, 0.5, np.float64(0.25), np.float32(0.125), np.int64(0))
+    emb = Embedding(mixed)
+    assert emb.values == (1.0, 0.5, 0.25, 0.125, 0.0)
+    assert all(type(v) is float for v in emb.values)
+    det = _detection(mixed[1:])
+    assert det.class_probs == (0.5, 0.25, 0.125, 0.0)
+    assert all(type(p) is float for p in det.class_probs)
+    ints = Embedding((1, 2))
+    assert ints.values == (1.0, 2.0) and all(type(v) is float for v in ints.values)
+
+
 # ---------------------------------------------------------------------------
 # Intersection / IoU
 
@@ -113,6 +145,26 @@ def test_intersection_matches_decoded_and(ga, data):
     gb = np.array(bits, dtype=bool).reshape(ga.shape)
     area = rle_intersection_area(rle_encode(ga), rle_encode(gb))
     assert area == int(np.logical_and(ga, gb).sum())
+
+
+@pytest.mark.parametrize(
+    "counts_a, counts_b",
+    [
+        ((2, 3, 3), (5, 2, 1)),  # a's one-run ends where b's starts
+        ((5, 2, 1), (2, 3, 3)),  # the same, roles swapped
+        ((0, 2, 2, 2, 2), (2, 2, 2, 2)),  # interleaved runs touching at every end
+        ((0, 8), (1, 2, 3, 2)),  # a full mask against a partial one
+        ((0, 8), (0, 8)),  # two full masks
+        ((0, 3, 2, 3), (0, 1, 3, 4)),  # both start with a zero-length zero-run
+        ((0, 1, 7), (0, 1, 7)),  # one shared leading pixel
+    ],
+)
+def test_intersection_edge_runs_match_decoded_and(counts_a, counts_b):
+    a = RleMask(height=2, width=4, counts=counts_a)
+    b = RleMask(height=2, width=4, counts=counts_b)
+    expected = int(np.logical_and(rle_decode(a), rle_decode(b)).sum())
+    assert rle_intersection_area(a, b) == expected
+    assert rle_intersection_area(b, a) == expected
 
 
 def test_intersection_rejects_mixed_dims():

@@ -16,6 +16,7 @@ from helpers import (
 )
 from vistrack import (
     AssociationConfig,
+    BBox,
     DimensionMismatch,
     EvalConfig,
     SynthConfig,
@@ -81,6 +82,31 @@ def test_st_iou_rejects_mismatched_dims():
     b = track_from_grids(2, 1, 0.9, {0: square(5, 4, 0, 0, 2)})
     with pytest.raises(DimensionMismatch):
         st_iou(a, b, 2, video_dims=(4, 4))
+
+
+def maskless_track(frames, track_id=9, category_id=1):
+    entry = TrackEntry(bbox=BBox(0.0, 0.0, 1.0, 1.0), mask=None, score=0.5)
+    return Track(track_id=track_id, category_id=category_id, score=0.5, entries={f: entry for f in frames})
+
+
+@pytest.mark.parametrize("maskless_first", [False, True])
+def test_st_iou_rejects_maskless_entry_beyond_length(maskless_first):
+    a = track_from_grids(1, 1, 0.9, {0: square(4, 4, 0, 0, 2)})
+    b = maskless_track([0, 3])
+    pair = (b, a) if maskless_first else (a, b)
+    with pytest.raises(DimensionMismatch):
+        st_iou(*pair, 3)
+
+
+def test_st_iou_counts_frames_of_one_track_in_the_union():
+    four_px = square(4, 4, 0, 0, 2)
+    two_px = square(4, 4, 2, 2, 1) | square(4, 4, 3, 3, 1)
+    a = track_from_grids(1, 1, 0.9, {0: four_px, 1: four_px})
+    b = track_from_grids(2, 1, 0.9, {1: four_px, 2: two_px})
+    # intersection 4 (frame 1); union 4 + 4 + 2
+    assert st_iou(a, b, 3) == 0.4
+    assert st_iou(b, a, 3) == 0.4
+    assert st_iou(a, maskless_track([0, 1]), 3) == 0.0
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -239,6 +265,13 @@ def test_evaluate_absent_category_is_none_and_excluded():
     report = evaluate(preds, gts, EvalConfig())
     assert report.per_category[3] is None
     assert set(report.per_category) == {1, 2, 3}
+
+
+def test_evaluate_rejects_maskless_result_entry_beyond_length():
+    preds, gts = _one_video_corpus()
+    bad = maskless_track([0, gts[0].length], track_id=3, category_id=1)
+    with pytest.raises(DimensionMismatch):
+        evaluate({1: preds[1] + [bad]}, gts, EvalConfig())
 
 
 def test_evaluate_one_missed_of_four():

@@ -3,14 +3,21 @@ truncation, and id hygiene."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import track_from_grids
+from helpers import reference_fuse, track_from_grids
 from vistrack import (
+    BBox,
     ConfigError,
+    DimensionMismatch,
     FusionConfig,
     ScoreRule,
+    Track,
+    TrackEntry,
     VideoMismatch,
     fuse_tracks,
+    rle_encode,
     st_iou,
 )
 
@@ -153,3 +160,102 @@ def test_chain_merge_uses_seed_not_transitivity():
     out = fuse_tracks([[seed, near, far]], 1, FusionConfig(merge_iou=0.5))
     assert len(out) == 2
     assert out[0].entries == seed.entries
+
+
+def test_mask_dims_are_checked_on_every_track():
+    a = track_from_grids(1, 1, 0.9, {0: square(0, 0, 2)})
+    lone = track_from_grids(2, 2, 0.5, {0: square(0, 0, 2, h=4, w=4)})
+    with pytest.raises(DimensionMismatch):
+        fuse_tracks([[a, lone]], 2, FusionConfig(), video_dims=(8, 8))
+
+
+# ---------------------------------------------------------------------------
+# Against the definition-level greedy spatio-temporal NMS
+
+H = W = 3
+LENGTH = 3
+BOX = BBox(0.0, 0.0, 1.0, 1.0)
+
+
+def same_fusion(got, want):
+    assert [(t.track_id, t.category_id, t.entries) for t in got] == [
+        (t.track_id, t.category_id, t.entries) for t in want
+    ]
+    assert [t.score for t in got] == pytest.approx([t.score for t in want], rel=1e-12, abs=0.0)
+
+
+def entry(mask, score=0.5):
+    return TrackEntry(bbox=BOX, mask=mask, score=score)
+
+
+@pytest.mark.parametrize("rule", list(ScoreRule))
+def test_edge_cases_match_reference(rule):
+    empty = rle_encode(np.zeros((H, W), dtype=bool))
+    corner = rle_encode(square(0, 0, 2, h=H, w=W))
+    sets = [
+        [
+            Track(1, 1, 0.9, {0: entry(None)}),  # no masks at all: IoU 1.0 with the next
+            Track(3, 2, 0.7, {0: entry(empty)}),  # all-empty masks: IoU 1.0 with the next
+            Track(5, 3, 0.5, {0: entry(corner)}),  # no frame shared with the next: IoU 0
+        ],
+        [
+            Track(2, 1, 0.8, {2: entry(None)}),
+            Track(4, 2, 0.6, {1: entry(empty), 2: entry(None)}),
+            Track(6, 3, 0.4, {1: entry(corner)}),
+        ],
+    ]
+    cfg = FusionConfig(score_rule=rule)
+    got = fuse_tracks(sets, LENGTH, cfg, video_dims=(H, W))
+    assert [t.track_id for t in got] == [1, 3, 5, 6]
+    same_fusion(got, reference_fuse(sets, LENGTH, H, W, cfg))
+
+
+SHAPES = [
+    None,
+    np.zeros((H, W), dtype=bool),
+    np.ones((H, W), dtype=bool),
+    square(0, 0, 2, h=H, w=W),
+    square(1, 1, 2, h=H, w=W),
+]
+
+
+@st.composite
+def fusion_cases(draw):
+    grid = st.one_of(
+        st.sampled_from(range(len(SHAPES))).map(lambda k: SHAPES[k]),
+        st.lists(st.booleans(), min_size=H * W, max_size=H * W).map(
+            lambda bits: np.array(bits, dtype=bool).reshape(H, W)
+        ),
+    )
+
+    def track():
+        frames = draw(st.sets(st.integers(0, LENGTH - 1), min_size=1))
+        entries = {}
+        for f in sorted(frames):
+            g = draw(grid)
+            entries[f] = entry(None if g is None else rle_encode(g))
+        return Track(
+            track_id=draw(st.integers(1, 3)),
+            category_id=draw(st.integers(1, 2)),
+            score=draw(st.sampled_from([0.3, 0.5, 0.9])),
+            entries=entries,
+        )
+
+    n_sources = draw(st.integers(1, 3))
+    sets = [[track() for _ in range(draw(st.integers(0, 4)))] for _ in range(n_sources)]
+    weights = draw(st.none() | st.tuples(*[st.sampled_from([0.5, 1.0, 2.0])] * n_sources))
+    cfg = FusionConfig(
+        merge_iou=draw(st.sampled_from([0.25, 0.5, 1.0])),
+        score_rule=draw(st.sampled_from(list(ScoreRule))),
+        max_output_tracks=draw(st.integers(1, 6)),
+        source_weights=weights,
+    )
+    return sets, cfg
+
+
+@given(fusion_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_fuse_tracks_matches_reference_nms(case, with_dims):
+    sets, cfg = case
+    got = fuse_tracks(sets, LENGTH, cfg, video_dims=(H, W) if with_dims else None)
+    same_fusion(got, reference_fuse(sets, LENGTH, H, W, cfg))
