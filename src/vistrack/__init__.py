@@ -14,7 +14,6 @@ from .association import (
     Assignment,
     AssociationConfig,
     MemoryBank,
-    MemoryInstance,
     Outcome,
     SimilarityKind,
     assign,

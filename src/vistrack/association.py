@@ -10,12 +10,12 @@ track (high class score) or are discarded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
+from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta, config_int
 from .errors import ConfigError, DimensionMismatch, EmptyInput, UnknownTrackId
 
 
@@ -30,37 +30,30 @@ class Outcome(str, Enum):
     DISCARDED = "discarded"
 
 
-@dataclass(frozen=True)
-class MemoryInstance:
-    """One remembered instance: smoothed embedding plus bookkeeping."""
-
-    track_id: int
-    embedding: Embedding
-    category_id: int
-    last_seen_frame: int
-    hit_count: int = 1
-
-    def __post_init__(self):
-        if self.hit_count < 1:
-            raise ValueError("hit_count must be at least 1")
-
-
 @dataclass
 class MemoryBank:
-    """Ordered memory instances plus the next fresh track id."""
+    """Remembered instances, oldest first: their track ids, one smoothed
+    float64 embedding row per id, and the next fresh track id."""
 
-    instances: list[MemoryInstance] = field(default_factory=list)
+    track_ids: list[int] = field(default_factory=list)
+    embeddings: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     next_id: int = 1
 
     def __post_init__(self):
-        ids = [inst.track_id for inst in self.instances]
+        ids, rows = self.track_ids, self.embeddings
         if len(ids) != len(set(ids)):
             raise ValueError("memory track ids must be unique")
         if ids and self.next_id <= max(ids):
             raise ValueError("next_id must exceed every stored track id")
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 or rows.ndim != 2:
+            raise ValueError("memory embeddings must be a 2-D float64 array")
+        if len(rows) != len(ids) or (ids and not rows.shape[1]):
+            raise ValueError("memory embeddings must hold one non-empty row per track id")
+        if not np.isfinite(rows).all():
+            raise ValueError("memory embeddings must be finite")
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.track_ids)
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ class AssociationConfig:
             raise ConfigError("new_instance_score must lie in [0, 1]")
         if not 0.0 <= self.memory_momentum <= 1.0:
             raise ConfigError("memory_momentum must lie in [0, 1]")
-        if self.keep_top_n_per_frame < 1:
+        if config_int(self.keep_top_n_per_frame, "keep_top_n_per_frame") < 1:
             raise ConfigError("keep_top_n_per_frame must be at least 1")
         try:
             object.__setattr__(self, "similarity_kind", SimilarityKind(self.similarity_kind))
@@ -148,10 +141,10 @@ def similarity(
     Raises EmptyInput when either side is empty; callers short-circuit
     the empty-memory case before scoring.
     """
-    if not pred_embeddings or not memory.instances:
+    if not pred_embeddings or not len(memory):
         raise EmptyInput("similarity requires at least one prediction and one memory instance")
     pred = _stack(pred_embeddings)
-    mem = _stack([inst.embedding for inst in memory.instances])
+    mem = memory.embeddings
     if pred.shape[1] != mem.shape[1]:
         raise DimensionMismatch("prediction and memory embeddings must share one length")
     if kind is SimilarityKind.COSINE:
@@ -180,7 +173,7 @@ def assign(
     the stable sort keeps equal scores in row-major (i, j) order.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape != (len(detections), len(memory.instances)):
+    if s.ndim != 2 or s.shape != (len(detections), len(memory)):
         raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
     n, m = s.shape
     flat = s.ravel()
@@ -196,7 +189,7 @@ def assign(
     out = []
     for i in range(n):
         if i in matched:
-            out.append(Assignment(i, Outcome.MATCHED, memory.instances[matched[i]].track_id))
+            out.append(Assignment(i, Outcome.MATCHED, memory.track_ids[matched[i]]))
         elif detections[i].score >= cfg.new_instance_score:
             out.append(Assignment(i, Outcome.NEW_INSTANCE))
         else:
@@ -204,55 +197,39 @@ def assign(
     return out
 
 
-def _updated_bank(
+def update_memory(
     memory: MemoryBank,
     assignments: list[Assignment],
     detections: list[Detection],
-    frame_index: int,
     cfg: AssociationConfig,
-) -> tuple[MemoryBank, dict[int, int]]:
-    """Apply assignments, returning the new bank and fresh ids by pred index."""
-    index_of = {inst.track_id: k for k, inst in enumerate(memory.instances)}
-    instances = list(memory.instances)
-    next_id = memory.next_id
-    minted: dict[int, int] = {}
+) -> MemoryBank:
+    """Blend matched embeddings (EMA with ``memory_momentum``), append new
+    instances with fresh ids in ascending prediction order, keep the rest.
+
+    Returns a new bank; ``memory`` is left unchanged.
+    """
+    index_of = {tid: k for k, tid in enumerate(memory.track_ids)}
+    rows = memory.embeddings.copy()
     rho = cfg.memory_momentum
+    fresh = []
     for a in sorted(assignments, key=lambda a: a.pred_index):
         det = detections[a.pred_index]
         if a.outcome is Outcome.MATCHED:
             k = index_of.get(a.track_id)
             if k is None:
                 raise UnknownTrackId(f"assignment references unknown track id {a.track_id}")
-            inst = instances[k]
-            if len(inst.embedding) != len(det.embedding):
+            if len(det.embedding) != rows.shape[1]:
                 raise DimensionMismatch("detection embedding length must match memory")
-            blended = (1.0 - rho) * inst.embedding.vector + rho * det.embedding.vector
-            instances[k] = replace(
-                inst,
-                embedding=Embedding(tuple(blended)),
-                last_seen_frame=frame_index,
-                hit_count=inst.hit_count + 1,
-            )
+            rows[k] = (1.0 - rho) * rows[k] + rho * det.embedding.vector
         elif a.outcome is Outcome.NEW_INSTANCE:
-            minted[a.pred_index] = next_id
-            instances.append(
-                MemoryInstance(next_id, det.embedding, det.category_id, frame_index, 1)
-            )
-            next_id += 1
-    return MemoryBank(instances, next_id), minted
-
-
-def update_memory(
-    memory: MemoryBank,
-    assignments: list[Assignment],
-    detections: list[Detection],
-    frame_index: int,
-    cfg: AssociationConfig,
-) -> MemoryBank:
-    """Blend matched embeddings (EMA with ``memory_momentum``), append new
-    instances with fresh ids in ascending prediction order, keep the rest."""
-    bank, _ = _updated_bank(memory, assignments, detections, frame_index, cfg)
-    return bank
+            fresh.append(det.embedding)
+    if fresh:
+        new_rows = _stack(fresh)
+        if len(memory) and new_rows.shape[1] != rows.shape[1]:
+            raise DimensionMismatch("detection embedding length must match memory")
+        rows = np.concatenate([rows, new_rows]) if len(memory) else new_rows
+    next_id = memory.next_id + len(fresh)
+    return MemoryBank(memory.track_ids + list(range(memory.next_id, next_id)), rows, next_id)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +290,14 @@ def track_video_with_trace(
         else:
             scores = similarity([d.embedding for d in dets], bank, cfg.similarity_kind)
         assignments = assign(scores, dets, bank, cfg)
-        bank, minted = _updated_bank(bank, assignments, dets, fd.frame_index, cfg)
-        for a in assignments:
+        known = len(bank)
+        bank = update_memory(bank, assignments, dets, cfg)
+        fresh_ids = iter(bank.track_ids[known:])
+        for a in assignments:  # in ascending pred_index, the order fresh ids were minted
             if a.outcome is Outcome.MATCHED:
                 tid = a.track_id
             elif a.outcome is Outcome.NEW_INSTANCE:
-                tid = minted[a.pred_index]
+                tid = next(fresh_ids)
             else:
                 continue
             if tid not in history:

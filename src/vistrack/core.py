@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CountsMismatch, DegenerateBox, DimensionMismatch
+from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,29 @@ class RleMask:
         return sum(self.counts[1::2])
 
 
-def _as_floats(values, name: str) -> tuple[float, ...]:
+def _as_floats(values, name: str, error: type[Exception] = ValueError) -> tuple[float, ...]:
     """``values`` as a tuple of floats. Entries must be real numbers (int,
-    float, numpy real scalars); str, bool and complex are rejected rather
-    than converted."""
+    float, numpy real scalars); str, bool and complex raise ``error``
+    rather than being converted."""
     values = tuple(values)
     types = set(map(type, values))
     if types <= {float}:  # the loaders' case: nothing to check or convert
         return values
     for t in types:
         if not issubclass(t, numbers.Real) or issubclass(t, bool):
-            raise ValueError(f"{name} entries must be real numbers")
+            raise error(f"{name} entries must be real numbers")
     return tuple(map(float, values))
+
+
+def config_int(value, name: str) -> int:
+    """``value`` of the config field ``name`` as an int. Bools, floats and
+    strings raise ConfigError rather than being truncated or converted."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

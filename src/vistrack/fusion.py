@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .core import Track
+from .core import Track, _as_floats, config_int
 from .errors import ConfigError, VideoMismatch
 from .evaluation import _pixel_iou, _track_pixels
 
@@ -38,10 +38,10 @@ class FusionConfig:
             object.__setattr__(self, "score_rule", ScoreRule(self.score_rule))
         except ValueError as e:
             raise ConfigError(f"unknown score_rule: {self.score_rule!r}") from e
-        if self.max_output_tracks < 1:
+        if config_int(self.max_output_tracks, "max_output_tracks") < 1:
             raise ConfigError("max_output_tracks must be positive")
         if self.source_weights is not None:
-            ws = tuple(float(w) for w in self.source_weights)
+            ws = _as_floats(self.source_weights, "source_weights", ConfigError)
             object.__setattr__(self, "source_weights", ws)
             if any(w < 0 for w in ws) or sum(ws) <= 0:
                 raise ConfigError("source_weights must be non-negative with positive sum")

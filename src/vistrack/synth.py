@@ -34,6 +34,7 @@ from .core import (
     TrackEntry,
     VideoGroundTruth,
     bbox_of_mask,
+    config_int,
     rle_encode,
 )
 from .errors import ConfigError, ConfigInfeasible
@@ -61,13 +62,16 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "canvas", (int(self.canvas[0]), int(self.canvas[1])))
+        for name in ("n_videos", "frames_per_video", "objects_per_video", "embedding_dim", "motion_step_max"):
+            config_int(getattr(self, name), name)
+        config_int(self.rng_seed, "rng_seed")
+        object.__setattr__(self, "canvas", tuple(config_int(side, "canvas side") for side in self.canvas))
         if self.n_videos < 1 or self.frames_per_video < 1:
             raise ConfigError("n_videos and frames_per_video must be positive")
         if not 1 <= self.objects_per_video <= 6:
             raise ConfigError("objects_per_video must lie in [1, 6]")
-        if min(self.canvas) < 16:
-            raise ConfigError("canvas sides must be at least 16 pixels")
+        if len(self.canvas) != 2 or min(self.canvas) < 16:
+            raise ConfigError("canvas must be [width, height] with sides of at least 16 pixels")
         if self.embedding_dim < 2:
             raise ConfigError("embedding_dim must be at least 2")
         if not 0.0 <= self.detector_dropout < 1.0:

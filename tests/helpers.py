@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,14 +19,18 @@ from vistrack import (
     Assignment,
     BBox,
     DimensionMismatch,
+    Embedding,
     Outcome,
     RleMask,
+    SimilarityKind,
     Track,
     TrackEntry,
+    UnknownTrackId,
     rle_decode,
     rle_encode,
     track_video_with_trace,
 )
+from vistrack.association import _keep_top, _majority_category, bisoftmax_scores, cosine_scores
 from vistrack.core import VideoMeta
 
 
@@ -350,7 +355,7 @@ def reference_assign(scores, detections, memory, cfg) -> list[Assignment]:
     prediction, then lowest memory index) and stop once it is not
     strictly above the threshold."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape != (len(detections), len(memory.instances)):
+    if s.ndim != 2 or s.shape != (len(detections), len(memory.track_ids)):
         raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
     n, m = s.shape
     available = [True] * m
@@ -373,12 +378,123 @@ def reference_assign(scores, detections, memory, cfg) -> list[Assignment]:
     out = []
     for i in range(n):
         if i in matched:
-            out.append(Assignment(i, Outcome.MATCHED, memory.instances[matched[i]].track_id))
+            out.append(Assignment(i, Outcome.MATCHED, memory.track_ids[matched[i]]))
         elif detections[i].score >= cfg.new_instance_score:
             out.append(Assignment(i, Outcome.NEW_INSTANCE))
         else:
             out.append(Assignment(i, Outcome.DISCARDED))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-instance memory bank tracker
+
+
+@dataclass(frozen=True)
+class MemoryInstance:
+    """One remembered instance: smoothed embedding plus bookkeeping."""
+
+    track_id: int
+    embedding: Embedding
+    category_id: int
+    last_seen_frame: int
+    hit_count: int = 1
+
+
+@dataclass
+class RecordBank:
+    """The memory bank as a list of per-instance records."""
+
+    instances: list[MemoryInstance] = field(default_factory=list)
+    next_id: int = 1
+
+    @property
+    def track_ids(self) -> list[int]:
+        return [inst.track_id for inst in self.instances]
+
+
+def reference_update(memory, assignments, detections, frame_index, cfg) -> tuple[RecordBank, dict[int, int]]:
+    """Apply assignments record by record, rebuilding each blended
+    embedding as a tuple; returns the new bank and fresh ids by pred index."""
+    index_of = {inst.track_id: k for k, inst in enumerate(memory.instances)}
+    instances = list(memory.instances)
+    next_id = memory.next_id
+    minted: dict[int, int] = {}
+    rho = cfg.memory_momentum
+    for a in sorted(assignments, key=lambda a: a.pred_index):
+        det = detections[a.pred_index]
+        if a.outcome is Outcome.MATCHED:
+            k = index_of.get(a.track_id)
+            if k is None:
+                raise UnknownTrackId(f"assignment references unknown track id {a.track_id}")
+            inst = instances[k]
+            if len(inst.embedding) != len(det.embedding):
+                raise DimensionMismatch("detection embedding length must match memory")
+            blended = (1.0 - rho) * inst.embedding.vector + rho * det.embedding.vector
+            instances[k] = replace(
+                inst,
+                embedding=Embedding(tuple(blended)),
+                last_seen_frame=frame_index,
+                hit_count=inst.hit_count + 1,
+            )
+        elif a.outcome is Outcome.NEW_INSTANCE:
+            minted[a.pred_index] = next_id
+            instances.append(
+                MemoryInstance(next_id, det.embedding, det.category_id, frame_index, 1)
+            )
+            next_id += 1
+    return RecordBank(instances, next_id), minted
+
+
+def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tuple[int, int], int]]:
+    """``track_video_with_trace`` over a bank of per-instance records that
+    is stacked into a matrix anew for every frame, with the rescanning
+    ``reference_assign``."""
+    bank = RecordBank()
+    history: dict[int, list] = {}
+    spawn_order: list[int] = []
+    trace: dict[tuple[int, int], int] = {}
+    last_frame = -1
+    for fd in frames:
+        if fd.frame_index <= last_frame:
+            raise ValueError("frames must arrive in ascending frame_index order")
+        if fd.frame_index >= video_meta.length:
+            raise ValueError("frame_index must be below the video length")
+        last_frame = fd.frame_index
+        kept_indices = _keep_top(fd.detections, cfg.keep_top_n_per_frame)
+        dets = [fd.detections[i] for i in kept_indices]
+        if not dets:
+            continue
+        if not bank.instances:
+            scores = np.zeros((len(dets), 0))
+        else:
+            pred = np.stack([d.embedding.vector for d in dets])
+            mem = np.stack([inst.embedding.vector for inst in bank.instances])
+            if cfg.similarity_kind is SimilarityKind.COSINE:
+                scores = cosine_scores(pred, mem)
+            else:
+                scores = bisoftmax_scores(pred @ mem.T)
+        assignments = reference_assign(scores, dets, bank, cfg)
+        bank, minted = reference_update(bank, assignments, dets, fd.frame_index, cfg)
+        for a in assignments:
+            if a.outcome is Outcome.MATCHED:
+                tid = a.track_id
+            elif a.outcome is Outcome.NEW_INSTANCE:
+                tid = minted[a.pred_index]
+            else:
+                continue
+            if tid not in history:
+                history[tid] = []
+                spawn_order.append(tid)
+            history[tid].append((fd.frame_index, dets[a.pred_index]))
+            trace[(fd.frame_index, kept_indices[a.pred_index])] = tid
+    tracks = []
+    for tid in spawn_order:
+        recorded = history[tid]
+        entries = {f: TrackEntry(det.bbox, det.mask, det.score) for f, det in recorded}
+        score = sum(det.score for _, det in recorded) / len(recorded)
+        tracks.append(Track(tid, _majority_category(recorded), score, entries))
+    return tracks, trace
 
 
 # ---------------------------------------------------------------------------

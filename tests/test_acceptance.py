@@ -31,7 +31,6 @@ from vistrack import (
     FusionConfig,
     ImageMeta,
     MemoryBank,
-    MemoryInstance,
     Outcome,
     ScoreRule,
     SourceAnnotation,
@@ -103,15 +102,8 @@ def _greedy_pairs(scores, cfg):
         for _ in range(n)
     ]
     bank = MemoryBank(
-        instances=[
-            MemoryInstance(
-                track_id=j + 1,
-                embedding=Embedding((1.0, 0.0)),
-                category_id=1,
-                last_seen_frame=0,
-            )
-            for j in range(m)
-        ],
+        track_ids=[j + 1 for j in range(m)],
+        embeddings=np.tile([1.0, 0.0], (m, 1)),
         next_id=m + 1,
     )
     id_to_col = {j + 1: j for j in range(m)}

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import best_matching, matching_margin, reference_assign
+from helpers import (
+    MemoryInstance,
+    RecordBank,
+    best_matching,
+    matching_margin,
+    reference_assign,
+    reference_track_video,
+    reference_update,
+)
 from vistrack import (
     Assignment,
     AssociationConfig,
@@ -17,7 +25,6 @@ from vistrack import (
     EmptyInput,
     FrameDetections,
     MemoryBank,
-    MemoryInstance,
     Outcome,
     SimilarityKind,
     VideoMeta,
@@ -43,11 +50,8 @@ def det(score, embedding, category=1, n_cats=4):
 
 
 def bank_of(*vectors, next_id=None):
-    instances = [
-        MemoryInstance(track_id=k + 1, embedding=Embedding(tuple(float(x) for x in v)), category_id=1, last_seen_frame=0)
-        for k, v in enumerate(vectors)
-    ]
-    return MemoryBank(instances=instances, next_id=next_id or len(vectors) + 1)
+    rows = np.array(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
+    return MemoryBank(list(range(1, len(vectors) + 1)), rows, next_id or len(vectors) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +254,8 @@ def test_assign_equals_rescanning_reference(n, m, data):
 def test_update_blends_matched_embedding():
     bank = bank_of((1.0, 0.0))
     d = det(0.9, (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], 3, CFG)
-    assert out.instances[0].embedding.values == (0.5, 0.5)
-    assert out.instances[0].last_seen_frame == 3
-    assert out.instances[0].hit_count == 2
+    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], CFG)
+    assert out.embeddings[0].tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("rho,expected", [(0.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
@@ -261,8 +263,8 @@ def test_update_momentum_extremes(rho, expected):
     cfg = AssociationConfig(memory_momentum=rho)
     bank = bank_of((1.0, 0.0))
     d = det(0.9, (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], 1, cfg)
-    assert out.instances[0].embedding.values == expected
+    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], cfg)
+    assert tuple(out.embeddings[0].tolist()) == expected
 
 
 def test_update_appends_new_instances_in_pred_order():
@@ -272,13 +274,12 @@ def test_update_appends_new_instances_in_pred_order():
         bank,
         [Assignment(1, Outcome.NEW_INSTANCE), Assignment(0, Outcome.NEW_INSTANCE)],
         dets,
-        2,
         CFG,
     )
-    assert [i.track_id for i in out.instances] == [1, 2, 3]
+    assert out.track_ids == [1, 2, 3]
     # ids minted in ascending prediction order regardless of assignment order
-    assert out.instances[1].embedding.values == (0.3, 0.3)
-    assert out.instances[2].embedding.values == (0.7, 0.7)
+    assert out.embeddings[1].tolist() == [0.3, 0.3]
+    assert out.embeddings[2].tolist() == [0.7, 0.7]
     assert out.next_id == 4
 
 
@@ -286,13 +287,88 @@ def test_update_unknown_track_id():
     from vistrack import UnknownTrackId
 
     with pytest.raises(UnknownTrackId):
-        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED, 99)], [det(0.9, (1, 0))], 1, CFG)
+        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED, 99)], [det(0.9, (1, 0))], CFG)
 
 
 def test_update_retains_unmatched_instances():
     bank = bank_of((1.0, 0.0), (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.DISCARDED)], [det(0.1, (1, 0))], 5, CFG)
-    assert out.instances == bank.instances  # no expiry, nothing touched
+    out = update_memory(bank, [Assignment(0, Outcome.DISCARDED)], [det(0.1, (1, 0))], CFG)
+    # no expiry, nothing touched
+    assert out.track_ids == bank.track_ids
+    assert np.array_equal(out.embeddings, bank.embeddings)
+
+
+def test_update_leaves_input_bank_unchanged():
+    bank = bank_of((1.0, 0.0), (0.0, 1.0))
+    ids, rows = list(bank.track_ids), bank.embeddings.copy()
+    dets = [det(0.9, (0.0, 1.0)), det(0.9, (5.0, 5.0))]
+    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1), Assignment(1, Outcome.NEW_INSTANCE)], dets, CFG)
+    assert out.track_ids == [1, 2, 3] and out.next_id == 4
+    assert bank.track_ids == ids and bank.next_id == 3
+    assert np.array_equal(bank.embeddings, rows)
+    assert not np.shares_memory(out.embeddings, bank.embeddings)
+
+
+def test_update_rejects_new_rows_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.NEW_INSTANCE)], [det(0.9, (1, 0, 0))], CFG)
+
+
+@pytest.mark.parametrize(
+    "ids,rows,next_id,message",
+    [
+        ([1, 1], np.zeros((2, 2)), 3, "unique"),
+        ([1, 4], np.zeros((2, 2)), 4, "next_id"),
+        ([1, 2], np.zeros(4), 3, "float64"),
+        ([1, 2], np.zeros((3, 2)), 3, "one non-empty row per track id"),
+        ([1], np.zeros((1, 0)), 2, "one non-empty row per track id"),
+        ([1], np.zeros((1, 2), dtype=np.float32), 2, "float64"),
+        ([1], [[0.0, 1.0]], 2, "float64"),
+        ([1], np.array([[0.0, np.inf]]), 2, "finite"),
+    ],
+)
+def test_memory_bank_invariants(ids, rows, next_id, message):
+    with pytest.raises(ValueError, match=message):
+        MemoryBank(ids, rows, next_id)
+
+
+# Components of random real embeddings: a few exact values mixed with
+# arbitrary magnitudes.
+COORDS = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.1, 3.0)), st.floats(-1e6, 1e6))
+MOMENTA = (0.0, 0.3, 0.5, 1.0)
+
+
+def record_bank(bank):
+    instances = [
+        MemoryInstance(tid, Embedding(tuple(row.tolist())), 1, 0) for tid, row in zip(bank.track_ids, bank.embeddings)
+    ]
+    return RecordBank(instances, bank.next_id)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_update_equals_per_instance_reference(dim, data):
+    """The array update gives bit for bit the rows of the per-instance
+    record update, which rebuilds every blended embedding as a tuple."""
+    vector = st.lists(COORDS, min_size=dim, max_size=dim)
+    m = data.draw(st.integers(0, 5))
+    bank = bank_of(*data.draw(st.lists(vector, min_size=m, max_size=m)), next_id=m + data.draw(st.integers(1, 3)))
+    dets = [det(0.9, v) for v in data.draw(st.lists(vector, max_size=6))]
+    free = list(bank.track_ids)
+    assignments = []
+    for i in range(len(dets)):
+        outcome = data.draw(st.sampled_from(list(Outcome)))
+        if outcome is Outcome.MATCHED and free:
+            assignments.append(Assignment(i, outcome, free.pop(data.draw(st.integers(0, len(free) - 1)))))
+        elif outcome is not Outcome.MATCHED:
+            assignments.append(Assignment(i, outcome))
+    cfg = AssociationConfig(memory_momentum=data.draw(st.sampled_from(MOMENTA)))
+    assignments = data.draw(st.permutations(assignments))
+    out = update_memory(bank, assignments, dets, cfg)
+    ref, _ = reference_update(record_bank(bank), assignments, dets, 0, cfg)
+    assert out.track_ids == ref.track_ids
+    assert out.next_id == ref.next_id
+    assert [tuple(row.tolist()) for row in out.embeddings] == [inst.embedding.values for inst in ref.instances]
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +376,57 @@ def test_update_retains_unmatched_instances():
 
 
 META = VideoMeta(length=10)
+
+
+@st.composite
+def tracker_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(COORDS, min_size=dim, max_size=dim)
+    # a few appearances that recur exactly, so that blended rows tie with
+    # fresh ones, plus one-off vectors
+    embedding = st.one_of(st.sampled_from(draw(st.lists(vector, min_size=1, max_size=3))), vector)
+    length = draw(st.integers(1, 8))
+    frames = []
+    for f in sorted(draw(st.sets(st.integers(0, length - 1), min_size=1))):
+        n = draw(st.integers(0, 6))
+        dets = [det(draw(st.floats(0.0, 1.0)), draw(embedding), draw(st.integers(1, 3))) for _ in range(n)]
+        frames.append(FrameDetections(f, dets))
+    cfg = AssociationConfig(
+        match_threshold=draw(st.sampled_from((0.3, 0.5, 0.7))),
+        similarity_kind=draw(st.sampled_from(list(SimilarityKind))),
+        memory_momentum=draw(st.sampled_from(MOMENTA)),
+        keep_top_n_per_frame=draw(st.sampled_from((1, 3, 10))),
+    )
+    return frames, cfg, VideoMeta(length=length)
+
+
+RECURRING = (957357.0,)
+
+
+@given(tracker_inputs())
+# one appearance of large norm, seen again and again: the blended row of
+# track 1 is an ulp off the fresh row of track 2, and bisoftmax over dots
+# near 1e12 turns that ulp into the choice between the two tracks
+@example(
+    (
+        [
+            FrameDetections(0, [det(1.0, RECURRING)]),
+            FrameDetections(1, [det(0.0, RECURRING), det(1.0, RECURRING)]),
+            FrameDetections(2, [det(0.0, RECURRING)]),
+        ],
+        AssociationConfig(match_threshold=0.3, memory_momentum=0.3, keep_top_n_per_frame=3),
+        VideoMeta(length=3),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_tracker_equals_per_instance_reference(inputs):
+    """Tracks (ids, categories, entries, scores) and the trace equal those
+    of the per-instance record bank with the rescanning assignment."""
+    frames, cfg, meta = inputs
+    tracks, trace = track_video_with_trace(frames, cfg, meta)
+    ref_tracks, ref_trace = reference_track_video(frames, cfg, meta)
+    assert tracks == ref_tracks
+    assert trace == ref_trace
 
 
 def test_single_detection_single_track():

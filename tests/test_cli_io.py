@@ -771,3 +771,47 @@ def test_track_similarity_kind_from_config(corpus_dir, tmp_path, capsys, kind, c
     assert entrypoint(argv + ["--out", str(tmp_path / "o.json")]) == code
     if code:
         assert "similarity_kind" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def results_file(corpus_dir, tmp_path_factory):
+    res = tmp_path_factory.mktemp("results") / "results.json"
+    assert entrypoint(["track", "--detections", str(corpus_dir / "detections.json"), "--out", str(res)]) == 0
+    return res
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("eval", {"eval": {"recall_points": 10.5}}, "recall_points"),
+        ("track", {"association": {"keep_top_n_per_frame": 2.5}}, "keep_top_n_per_frame"),
+        ("fuse", {"fusion": {"max_output_tracks": 2.5}}, "max_output_tracks"),
+        ("synth", {"synth": {"n_videos": 2.5}}, "n_videos"),
+        ("pseudopair", {"crop": {"rng_seed": 1.5}}, "rng_seed"),
+        ("eval", {"eval": {"max_detections": [1.7, 10]}}, "max_detections"),
+        ("synth", {"synth": {"canvas": [96.7, 96]}}, "canvas"),
+        ("eval", {"eval": {"iou_thresholds": ["0.5", "0.75"]}}, "iou_thresholds"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, capsys, command, config, field):
+    """Non-integers in integer fields and strings in float fields are
+    rejected by the config dataclass, not truncated, converted or left to
+    crash later."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    ann = str(corpus_dir / "annotations.json")
+    argv = {
+        "track": ["track", "--detections", str(corpus_dir / "detections.json")],
+        "eval": ["eval", "--gt", ann, "--results", str(results_file)],
+        "fuse": ["fuse", "--inputs", str(results_file)],
+        "pseudopair": ["pseudopair", "--annotations", ann],
+        "synth": ["synth", "--out-dir", str(tmp_path / "corpus")],
+    }[command]
+    if command != "synth":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert entrypoint(argv + ["--config", str(cfg)]) == 3
+    assert field in capsys.readouterr().err
+    ((section, values),) = config.items()
+    cls = {f.name: f.default_factory for f in fields(RunConfig)}[section]
+    with pytest.raises(ConfigError, match=field):
+        cls(**values)

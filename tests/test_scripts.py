@@ -1,7 +1,9 @@
-"""Smoke runs of the example scripts on a tiny corpus: each exits 0 and
-prints the same report twice (timing lines aside)."""
+"""Smoke runs of the example scripts on a tiny corpus (each exits 0 and
+prints the same report twice, timing lines aside) and of README's library
+example."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,13 @@ def test_script_runs_and_repeats(script):
         reports.append([line for line in run.stdout.splitlines() if not line.startswith("wall time")])
     assert any("mAP" in line for line in reports[0])
     assert reports[0] == reports[1]
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert 0.0 <= float(run.stdout) <= 1.0

@@ -195,6 +195,9 @@ def test_config_validation():
         SynthConfig(objects_per_video=7)
     with pytest.raises(ConfigError):
         SynthConfig(canvas=(8, 64))
+    for canvas in ((96,), (96, 96, 96)):
+        with pytest.raises(ConfigError, match=r"\[width, height\]"):
+            SynthConfig(canvas=canvas)
     with pytest.raises(ConfigError):
         SynthConfig(embedding_dim=1)
     with pytest.raises(ConfigError):
