@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta, config_int
+from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
+from .core import config_floats, config_int, embedding_rows
 from .errors import ConfigError, DimensionMismatch, EmptyInput, UnknownTrackId
 
 
@@ -65,6 +66,7 @@ class AssociationConfig:
     keep_top_n_per_frame: int = 10
 
     def __post_init__(self):
+        config_floats(self, "match_threshold", "new_instance_score", "memory_momentum")
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError("match_threshold must lie in [0, 1]")
         if not 0.0 <= self.new_instance_score <= 1.0:
@@ -92,13 +94,6 @@ class Assignment:
 
 # ---------------------------------------------------------------------------
 # Similarity
-
-
-def _stack(embeddings: list[Embedding]) -> np.ndarray:
-    dims = {len(e) for e in embeddings}
-    if len(dims) != 1:
-        raise DimensionMismatch("embeddings must share one length")
-    return np.stack([e.vector for e in embeddings])
 
 
 def row_softmax(dots: np.ndarray) -> np.ndarray:
@@ -132,18 +127,19 @@ def cosine_scores(pred: np.ndarray, mem: np.ndarray) -> np.ndarray:
 
 
 def similarity(
-    pred_embeddings: list[Embedding],
+    pred_embeddings: list[Embedding] | np.ndarray,
     memory: MemoryBank,
     kind: SimilarityKind = SimilarityKind.BISOFTMAX,
 ) -> np.ndarray:
     """N x M similarity matrix between predictions and memory instances.
 
+    ``pred_embeddings`` are N Embeddings or an (N, D) float array.
     Raises EmptyInput when either side is empty; callers short-circuit
     the empty-memory case before scoring.
     """
-    if not pred_embeddings or not len(memory):
+    if not len(pred_embeddings) or not len(memory):
         raise EmptyInput("similarity requires at least one prediction and one memory instance")
-    pred = _stack(pred_embeddings)
+    pred = embedding_rows(pred_embeddings)
     mem = memory.embeddings
     if pred.shape[1] != mem.shape[1]:
         raise DimensionMismatch("prediction and memory embeddings must share one length")
@@ -220,11 +216,11 @@ def update_memory(
                 raise UnknownTrackId(f"assignment references unknown track id {a.track_id}")
             if len(det.embedding) != rows.shape[1]:
                 raise DimensionMismatch("detection embedding length must match memory")
-            rows[k] = (1.0 - rho) * rows[k] + rho * det.embedding.vector
+            rows[k] = (1.0 - rho) * rows[k] + rho * np.asarray(det.embedding)
         elif a.outcome is Outcome.NEW_INSTANCE:
             fresh.append(det.embedding)
     if fresh:
-        new_rows = _stack(fresh)
+        new_rows = embedding_rows(fresh)
         if len(memory) and new_rows.shape[1] != rows.shape[1]:
             raise DimensionMismatch("detection embedding length must match memory")
         rows = np.concatenate([rows, new_rows]) if len(memory) else new_rows

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, Embedding, box_giou
+from .core import BBox, Detection, Embedding, box_giou, config_floats, embedding_rows
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -33,9 +33,10 @@ class MatchWeights:
     w_giou: float = 2.0
 
     def __post_init__(self):
+        config_floats(self, "w_cls", "w_l1", "w_giou")
         terms = (self.w_cls, self.w_l1, self.w_giou)
-        if any(not math.isfinite(w) or w < 0.0 for w in terms):
-            raise ConfigError("matching weights must be finite and non-negative")
+        if any(w < 0.0 for w in terms):
+            raise ConfigError("matching weights must be non-negative")
         if all(w == 0.0 for w in terms):
             raise ConfigError("at least one matching weight must be positive")
 
@@ -48,8 +49,9 @@ class LossWeights:
     lambda2: float = 2.0
 
     def __post_init__(self):
-        if any(not math.isfinite(w) or w < 0.0 for w in (self.lambda1, self.lambda2)):
-            raise ConfigError("loss weights must be finite and non-negative")
+        config_floats(self, "lambda1", "lambda2")
+        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
+            raise ConfigError("loss weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -164,60 +166,51 @@ def select_samples(
 # Embedding loss
 
 
-def _gap_matrix(v: Embedding, positives, negatives) -> np.ndarray:
-    vec = v.vector
-    pos = np.stack([k.vector for k in positives])
-    neg = np.stack([k.vector for k in negatives])
+def _gap_matrix(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor as a (D,) array, the sets as (P, D) and (N, D) arrays,
+    and the (P, N) gaps ``v.k-[q] - v.k+[p]``."""
+    vec = embedding_rows([v])[0]
+    pos = embedding_rows(positives)
+    neg = embedding_rows(negatives)
     if pos.shape[1] != vec.size or neg.shape[1] != vec.size:
         raise DimensionMismatch("positive/negative embeddings must match the anchor length")
-    # gaps[p, q] = v . k_neg[q] - v . k_pos[p]
-    return (neg @ vec)[None, :] - (pos @ vec)[:, None]
+    return vec, pos, neg, (neg @ vec)[None, :] - (pos @ vec)[:, None]
 
 
-def embed_loss(v: Embedding, positives: list[Embedding], negatives: list[Embedding]) -> float:
+def embed_loss(v, positives, negatives) -> float:
     """log(1 + sum over positive/negative pairs of exp(v.k- - v.k+)).
 
-    Computed through a shifted log-sum-exp, so dot products up to the
-    float64 exponent range stay finite. Empty positives or negatives
-    give 0.
+    ``v`` has shape (D,), ``positives`` (P, D) and ``negatives`` (N, D), as
+    Embeddings, lists of reals or float arrays. Computed through a shifted
+    log-sum-exp, so dot products up to the float64 exponent range stay
+    finite. Empty positives or negatives give 0.
     """
-    if not positives or not negatives:
+    if not len(positives) or not len(negatives):
         return 0.0
-    gaps = _gap_matrix(v, positives, negatives)
+    *_, gaps = _gap_matrix(v, positives, negatives)
     shift = max(0.0, float(gaps.max()))
     return float(shift + np.log(np.exp(-shift) + np.exp(gaps - shift).sum()))
 
 
-def embed_loss_grad(
-    v: Embedding, positives: list[Embedding], negatives: list[Embedding]
-) -> tuple[Embedding, list[Embedding], list[Embedding]]:
-    """Analytic gradients of ``embed_loss`` for the anchor and both sets.
+def embed_loss_grad(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic gradients of ``embed_loss`` for the anchor and both sets,
+    as float64 arrays ``(grad_v (D,), grad_pos (P, D), grad_neg (N, D))``.
+    Takes the inputs of ``embed_loss``; an empty set gives zero arrays.
 
     With w[p, q] = exp(gap[p, q]) / (1 + sum exp(gap)):
       d/dv      = sum_pq w[p, q] * (k-[q] - k+[p])
       d/dk-[q]  = (sum_p w[p, q]) * v
       d/dk+[p]  = -(sum_q w[p, q]) * v
     """
-    dim = len(v)
-    if not positives or not negatives:
-        zero = Embedding((0.0,) * dim)
-        return (
-            zero,
-            [Embedding((0.0,) * len(k)) for k in positives],
-            [Embedding((0.0,) * len(k)) for k in negatives],
-        )
-    gaps = _gap_matrix(v, positives, negatives)
+    if not len(positives) or not len(negatives):
+        dim = len(v)
+        return np.zeros(dim), np.zeros((len(positives), dim)), np.zeros((len(negatives), dim))
+    vec, pos, neg, gaps = _gap_matrix(v, positives, negatives)
     shift = max(0.0, float(gaps.max()))
     scaled = np.exp(gaps - shift)
-    denom = np.exp(-shift) + scaled.sum()
-    w = scaled / denom
-    pos = np.stack([k.vector for k in positives])
-    neg = np.stack([k.vector for k in negatives])
-    grad_v = w.sum(axis=0) @ neg - w.sum(axis=1) @ pos
-    vec = v.vector
-    grad_pos = [Embedding(tuple(-w[p, :].sum() * vec)) for p in range(len(positives))]
-    grad_neg = [Embedding(tuple(w[:, q].sum() * vec)) for q in range(len(negatives))]
-    return Embedding(tuple(grad_v)), grad_pos, grad_neg
+    w = scaled / (np.exp(-shift) + scaled.sum())
+    w_pos, w_neg = w.sum(axis=1), w.sum(axis=0)
+    return w_neg @ neg - w_pos @ pos, -w_pos[:, None] * vec, w_neg[:, None] * vec
 
 
 def total_loss(l_cls: float, l_box: float, l_mask: float, l_embed: float, w: LossWeights) -> float:
@@ -233,28 +226,25 @@ def total_loss(l_cls: float, l_box: float, l_mask: float, l_embed: float, w: Los
 
 
 def _numeric_grad(fn, values: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``fn`` in each element of ``values`` (any shape), bumped on one copy."""
+    bumped = values.copy()
     grad = np.zeros_like(values)
-    for i in range(values.size):
-        bumped = values.copy()
+    for i in np.ndindex(values.shape):
         bumped[i] += h
         hi = fn(bumped)
         bumped[i] -= 2.0 * h
         lo = fn(bumped)
+        bumped[i] = values[i]
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
 
 
-def _compare(analytic: np.ndarray, numeric: np.ndarray, near_zero: float = 1e-3):
+def _compare(analytic: np.ndarray, numeric: np.ndarray, near_zero: float = 1e-3) -> tuple[float, float]:
     """Return (worst relative error, worst absolute error near zero)."""
-    worst_rel = 0.0
-    worst_abs = 0.0
-    for a, n in zip(analytic.ravel(), numeric.ravel()):
-        scale = max(abs(a), abs(n))
-        if scale < near_zero:
-            worst_abs = max(worst_abs, abs(a - n))
-        else:
-            worst_rel = max(worst_rel, abs(a - n) / scale)
-    return worst_rel, worst_abs
+    err = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    near = scale < near_zero
+    return float(np.max(err[~near] / scale[~near], initial=0.0)), float(np.max(err[near], initial=0.0))
 
 
 def gradient_check_suite(
@@ -272,8 +262,8 @@ def gradient_check_suite(
     from .rng import SplitMix64
 
     rng = SplitMix64(seed)
-    worst_rel = 0.0
-    worst_abs = 0.0
+    analytic = [np.empty(0)]  # so that samples=0 gives (0.0, 0.0)
+    numeric = [np.empty(0)]
 
     def draw(count: int) -> np.ndarray:
         return np.array([rng.next_float() * 4.0 - 2.0 for _ in range(count)])
@@ -283,37 +273,10 @@ def gradient_check_suite(
         n_pos = rng.randint(1, max_set)
         n_neg = rng.randint(1, max_set)
         v = draw(dim)
-        pos = [draw(dim) for _ in range(n_pos)]
-        neg = [draw(dim) for _ in range(n_neg)]
-
-        anchor0 = Embedding(tuple(v))
-        ps0 = [Embedding(tuple(p)) for p in pos]
-        ns0 = [Embedding(tuple(n)) for n in neg]
-
-        def loss_with(vv=None, pp=None, nn=None):
-            # only the bumped vector is rebuilt; the others are reused
-            anchor = anchor0 if vv is None else Embedding(tuple(vv))
-            ps, ns = list(ps0), list(ns0)
-            if pp is not None:
-                idx, vals = pp
-                ps[idx] = Embedding(tuple(vals))
-            if nn is not None:
-                idx, vals = nn
-                ns[idx] = Embedding(tuple(vals))
-            return embed_loss(anchor, ps, ns)
-
-        grad_v, grad_pos, grad_neg = embed_loss_grad(anchor0, ps0, ns0)
-        rel, ab = _compare(grad_v.vector, _numeric_grad(lambda x: loss_with(vv=x), v.copy(), h))
-        worst_rel = max(worst_rel, rel)
-        worst_abs = max(worst_abs, ab)
-        for idx in range(n_pos):
-            num = _numeric_grad(lambda x, i=idx: loss_with(pp=(i, x)), pos[idx].copy(), h)
-            rel, ab = _compare(grad_pos[idx].vector, num)
-            worst_rel = max(worst_rel, rel)
-            worst_abs = max(worst_abs, ab)
-        for idx in range(n_neg):
-            num = _numeric_grad(lambda x, i=idx: loss_with(nn=(i, x)), neg[idx].copy(), h)
-            rel, ab = _compare(grad_neg[idx].vector, num)
-            worst_rel = max(worst_rel, rel)
-            worst_abs = max(worst_abs, ab)
-    return worst_rel, worst_abs
+        pos = np.array([draw(dim) for _ in range(n_pos)])
+        neg = np.array([draw(dim) for _ in range(n_neg)])
+        analytic += embed_loss_grad(v, pos, neg)
+        numeric.append(_numeric_grad(lambda x: embed_loss(x, pos, neg), v, h))
+        numeric.append(_numeric_grad(lambda x: embed_loss(v, x, neg), pos, h))
+        numeric.append(_numeric_grad(lambda x: embed_loss(v, pos, x), neg, h))
+    return _compare(*(np.concatenate([g.ravel() for g in grads]) for grads in (analytic, numeric)))

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch
+from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,21 @@ def config_int(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def config_floats(cfg, *names: str) -> None:
+    """Store each named field of the frozen config ``cfg`` as a float, by
+    the one-value form of ``_as_floats``: ints pass; bools, strings, other
+    non-reals, NaN and inf raise ConfigError naming the field."""
+    for name in names:
+        value = getattr(cfg, name)
+        try:
+            (number,) = _as_floats((value,), name)
+        except ValueError:
+            number = math.nan  # a non-real gets the same ConfigError as NaN
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+        object.__setattr__(cfg, name, number)
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Fixed-length appearance vector attached to a detection."""
@@ -124,14 +139,33 @@ class Embedding:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The values as a new array (float64 by default), for ``np.asarray``."""
+        if copy is False:
+            raise ValueError("an Embedding can only be converted to an array by copying")
+        return np.array(self.values, dtype=np.float64 if dtype is None else dtype)
 
-    def dot(self, other: Embedding) -> float:
-        if len(other) != len(self):
-            raise DimensionMismatch("embeddings must have equal length")
-        return float(np.dot(self.vector, other.vector))
+
+def embedding_rows(rows) -> np.ndarray:
+    """n embeddings (Embeddings, sequences of reals or array rows) as one
+    (n, D) float64 array. Ragged rows raise DimensionMismatch, non-real
+    entries ValueError (they are never converted), NaN or inf NonFiniteInput."""
+    if not isinstance(rows, np.ndarray):
+        rows = [
+            r if isinstance(r, Embedding) or (isinstance(r, np.ndarray) and r.dtype.kind in "fiu")
+            else _as_floats(r, "embedding")
+            for r in rows
+        ]
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("embeddings must share one length")
+    array = np.asarray(rows)  # no dtype, so that a non-real array keeps its dtype for the check below
+    if array.dtype.kind not in "fiu":
+        raise ValueError("embedding entries must be real numbers")
+    if array.ndim != 2 or not array.shape[1]:
+        raise DimensionMismatch("embeddings must be n non-empty rows of one length")
+    if not np.isfinite(array).all():
+        raise NonFiniteInput("embedding entries must be finite")
+    return array.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ class EvalConfig:
             raise ConfigError("recall_points must be at least 2")
         if not self.max_detections or any(k < 1 for k in self.max_detections):
             raise ConfigError("max_detections entries must be positive")
+        if not isinstance(self.category_agnostic, bool):
+            raise ConfigError(f"category_agnostic must be true or false, got {self.category_agnostic!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .core import Track, _as_floats, config_int
+from .core import Track, _as_floats, config_floats, config_int
 from .errors import ConfigError, VideoMismatch
 from .evaluation import _pixel_iou, _track_pixels
 
@@ -32,6 +32,7 @@ class FusionConfig:
     source_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        config_floats(self, "merge_iou")
         if not 0.0 < self.merge_iou <= 1.0:
             raise ConfigError("merge_iou must lie in (0, 1]")
         try:

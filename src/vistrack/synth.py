@@ -20,7 +20,6 @@ corpus is byte-stable under serialization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     TrackEntry,
     VideoGroundTruth,
     bbox_of_mask,
+    config_floats,
     config_int,
     rle_encode,
 )
@@ -65,6 +65,7 @@ class SynthConfig:
         for name in ("n_videos", "frames_per_video", "objects_per_video", "embedding_dim", "motion_step_max"):
             config_int(getattr(self, name), name)
         config_int(self.rng_seed, "rng_seed")
+        config_floats(self, "embedding_noise_sigma", "detector_dropout", "clutter_rate", "embedding_scale")
         object.__setattr__(self, "canvas", tuple(config_int(side, "canvas side") for side in self.canvas))
         if self.n_videos < 1 or self.frames_per_video < 1:
             raise ConfigError("n_videos and frames_per_video must be positive")
@@ -76,13 +77,13 @@ class SynthConfig:
             raise ConfigError("embedding_dim must be at least 2")
         if not 0.0 <= self.detector_dropout < 1.0:
             raise ConfigError("detector_dropout must lie in [0, 1)")
-        if self.clutter_rate < 0.0 or not math.isfinite(self.clutter_rate):
-            raise ConfigError("clutter_rate must be finite and non-negative")
+        if self.clutter_rate < 0.0:
+            raise ConfigError("clutter_rate must be non-negative")
         if self.embedding_noise_sigma < 0.0:
             raise ConfigError("embedding_noise_sigma must be non-negative")
         if self.motion_step_max < 0:
             raise ConfigError("motion_step_max must be non-negative")
-        if self.embedding_scale <= 0.0 or not math.isfinite(self.embedding_scale):
+        if self.embedding_scale <= 0.0:
             raise ConfigError("embedding_scale must be positive")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -430,7 +431,7 @@ def reference_update(memory, assignments, detections, frame_index, cfg) -> tuple
             inst = instances[k]
             if len(inst.embedding) != len(det.embedding):
                 raise DimensionMismatch("detection embedding length must match memory")
-            blended = (1.0 - rho) * inst.embedding.vector + rho * det.embedding.vector
+            blended = (1.0 - rho) * np.asarray(inst.embedding) + rho * np.asarray(det.embedding)
             instances[k] = replace(
                 inst,
                 embedding=Embedding(tuple(blended)),
@@ -468,8 +469,8 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
         if not bank.instances:
             scores = np.zeros((len(dets), 0))
         else:
-            pred = np.stack([d.embedding.vector for d in dets])
-            mem = np.stack([inst.embedding.vector for inst in bank.instances])
+            pred = np.stack([np.asarray(d.embedding) for d in dets])
+            mem = np.stack([np.asarray(inst.embedding) for inst in bank.instances])
             if cfg.similarity_kind is SimilarityKind.COSINE:
                 scores = cosine_scores(pred, mem)
             else:
@@ -530,3 +531,43 @@ def videos_with_id_switches(corpus, cfg) -> int:
         reference_id_switches(frames, corpus.identity_key, g.video_id, trace) > 0
         for g, frames, trace in traced_videos(corpus, cfg)
     )
+
+
+# ---------------------------------------------------------------------------
+# Contrastive loss oracle, pair by pair with ``math`` only
+
+
+def _dot(a, b) -> float:
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def _pair_weights(v, positives, negatives) -> list[list[float]]:
+    """w[p][q] = exp(gap[p][q]) / (1 + sum exp(gap)), gap[p][q] = v.k-[q] - v.k+[p]."""
+    e = [[math.exp(_dot(v, kn) - _dot(v, kp)) for kn in negatives] for kp in positives]
+    total = 1.0 + math.fsum(x for row in e for x in row)
+    return [[x / total for x in row] for row in e]
+
+
+def reference_embed_loss(v, positives, negatives) -> float:
+    """log(1 + sum over (p, q) of exp(v.k-[q] - v.k+[p])); 0 for an empty set."""
+    if not positives or not negatives:
+        return 0.0
+    gaps = [_dot(v, kn) - _dot(v, kp) for kp in positives for kn in negatives]
+    return math.log1p(math.fsum(math.exp(g) for g in gaps))
+
+
+def reference_embed_loss_grad(v, positives, negatives):
+    """(d/dv, [d/dk+[p]], [d/dk-[q]]) as lists, from the docstring formulas:
+    d/dv = sum_pq w[p, q] (k-[q] - k+[p]), d/dk-[q] = (sum_p w[p, q]) v,
+    d/dk+[p] = -(sum_q w[p, q]) v. Zeros for an empty set."""
+    dim = len(v)
+    if not positives or not negatives:
+        return [0.0] * dim, [[0.0] * dim for _ in positives], [[0.0] * dim for _ in negatives]
+    w = _pair_weights(v, positives, negatives)
+    grad_v = [
+        math.fsum(w[p][q] * (kn[d] - kp[d]) for p, kp in enumerate(positives) for q, kn in enumerate(negatives))
+        for d in range(dim)
+    ]
+    grad_pos = [[-math.fsum(w[p]) * x for x in v] for p in range(len(positives))]
+    grad_neg = [[math.fsum(row[q] for row in w) * x for x in v] for q in range(len(negatives))]
+    return grad_v, grad_pos, grad_neg

@@ -24,6 +24,7 @@ from vistrack import (
     ConfigError,
     Detection,
     Embedding,
+    EvalConfig,
     FrameDetections,
     ParseError,
     SchemaError,
@@ -567,6 +568,45 @@ def test_run_config_bad_similarity_kind(tmp_path):
         load_run_config(str(p))
 
 
+def _float_fields():
+    """(config class, field) for every float-typed field of every RunConfig section."""
+    return [
+        (section.default_factory, f.name)
+        for section in fields(RunConfig)
+        for f in fields(section.default_factory)
+        if get_type_hints(section.default_factory)[f.name] is float
+    ]
+
+
+def test_float_fields_cover_every_section():
+    found = {(cls.__name__, name) for cls, name in _float_fields()}
+    assert len(found) == 16
+    assert {("AssociationConfig", "match_threshold"), ("FusionConfig", "merge_iou"),
+            ("CropConfig", "min_scale"), ("SynthConfig", "clutter_rate"),
+            ("MatchWeights", "w_giou"), ("LossWeights", "lambda2")} <= found
+
+
+@pytest.mark.parametrize("cls,name", _float_fields())
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, [0.5], float("nan"), float("inf"), -float("inf")])
+def test_float_config_field_rejects_non_reals_and_non_finite(cls, name, value):
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls,name", _float_fields())
+def test_float_config_field_takes_an_int_as_float(cls, name):
+    value = 0 if name == "detector_dropout" else 1
+    got = getattr(cls(**{name: value}), name)
+    assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
+def test_category_agnostic_must_be_bool(value):
+    with pytest.raises(ConfigError, match="category_agnostic"):
+        EvalConfig(category_agnostic=value)
+    assert EvalConfig(category_agnostic=True).category_agnostic is True
+
+
 def _json_forms():
     """(section, field, JSON value, expected loaded value) for every Enum-
     and tuple-typed field of every RunConfig section: each enum member,
@@ -791,6 +831,13 @@ def results_file(corpus_dir, tmp_path_factory):
         ("eval", {"eval": {"max_detections": [1.7, 10]}}, "max_detections"),
         ("synth", {"synth": {"canvas": [96.7, 96]}}, "canvas"),
         ("eval", {"eval": {"iou_thresholds": ["0.5", "0.75"]}}, "iou_thresholds"),
+        ("track", {"association": {"match_threshold": True}}, "match_threshold"),
+        ("track", {"association": {"match_threshold": "0.5"}}, "match_threshold"),
+        ("eval", {"eval": {"category_agnostic": "no"}}, "category_agnostic"),
+        ("fuse", {"fusion": {"merge_iou": True}}, "merge_iou"),
+        ("synth", {"synth": {"clutter_rate": "1"}}, "clutter_rate"),
+        ("pseudopair", {"crop": {"min_scale": True}}, "min_scale"),
+        ("synth", {"synth": {"embedding_noise_sigma": float("nan")}}, "embedding_noise_sigma"),
     ],
 )
 def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, capsys, command, config, field):

@@ -2,6 +2,7 @@
 analytic gradients against finite differences."""
 
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -18,15 +19,18 @@ from vistrack import (
     Embedding,
     LossWeights,
     MatchWeights,
+    MemoryBank,
     NonFiniteInput,
     embed_loss,
     embed_loss_grad,
     gradient_check_suite,
     matching_cost,
     select_samples,
+    similarity,
     total_loss,
 )
 from vistrack.contrastive import _optimal_assignment
+from helpers import reference_embed_loss, reference_embed_loss_grad
 
 W = MatchWeights()
 
@@ -266,8 +270,8 @@ def test_loss_monotone_in_dots(seed):
     neg = [Embedding(tuple(rng.uniform(-2, 2, dim))) for _ in range(2)]
     base = embed_loss(v, pos, neg)
     bump = 0.1 * v_vec / float(v_vec @ v_vec)  # raises the dot by 0.1
-    pos_up = [Embedding(tuple(pos[0].vector + bump)), pos[1]]
-    neg_up = [Embedding(tuple(neg[0].vector + bump)), neg[1]]
+    pos_up = [Embedding(tuple(np.asarray(pos[0]) + bump)), pos[1]]
+    neg_up = [Embedding(tuple(np.asarray(neg[0]) + bump)), neg[1]]
     assert embed_loss(v, pos_up, neg) < base
     assert embed_loss(v, pos, neg_up) > base
 
@@ -282,18 +286,155 @@ def test_grad_fixture():
     kn = Embedding((0.0, 0.0))
     w = math.exp(-1.0) / (1.0 + math.exp(-1.0))
     grad_v, grad_pos, grad_neg = embed_loss_grad(v, [kp], [kn])
-    assert grad_v.values[0] == pytest.approx(-w, abs=1e-12)
-    assert grad_v.values[1] == pytest.approx(0.0, abs=1e-15)
-    assert grad_pos[0].values == pytest.approx((-w, 0.0), abs=1e-12)
-    assert grad_neg[0].values == pytest.approx((w, 0.0), abs=1e-12)
+    assert grad_v[0] == pytest.approx(-w, abs=1e-12)
+    assert grad_v[1] == pytest.approx(0.0, abs=1e-15)
+    assert tuple(grad_pos[0]) == pytest.approx((-w, 0.0), abs=1e-12)
+    assert tuple(grad_neg[0]) == pytest.approx((w, 0.0), abs=1e-12)
 
 
 def test_grad_empty_sets_zero():
     v = Embedding((1.0, 2.0))
     grad_v, grad_pos, grad_neg = embed_loss_grad(v, [], [Embedding((3.0, 4.0))])
-    assert grad_v.values == (0.0, 0.0)
-    assert grad_pos == []
-    assert grad_neg[0].values == (0.0, 0.0)
+    assert tuple(grad_v) == (0.0, 0.0)
+    assert grad_pos.tolist() == []
+    assert tuple(grad_neg[0]) == (0.0, 0.0)
+
+
+def _forms(v, rows_pos, rows_neg):
+    """The same anchor and sets as Embeddings, as lists and as float arrays."""
+    dim = len(v)
+
+    def array(rows):
+        return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+    return [
+        (Embedding(tuple(v)), [Embedding(tuple(r)) for r in rows_pos], [Embedding(tuple(r)) for r in rows_neg]),
+        (list(v), [list(r) for r in rows_pos], [list(r) for r in rows_neg]),
+        (np.array(v), array(rows_pos), array(rows_neg)),
+    ]
+
+
+@st.composite
+def loss_inputs(draw):
+    dim = draw(st.integers(1, 16))
+    row = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=dim, max_size=dim)
+    return draw(row), draw(st.lists(row, max_size=5)), draw(st.lists(row, max_size=5))
+
+
+@given(loss_inputs())
+@settings(max_examples=150, deadline=None)
+def test_loss_and_grad_equal_reference(inputs):
+    """Loss and all three gradients against the pair-by-pair oracle, for
+    every input form. The abs floor covers gradient components that
+    cancel to ~0, where the matrix route keeps only rounding noise."""
+    v, pos, neg = inputs
+    dim = len(v)
+    close = dict(rel=1e-9, abs=1e-12)
+    ref_loss = reference_embed_loss(v, pos, neg)
+    ref_v, ref_pos, ref_neg = reference_embed_loss_grad(v, pos, neg)
+    losses = set()
+    for args in _forms(v, pos, neg):
+        loss = embed_loss(*args)
+        losses.add(loss)
+        assert loss == pytest.approx(ref_loss, **close)
+        grad_v, grad_pos, grad_neg = embed_loss_grad(*args)
+        assert [g.dtype for g in (grad_v, grad_pos, grad_neg)] == [np.float64] * 3
+        assert (grad_v.shape, grad_pos.shape, grad_neg.shape) == ((dim,), (len(pos), dim), (len(neg), dim))
+        assert grad_v.tolist() == pytest.approx(ref_v, **close)
+        assert grad_pos.ravel().tolist() == pytest.approx([x for r in ref_pos for x in r], **close)
+        assert grad_neg.ravel().tolist() == pytest.approx([x for r in ref_neg for x in r], **close)
+    assert len(losses) == 1  # one conversion: every form gives the same float
+
+
+def test_loss_of_a_sample_partition_needs_no_conversion():
+    b1, b2 = BBox(0.1, 0.1, 0.2, 0.2), BBox(0.6, 0.6, 0.2, 0.2)
+    preds = [det(b1, (0.0, 1.0), embedding=(1.0, 0.5)), det(b2, (0.0, 1.0), embedding=(0.0, 1.0))]
+    part = select_samples(preds, [(1, 1, b1), (2, 1, b2)], 1, W)
+    anchor = Embedding((1.0, 0.0))
+    expected = reference_embed_loss([1.0, 0.0], [[1.0, 0.5]], [[0.0, 1.0]])
+    assert embed_loss(anchor, part.positives, part.negatives) == pytest.approx(expected, rel=1e-12)
+    assert embed_loss_grad(anchor, part.positives, part.negatives)[1].shape == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the input contract of the array entry points
+
+_BANK = MemoryBank([1], np.array([[1.0, 0.0]]), 2)
+_SETS = {
+    "similarity": lambda rows: similarity(rows, _BANK),
+    "embed_loss positives": lambda rows: embed_loss([1.0, 0.0], rows, [[0.0, 1.0]]),
+    "embed_loss negatives": lambda rows: embed_loss([1.0, 0.0], [[0.0, 1.0]], rows),
+    "embed_loss_grad positives": lambda rows: embed_loss_grad([1.0, 0.0], rows, [[0.0, 1.0]]),
+    "embed_loss_grad negatives": lambda rows: embed_loss_grad([1.0, 0.0], [[0.0, 1.0]], rows),
+}
+_ANCHORS = {
+    "embed_loss anchor": lambda rows: embed_loss(rows[0], [[1.0, 0.0]], [[0.0, 1.0]]),
+    "embed_loss_grad anchor": lambda rows: embed_loss_grad(rows[0], [[1.0, 0.0]], [[0.0, 1.0]]),
+}
+_NON_REAL_ROWS = [
+    [["a", "b"]],
+    [[True, False]],
+    [[None, 1.0]],
+    [[1j, 1.0]],
+    [[True, 0.5]],
+    np.array([["a", "b"]]),
+    np.array([[True, False]]),
+    np.array([[None, 1.0]], dtype=object),
+    np.array([[1j, 1.0]]),
+    [np.array([True, False]), np.array([0.5, 0.0])],
+]
+_NON_FINITE_ROWS = [[[float("nan"), 0.0]], [[0.0, float("inf")]], np.array([[1.0, -np.inf]])]
+
+
+@pytest.mark.parametrize("call", _SETS.values(), ids=_SETS)
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [1.0]], [(1.0,), Embedding((1.0, 0.0))]])
+def test_ragged_rows_raise_dimension_mismatch(call, rows):
+    with pytest.raises(DimensionMismatch, match="share one length"):
+        call(rows)
+
+
+@pytest.mark.parametrize("call", [*_SETS.values(), *_ANCHORS.values()], ids=[*_SETS, *_ANCHORS])
+@pytest.mark.parametrize("rows", _NON_REAL_ROWS, ids=range(len(_NON_REAL_ROWS)))
+def test_non_real_rows_raise_naming_the_embeddings(call, rows):
+    with pytest.raises(ValueError, match="embedding entries must be real numbers"):
+        call(rows)
+
+
+@pytest.mark.parametrize("call", [*_SETS.values(), *_ANCHORS.values()], ids=[*_SETS, *_ANCHORS])
+@pytest.mark.parametrize("rows", _NON_FINITE_ROWS, ids=range(len(_NON_FINITE_ROWS)))
+def test_non_finite_rows_raise_non_finite_input(call, rows):
+    with pytest.raises(NonFiniteInput, match="embedding"):
+        call(rows)
+
+
+@pytest.mark.parametrize("v", [Embedding((1.0, 0.0)), [1.0, 0.0], np.array([1.0, 0.0])], ids=["Embedding", "list", "array"])
+def test_empty_sets_give_zero_loss_and_zero_arrays(v):
+    assert embed_loss(v, [], []) == 0.0
+    assert embed_loss(v, np.empty((0, 2)), [[1.0, 0.0]]) == 0.0
+    grad_v, grad_pos, grad_neg = embed_loss_grad(v, [], [[1.0, 0.0]])
+    assert grad_v.tolist() == [0.0, 0.0]
+    assert grad_pos.shape == (0, 2)
+    assert grad_neg.tolist() == [[0.0, 0.0]]
+
+
+def test_embedding_as_array_warns_nothing():
+    e = Embedding((1.0, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = np.asarray(e)
+        rows = np.asarray([e, Embedding((3.0, 4.0))])
+        single = np.asarray(e, dtype=np.float32)
+        copied = np.array(e, copy=True)
+    assert one.dtype == np.float64 and one.tolist() == [1.0, 2.0]
+    assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert single.dtype == np.float32
+    assert copied.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="copy=False means 'copy if needed' before numpy 2")
+def test_embedding_refuses_an_array_without_copy():
+    with pytest.raises(ValueError, match="copying"):
+        np.asarray(Embedding((1.0,)), copy=False)
 
 
 def test_gradient_suite_bounds():
