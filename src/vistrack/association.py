@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
-from .core import config_floats, config_int, embedding_rows
+from .core import config_numbers, embedding_rows, ints, reals
 from .errors import ConfigError, DimensionMismatch, EmptyInput, UnknownTrackId
 
 
@@ -66,14 +66,15 @@ class AssociationConfig:
     keep_top_n_per_frame: int = 10
 
     def __post_init__(self):
-        config_floats(self, "match_threshold", "new_instance_score", "memory_momentum")
+        config_numbers(self, reals, "match_threshold", "new_instance_score", "memory_momentum")
+        config_numbers(self, ints, "keep_top_n_per_frame")
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError("match_threshold must lie in [0, 1]")
         if not 0.0 <= self.new_instance_score <= 1.0:
             raise ConfigError("new_instance_score must lie in [0, 1]")
         if not 0.0 <= self.memory_momentum <= 1.0:
             raise ConfigError("memory_momentum must lie in [0, 1]")
-        if config_int(self.keep_top_n_per_frame, "keep_top_n_per_frame") < 1:
+        if self.keep_top_n_per_frame < 1:
             raise ConfigError("keep_top_n_per_frame must be at least 1")
         try:
             object.__setattr__(self, "similarity_kind", SimilarityKind(self.similarity_kind))

@@ -145,6 +145,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_losscheck(args) -> int:
+    if args.samples < 1:  # a check of no instances would print PASS
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     worst_rel, worst_abs = gradient_check_suite(samples=args.samples, seed=args.seed)
     ok = worst_rel <= GRAD_REL_BOUND and worst_abs <= GRAD_ABS_BOUND
     print(f"max relative error: {worst_rel:.3e} (bound {GRAD_REL_BOUND:.0e})")

@@ -8,12 +8,11 @@ against central finite differences by ``gradient_check_suite``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, Embedding, box_giou, config_floats, embedding_rows
+from .core import BBox, Detection, Embedding, box_giou, config_numbers, embedding_rows, reals
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -33,7 +32,7 @@ class MatchWeights:
     w_giou: float = 2.0
 
     def __post_init__(self):
-        config_floats(self, "w_cls", "w_l1", "w_giou")
+        config_numbers(self, reals, "w_cls", "w_l1", "w_giou")
         terms = (self.w_cls, self.w_l1, self.w_giou)
         if any(w < 0.0 for w in terms):
             raise ConfigError("matching weights must be non-negative")
@@ -49,7 +48,7 @@ class LossWeights:
     lambda2: float = 2.0
 
     def __post_init__(self):
-        config_floats(self, "lambda1", "lambda2")
+        config_numbers(self, reals, "lambda1", "lambda2")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ConfigError("loss weights must be non-negative")
 
@@ -215,9 +214,7 @@ def embed_loss_grad(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np
 
 def total_loss(l_cls: float, l_box: float, l_mask: float, l_embed: float, w: LossWeights) -> float:
     """Weighted sum: l_cls + lambda1 * (l_box + l_mask) + lambda2 * l_embed."""
-    terms = (l_cls, l_box, l_mask, l_embed)
-    if any(not math.isfinite(t) for t in terms):
-        raise NonFiniteInput("loss terms must be finite")
+    reals((l_cls, l_box, l_mask, l_embed), "loss terms", NonFiniteInput)
     return l_cls + w.lambda1 * l_box + w.lambda1 * l_mask + w.lambda2 * l_embed
 
 

@@ -1,4 +1,5 @@
-"""Domain types and mask/box geometry shared by every other module.
+"""Domain types, mask/box geometry, and the two number checks (``ints``
+and ``reals``) shared by every other module.
 
 Masks are stored run-length encoded in column-major scan order: the image
 is read top-to-bottom within each column, columns left to right, and
@@ -13,13 +14,65 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch, NonFiniteInput
+
+
+_INT = frozenset((int,))
+_FLOAT = frozenset((float,))
+
+
+def _array(values, name: str, error: type[Exception]) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{name}: expected an array") from None
+
+
+def ints(values, name: str, error: type[Exception] = ValueError) -> tuple[int, ...]:
+    """``values`` as a tuple of ints. Entries must be integers (int, numpy
+    integer scalars); bools, floats, strings and the rest raise ``error``
+    naming ``name`` rather than being converted."""
+    values = _array(values, name, error)
+    types = set(map(type, values))
+    if types <= _INT:  # the loaders' case: nothing to check or convert
+        return values
+    for t in types:
+        if not issubclass(t, numbers.Integral) or issubclass(t, bool):
+            raise error(f"{name}: expected an integer")
+    return tuple(map(int, values))
+
+
+def reals(values, name: str, error: type[Exception] = ValueError, finite: bool = True) -> tuple[float, ...]:
+    """``values`` as a tuple of floats. Entries must be real numbers (int,
+    float, numpy real scalars); bools, strings, complex numbers and the
+    rest raise ``error`` naming ``name``, and so do NaN and infinities
+    unless ``finite`` is false, and ints beyond the float range."""
+    values = _array(values, name, error)
+    types = set(map(type, values))
+    if not types <= _FLOAT:
+        for t in types:
+            if not issubclass(t, numbers.Real) or issubclass(t, bool):
+                raise error(f"{name}: expected a number")
+        try:
+            values = tuple(map(float, values))
+        except OverflowError:  # an integer beyond the float range
+            raise error(f"{name}: value must be finite") from None
+    if finite and not all(map(math.isfinite, values)):
+        raise error(f"{name}: value must be finite")
+    return values
+
+
+def config_numbers(cfg, check, *names: str) -> None:
+    """Store each named field of the frozen config ``cfg`` as the one
+    number that ``check`` (``ints`` or ``reals``) makes of it; a bad value
+    raises ConfigError naming the field."""
+    for name in names:
+        object.__setattr__(cfg, name, check((getattr(cfg, name),), name, ConfigError)[0])
 
 
 @dataclass(frozen=True)
@@ -32,9 +85,8 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
-            raise ValueError("box coordinates must be finite")
-        if self.w < 0.0 or self.h < 0.0:
+        _, _, w, h = reals((self.x, self.y, self.w, self.h), "bbox")
+        if w < 0.0 or h < 0.0:
             raise ValueError("box sides must be non-negative")
 
     @property
@@ -63,64 +115,24 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            counts = tuple(map(operator.index, self.counts))
-        except TypeError:
-            raise CountsMismatch("counts must be integers") from None
+        height, width = ints((self.height, self.width), "size", CountsMismatch)
+        counts = ints(self.counts, "counts", CountsMismatch)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "counts", counts)
-        if self.height <= 0 or self.width <= 0:
+        if height <= 0 or width <= 0:
             raise CountsMismatch("mask dimensions must be positive")
         if counts and min(counts) < 0:
             raise CountsMismatch("counts must be non-negative")
         if 0 in counts[1:]:
             raise CountsMismatch("counts must have no internal zero entries except the first")
-        if sum(self.counts) != self.height * self.width:
+        if sum(counts) != height * width:
             raise CountsMismatch("counts must sum to height*width")
 
     @property
     def area(self) -> int:
         """Number of foreground pixels (sum of the one-runs)."""
         return sum(self.counts[1::2])
-
-
-def _as_floats(values, name: str, error: type[Exception] = ValueError) -> tuple[float, ...]:
-    """``values`` as a tuple of floats. Entries must be real numbers (int,
-    float, numpy real scalars); str, bool and complex raise ``error``
-    rather than being converted."""
-    values = tuple(values)
-    types = set(map(type, values))
-    if types <= {float}:  # the loaders' case: nothing to check or convert
-        return values
-    for t in types:
-        if not issubclass(t, numbers.Real) or issubclass(t, bool):
-            raise error(f"{name} entries must be real numbers")
-    return tuple(map(float, values))
-
-
-def config_int(value, name: str) -> int:
-    """``value`` of the config field ``name`` as an int. Bools, floats and
-    strings raise ConfigError rather than being truncated or converted."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def config_floats(cfg, *names: str) -> None:
-    """Store each named field of the frozen config ``cfg`` as a float, by
-    the one-value form of ``_as_floats``: ints pass; bools, strings, other
-    non-reals, NaN and inf raise ConfigError naming the field."""
-    for name in names:
-        value = getattr(cfg, name)
-        try:
-            (number,) = _as_floats((value,), name)
-        except ValueError:
-            number = math.nan  # a non-real gets the same ConfigError as NaN
-        if not math.isfinite(number):
-            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-        object.__setattr__(cfg, name, number)
 
 
 @dataclass(frozen=True)
@@ -130,11 +142,9 @@ class Embedding:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_floats(self.values, "embedding"))
+        object.__setattr__(self, "values", reals(self.values, "embedding"))
         if not self.values:
             raise ValueError("embedding must be non-empty")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("embedding entries must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -153,14 +163,14 @@ def embedding_rows(rows) -> np.ndarray:
     if not isinstance(rows, np.ndarray):
         rows = [
             r if isinstance(r, Embedding) or (isinstance(r, np.ndarray) and r.dtype.kind in "fiu")
-            else _as_floats(r, "embedding")
+            else reals(r, "embedding", finite=False)
             for r in rows
         ]
         if len(set(map(len, rows))) > 1:
             raise DimensionMismatch("embeddings must share one length")
     array = np.asarray(rows)  # no dtype, so that a non-real array keeps its dtype for the check below
     if array.dtype.kind not in "fiu":
-        raise ValueError("embedding entries must be real numbers")
+        raise ValueError("embedding: expected a number")
     if array.ndim != 2 or not array.shape[1]:
         raise DimensionMismatch("embeddings must be n non-empty rows of one length")
     if not np.isfinite(array).all():
@@ -180,15 +190,15 @@ class Detection:
     mask: RleMask | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "class_probs", _as_floats(self.class_probs, "class_probs"))
+        object.__setattr__(self, "class_probs", reals(self.class_probs, "class_probs"))
         if not self.class_probs:
             raise ValueError("class_probs must be non-empty")
-        if any(not math.isfinite(p) or p < 0.0 for p in self.class_probs):
+        if min(self.class_probs) < 0.0:
             raise ValueError("class probabilities must be finite and non-negative")
         # tolerances leave room for 6-significant-digit serialization
         if sum(self.class_probs) > 1.0 + 1e-4:
             raise ValueError("class probabilities must sum to at most 1")
-        if not (0.0 <= self.score <= 1.0) or not math.isfinite(self.score):
+        if not 0.0 <= self.score <= 1.0:  # also rejects NaN
             raise ValueError("score must lie in [0, 1]")
         if abs(self.score - max(self.class_probs)) > 1e-6:
             raise ValueError("score must equal max(class_probs)")
@@ -229,7 +239,7 @@ class Track:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("track must have at least one entry")
-        if not (0.0 <= self.score <= 1.0) or not math.isfinite(self.score):
+        if not 0.0 <= self.score <= 1.0:  # also rejects NaN
             raise ValueError("track score must lie in [0, 1]")
         if any(f < 0 for f in self.entries):
             raise ValueError("track entry frame indices must be non-negative")

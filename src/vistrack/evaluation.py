@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FrameDetections, RleMask, Track, VideoGroundTruth, _as_floats, config_int, rle_intersection_area
+from .core import FrameDetections, RleMask, Track, VideoGroundTruth, config_numbers, ints, reals, rle_intersection_area
 from .errors import ConfigError, DimensionMismatch, UnknownCategory, UnknownVideoId
 from .synth import CLUTTER
 
@@ -33,16 +33,16 @@ class EvalConfig:
     category_agnostic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "iou_thresholds", _as_floats(self.iou_thresholds, "iou_thresholds", ConfigError))
-        ks = tuple(config_int(k, "max_detections entry") for k in self.max_detections)
-        object.__setattr__(self, "max_detections", ks)
+        object.__setattr__(self, "iou_thresholds", reals(self.iou_thresholds, "iou_thresholds", ConfigError))
+        object.__setattr__(self, "max_detections", ints(self.max_detections, "max_detections", ConfigError))
+        config_numbers(self, ints, "recall_points")
         if not self.iou_thresholds:
             raise ConfigError("iou_thresholds must be non-empty")
         if any(not 0.0 < t <= 1.0 for t in self.iou_thresholds):
             raise ConfigError("iou_thresholds must lie in (0, 1]")
         if list(self.iou_thresholds) != sorted(set(self.iou_thresholds)):
             raise ConfigError("iou_thresholds must be strictly increasing")
-        if config_int(self.recall_points, "recall_points") < 2:
+        if self.recall_points < 2:
             raise ConfigError("recall_points must be at least 2")
         if not self.max_detections or any(k < 1 for k in self.max_detections):
             raise ConfigError("max_detections entries must be positive")

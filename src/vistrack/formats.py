@@ -12,8 +12,10 @@ indent runs the pure-Python encoder, one generator step per value.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
-raises ParseError carrying the line and column. Arrays of numbers (RLE
-counts, embeddings, boxes) are type-checked in bulk.
+raises ParseError carrying the line and column. Every number, alone or
+in an array (RLE counts, embeddings, boxes), is checked by ``core.ints``
+or ``core.reals``, the same two checks that the config dataclasses and
+the domain types use.
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -40,6 +42,8 @@ from .core import (
     VideoGroundTruth,
     VideoMeta,
     bbox_of_mask,
+    ints,
+    reals,
 )
 from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
 from .evaluation import EvalConfig, EvalReport
@@ -61,7 +65,6 @@ def _q(x: float) -> float:
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _INT = frozenset((int,))
 _FLOAT = frozenset((float,))
-_NUMBER = frozenset((int, float))
 
 
 def dumps_json(obj: Any) -> str:
@@ -172,39 +175,14 @@ def _expect_list(value: Any, where: str) -> list:
     return value
 
 
-def _get(obj: dict, key: str, where: str) -> Any:
+def _get(obj: dict, key: str, where: str, check=None) -> Any:
+    """``obj[key]``; with ``check`` (``ints`` or ``reals``), that one
+    number, checked under the name ``{where}.{key}``."""
     if key not in obj:
         raise SchemaError(f"{where}: missing required field '{key}'")
-    return obj[key]
-
-
-def _as_ints(values: Sequence[Any], where: str) -> tuple[int, ...]:
-    """The integers of a JSON array, type-checked in bulk (booleans are
-    not integers)."""
-    if not _INT.issuperset(map(type, values)):
-        raise SchemaError(f"{where}: expected an integer")
-    return tuple(values)
-
-
-def _as_int(value: Any, where: str) -> int:
-    return _as_ints((value,), where)[0]
-
-
-def _as_numbers(values: Sequence[Any], where: str) -> tuple[float, ...]:
-    """The finite floats of a JSON array of numbers, checked in bulk."""
-    if not _NUMBER.issuperset(map(type, values)):
-        raise SchemaError(f"{where}: expected a number")
-    try:
-        out = tuple(map(float, values))
-    except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"{where}: value must be finite") from None
-    if not all(map(math.isfinite, out)):
-        raise SchemaError(f"{where}: value must be finite")
-    return out
-
-
-def _as_number(value: Any, where: str) -> float:
-    return _as_numbers((value,), where)[0]
+    if check is None:
+        return obj[key]
+    return check((obj[key],), f"{where}.{key}", SchemaError)[0]
 
 
 def _bbox_json(b: BBox) -> list[float]:
@@ -215,7 +193,7 @@ def _bbox_from(value: Any, where: str) -> BBox:
     arr = _expect_list(value, where)
     if len(arr) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-    x, y, w, h = _as_numbers(arr, where)
+    x, y, w, h = reals(arr, where, SchemaError)
     try:
         return BBox(x, y, w, h)
     except ValueError as e:
@@ -235,8 +213,8 @@ def _rle_from(value: Any, where: str) -> RleMask:
     if isinstance(counts, str):
         raise SchemaError(f"{where}.counts: compressed string counts are not supported; use an integer array")
     counts = _expect_list(counts, f"{where}.counts")
-    h, w = _as_ints(size, f"{where}.size")
-    vals = _as_ints(counts, f"{where}.counts")
+    h, w = ints(size, f"{where}.size", SchemaError)
+    vals = ints(counts, f"{where}.counts", SchemaError)
     try:
         return RleMask(height=h, width=w, counts=vals)
     except CountsMismatch as e:
@@ -311,19 +289,19 @@ def load_annotations(path: str) -> list[VideoGroundTruth]:
     for i, v in enumerate(_expect_list(_get(root, "videos", "annotations"), "videos")):
         where = f"videos[{i}]"
         obj = _expect_object(v, where)
-        vid = _as_int(_get(obj, "id", where), f"{where}.id")
+        vid = _get(obj, "id", where, ints)
         if vid in video_meta:
             raise SchemaError(f"{where}: duplicate video id {vid}")
         video_meta[vid] = (
-            _as_int(_get(obj, "width", where), f"{where}.width"),
-            _as_int(_get(obj, "height", where), f"{where}.height"),
-            _as_int(_get(obj, "length", where), f"{where}.length"),
+            _get(obj, "width", where, ints),
+            _get(obj, "height", where, ints),
+            _get(obj, "length", where, ints),
         )
     cat_names: dict[int, str] = {}
     for i, c in enumerate(_expect_list(_get(root, "categories", "annotations"), "categories")):
         where = f"categories[{i}]"
         obj = _expect_object(c, where)
-        cid = _as_int(_get(obj, "id", where), f"{where}.id")
+        cid = _get(obj, "id", where, ints)
         name = _get(obj, "name", where)
         if not isinstance(name, str):
             raise SchemaError(f"{where}.name: expected a string")
@@ -335,9 +313,9 @@ def load_annotations(path: str) -> list[VideoGroundTruth]:
     for i, a in enumerate(_expect_list(_get(root, "annotations", "annotations"), "annotations")):
         where = f"annotations[{i}]"
         obj = _expect_object(a, where)
-        tid = _as_int(_get(obj, "id", where), f"{where}.id")
-        vid = _as_int(_get(obj, "video_id", where), f"{where}.video_id")
-        cid = _as_int(_get(obj, "category_id", where), f"{where}.category_id")
+        tid = _get(obj, "id", where, ints)
+        vid = _get(obj, "video_id", where, ints)
+        cid = _get(obj, "category_id", where, ints)
         if vid not in video_meta:
             raise SchemaError(f"{where}: unknown video_id {vid}")
         if cid not in cat_names:
@@ -435,14 +413,14 @@ def save_detections(
 
 def load_detections(path: str) -> DetectionsFile:
     root = _expect_object(_read_json(path), "detections")
-    dim = _as_int(_get(root, "embedding_dim", "detections"), "embedding_dim")
+    (dim,) = ints((_get(root, "embedding_dim", "detections"),), "embedding_dim", SchemaError)
     if dim < 1:
         raise SchemaError("embedding_dim: must be at least 1")
     out = DetectionsFile(embedding_dim=dim)
     for i, v in enumerate(_expect_list(_get(root, "videos", "detections"), "videos")):
         where = f"videos[{i}]"
         obj = _expect_object(v, where)
-        vid = _as_int(_get(obj, "video_id", where), f"{where}.video_id")
+        vid = _get(obj, "video_id", where, ints)
         if vid in out.videos:
             raise SchemaError(f"{where}: duplicate video_id {vid}")
         height, width = (_positive_int(obj, key, where) for key in ("height", "width"))
@@ -451,7 +429,7 @@ def load_detections(path: str) -> DetectionsFile:
         for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
             fwhere = f"{where}.frames[{j}]"
             fobj = _expect_object(fr, fwhere)
-            fidx = _as_int(_get(fobj, "frame_index", fwhere), f"{fwhere}.frame_index")
+            fidx = _get(fobj, "frame_index", fwhere, ints)
             if fidx < 0:
                 raise SchemaError(f"{fwhere}: frame_index must be non-negative")
             if fidx <= last_frame:
@@ -478,7 +456,7 @@ def _positive_int(obj: dict, key: str, where: str) -> int | None:
     """An optional declared size: absent gives None, present must be >= 1."""
     if key not in obj:
         return None
-    value = _as_int(obj[key], f"{where}.{key}")
+    value = _get(obj, key, where, ints)
     if value < 1:
         raise SchemaError(f"{where}.{key}: must be at least 1, got {value}")
     return value
@@ -487,11 +465,11 @@ def _positive_int(obj: dict, key: str, where: str) -> int | None:
 def _detection_from(value: Any, where: str, dim: int, height: int | None, width: int | None) -> Detection:
     obj = _expect_object(value, where)
     bbox = _bbox_from(_get(obj, "bbox", where), f"{where}.bbox")
-    score = _as_number(_get(obj, "score", where), f"{where}.score")
-    cid = _as_int(_get(obj, "category_id", where), f"{where}.category_id")
+    score = _get(obj, "score", where, reals)
+    cid = _get(obj, "category_id", where, ints)
     probs_where, emb_where = f"{where}.class_probs", f"{where}.embedding"
-    probs = _as_numbers(_expect_list(_get(obj, "class_probs", where), probs_where), probs_where)
-    emb_vals = _as_numbers(_expect_list(_get(obj, "embedding", where), emb_where), emb_where)
+    probs = reals(_expect_list(_get(obj, "class_probs", where), probs_where), probs_where, SchemaError)
+    emb_vals = reals(_expect_list(_get(obj, "embedding", where), emb_where), emb_where, SchemaError)
     if len(emb_vals) != dim:
         raise SchemaError(
             f"{where}.embedding: length {len(emb_vals)} violates the declared "
@@ -555,13 +533,13 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
     for i, r in enumerate(root):
         where = f"results[{i}]"
         obj = _expect_object(r, where)
-        vid = _as_int(_get(obj, "video_id", where), f"{where}.video_id")
-        tid = _as_int(_get(obj, "id", where), f"{where}.id")
+        vid = _get(obj, "video_id", where, ints)
+        tid = _get(obj, "id", where, ints)
         if (vid, tid) in seen:
             raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
         seen.add((vid, tid))
-        cid = _as_int(_get(obj, "category_id", where), f"{where}.category_id")
-        score = _as_number(_get(obj, "score", where), f"{where}.score")
+        cid = _get(obj, "category_id", where, ints)
+        score = _get(obj, "score", where, reals)
         segs = _expect_list(_get(obj, "segmentations", where), f"{where}.segmentations")
         boxes = _expect_list(_get(obj, "bboxes", where), f"{where}.bboxes")
         if len(boxes) != len(segs):
@@ -646,7 +624,7 @@ def load_identity(path: str) -> dict[tuple[int, int, int], int]:
         arr = _expect_list(row, f"identity[{i}]")
         if len(arr) != 4:
             raise SchemaError(f"identity[{i}]: expected [video, frame, detection, track]")
-        v, f, d, t = _as_ints(arr, f"identity[{i}]")
+        v, f, d, t = ints(arr, f"identity[{i}]", SchemaError)
         out[(v, f, d)] = t
     return out
 

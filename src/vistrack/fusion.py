@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .core import Track, _as_floats, config_floats, config_int
+from .core import Track, config_numbers, ints, reals
 from .errors import ConfigError, VideoMismatch
 from .evaluation import _pixel_iou, _track_pixels
 
@@ -32,17 +32,18 @@ class FusionConfig:
     source_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        config_floats(self, "merge_iou")
+        config_numbers(self, reals, "merge_iou")
+        config_numbers(self, ints, "max_output_tracks")
         if not 0.0 < self.merge_iou <= 1.0:
             raise ConfigError("merge_iou must lie in (0, 1]")
         try:
             object.__setattr__(self, "score_rule", ScoreRule(self.score_rule))
         except ValueError as e:
             raise ConfigError(f"unknown score_rule: {self.score_rule!r}") from e
-        if config_int(self.max_output_tracks, "max_output_tracks") < 1:
+        if self.max_output_tracks < 1:
             raise ConfigError("max_output_tracks must be positive")
         if self.source_weights is not None:
-            ws = _as_floats(self.source_weights, "source_weights", ConfigError)
+            ws = reals(self.source_weights, "source_weights", ConfigError)
             object.__setattr__(self, "source_weights", ws)
             if any(w < 0 for w in ws) or sum(ws) <= 0:
                 raise ConfigError("source_weights must be non-negative with positive sum")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BBox, RleMask, config_floats, config_int, rle_crop
+from .core import BBox, RleMask, config_numbers, ints, reals, rle_crop
 from .errors import ConfigError, DuplicateInstanceId, ImageTooSmall
 from .rng import SplitMix64
 
@@ -82,12 +82,12 @@ class CropConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        config_floats(self, "min_scale", "max_scale", "visibility_threshold")
+        config_numbers(self, reals, "min_scale", "max_scale", "visibility_threshold")
+        config_numbers(self, ints, "rng_seed")
         if not (0.0 < self.min_scale <= self.max_scale <= 1.0):
             raise ConfigError("crop scales must satisfy 0 < min_scale <= max_scale <= 1")
         if not (0.0 < self.visibility_threshold <= 1.0):
             raise ConfigError("visibility_threshold must lie in (0, 1]")
-        config_int(self.rng_seed, "rng_seed")
 
 
 def sample_crop(image_w: int, image_h: int, cfg: CropConfig, rng: SplitMix64) -> CropWindow:

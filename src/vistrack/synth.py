@@ -33,8 +33,9 @@ from .core import (
     TrackEntry,
     VideoGroundTruth,
     bbox_of_mask,
-    config_floats,
-    config_int,
+    config_numbers,
+    ints,
+    reals,
     rle_encode,
 )
 from .errors import ConfigError, ConfigInfeasible
@@ -62,11 +63,10 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_videos", "frames_per_video", "objects_per_video", "embedding_dim", "motion_step_max"):
-            config_int(getattr(self, name), name)
-        config_int(self.rng_seed, "rng_seed")
-        config_floats(self, "embedding_noise_sigma", "detector_dropout", "clutter_rate", "embedding_scale")
-        object.__setattr__(self, "canvas", tuple(config_int(side, "canvas side") for side in self.canvas))
+        config_numbers(self, ints, "n_videos", "frames_per_video", "objects_per_video", "embedding_dim")
+        config_numbers(self, ints, "motion_step_max", "rng_seed")
+        config_numbers(self, reals, "embedding_noise_sigma", "detector_dropout", "clutter_rate", "embedding_scale")
+        object.__setattr__(self, "canvas", ints(self.canvas, "canvas", ConfigError))
         if self.n_videos < 1 or self.frames_per_video < 1:
             raise ConfigError("n_videos and frames_per_video must be positive")
         if not 1 <= self.objects_per_video <= 6:

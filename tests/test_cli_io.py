@@ -722,6 +722,15 @@ def test_losscheck_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_losscheck_without_samples_exits_3(capsys, samples):
+    """A check of no instances proves nothing, so it must not print PASS."""
+    assert entrypoint(["losscheck", "--samples", samples]) == 3
+    out = capsys.readouterr()
+    assert "--samples" in out.err
+    assert "PASS" not in out.out
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = entrypoint(["track", "--detections", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.json")])
     assert code == 1
@@ -838,6 +847,12 @@ def results_file(corpus_dir, tmp_path_factory):
         ("synth", {"synth": {"clutter_rate": "1"}}, "clutter_rate"),
         ("pseudopair", {"crop": {"min_scale": True}}, "min_scale"),
         ("synth", {"synth": {"embedding_noise_sigma": float("nan")}}, "embedding_noise_sigma"),
+        ("fuse", {"fusion": {"source_weights": [float("nan"), 1.0]}}, "source_weights"),
+        ("fuse", {"fusion": {"source_weights": [float("inf"), 1.0]}}, "source_weights"),
+        ("eval", {"eval": {"iou_thresholds": 0.5}}, "iou_thresholds"),
+        ("eval", {"eval": {"max_detections": 10}}, "max_detections"),
+        ("fuse", {"fusion": {"source_weights": 1.0}}, "source_weights"),
+        ("synth", {"synth": {"canvas": 96}}, "canvas"),
     ],
 )
 def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, capsys, command, config, field):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import mask_from_rows
 from vistrack import (
     BBox,
+    ConfigError,
     CountsMismatch,
     DegenerateBox,
     Detection,
@@ -19,7 +20,8 @@ from vistrack import (
     rle_decode,
     rle_encode,
 )
-from vistrack.core import rle_crop, rle_intersection_area
+from vistrack.core import ints, reals, rle_crop, rle_intersection_area
+from vistrack.errors import SchemaError
 
 
 def grids(max_side=12):
@@ -84,11 +86,91 @@ def test_counts_reject_bad_dims():
 
 
 def test_counts_must_be_integers():
-    with pytest.raises(CountsMismatch, match="counts must be integers"):
+    with pytest.raises(CountsMismatch, match="counts: expected an integer"):
         RleMask(height=2, width=2, counts=(1.7, 3))
     m = RleMask(height=2, width=2, counts=(np.int64(1), np.int32(3)))
     assert m.counts == (1, 3)
     assert all(type(c) is int for c in m.counts)
+
+
+def test_counts_reject_bools():
+    with pytest.raises(CountsMismatch, match="counts: expected an integer"):
+        RleMask(height=2, width=2, counts=(True, 3))
+
+
+@pytest.mark.parametrize("size", [(True, 4), (2.0, 2), (2, "2"), (np.bool_(True), 4)])
+def test_mask_size_must_be_integers(size):
+    height, width = size
+    with pytest.raises(CountsMismatch, match="size: expected an integer"):
+        RleMask(height=height, width=width, counts=(4,))
+
+
+def test_mask_size_numpy_integers_become_ints():
+    m = RleMask(height=np.int64(2), width=np.int32(2), counts=(4,))
+    assert (m.height, m.width) == (2, 2)
+    assert type(m.height) is int and type(m.width) is int
+
+
+# ---------------------------------------------------------------------------
+# Number checks: one integer check and one real-number check for every caller
+
+_ERRORS = [ValueError, SchemaError, ConfigError, CountsMismatch]
+_NON_NUMBERS = [True, np.bool_(True), "1", None, 1j]
+
+
+def _raises(error, message, check, values):
+    with pytest.raises(error, match=f"^field: {message}$") as caught:
+        check(values, "field", error)
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("bad", [*_NON_NUMBERS, 1.5, 1.0], ids=repr)
+def test_ints_rejects_non_integers(error, bad):
+    _raises(error, "expected an integer", ints, (1, bad))
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("bad", _NON_NUMBERS, ids=repr)
+def test_reals_rejects_non_reals(error, bad):
+    _raises(error, "expected a number", reals, (1.0, bad))
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400], ids=str)
+def test_reals_rejects_non_finite(error, bad):
+    _raises(error, "value must be finite", reals, (1.0, bad))
+    _raises(error, "value must be finite", reals, [bad])
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("check", [ints, reals])
+def test_a_scalar_is_not_an_array(error, check):
+    _raises(error, "expected an array", check, 1)
+
+
+def test_reals_finite_false_lets_nan_and_inf_through():
+    out = reals([float("nan"), float("inf"), 1], "field", finite=False)
+    assert np.isnan(out[0]) and out[1:] == (float("inf"), 1.0)
+    with pytest.raises(ValueError, match="^field: value must be finite$"):
+        reals([10**400], "field", finite=False)
+
+
+@pytest.mark.parametrize("good", [1, np.int64(1)], ids=repr)
+def test_ints_returns_python_ints(good):
+    out = ints([good, 2], "field")
+    assert out == (1, 2) and all(type(v) is int for v in out)
+
+
+@pytest.mark.parametrize("good,value", [(1, 1.0), (np.int64(1), 1.0), (1.0, 1.0), (np.float32(0.5), 0.5)], ids=repr)
+def test_reals_returns_python_floats(good, value):
+    out = reals([good, 2.0], "field")
+    assert out == (value, 2.0) and all(type(v) is float for v in out)
+
+
+@pytest.mark.parametrize("check", [ints, reals])
+def test_empty_array_is_empty_tuple(check):
+    assert check([], "field") == ()
 
 
 def _detection(class_probs):
@@ -233,6 +315,17 @@ def test_bbox_validation():
         BBox(float("nan"), 0.0, 1.0, 1.0)
     b = BBox(1.0, 2.0, 3.0, 4.0)
     assert (b.x1, b.y1, b.area) == (4.0, 6.0, 12.0)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [(True, "expected a number"), ("1", "expected a number"), (None, "expected a number"),
+     (float("inf"), "value must be finite")],
+    ids=repr,
+)
+def test_bbox_coordinates_are_finite_reals(bad, message):
+    with pytest.raises(ValueError, match=f"bbox: {message}"):
+        BBox(0.0, bad, 1.0, 1.0)
 
 
 def test_giou_disjoint_fixture():
