@@ -6,8 +6,7 @@ is read top-to-bottom within each column, columns left to right, and
 ``counts`` alternates runs of zeros and ones starting with the number of
 leading zeros (possibly 0). Pixel arithmetic on masks (areas,
 intersections) is exact integer arithmetic on the runs; decoding to a
-dense grid is only needed at the edges (cropping, synthesis, test
-oracles).
+dense grid is only needed at the edges (cropping and test oracles).
 """
 
 from __future__ import annotations
@@ -190,6 +189,10 @@ class Detection:
     mask: RleMask | None = None
 
     def __post_init__(self):
+        (category_id,) = ints((self.category_id,), "category_id")
+        (score,) = reals((self.score,), "score")
+        object.__setattr__(self, "category_id", category_id)
+        object.__setattr__(self, "score", score)
         object.__setattr__(self, "class_probs", reals(self.class_probs, "class_probs"))
         if not self.class_probs:
             raise ValueError("class_probs must be non-empty")
@@ -198,7 +201,7 @@ class Detection:
         # tolerances leave room for 6-significant-digit serialization
         if sum(self.class_probs) > 1.0 + 1e-4:
             raise ValueError("class probabilities must sum to at most 1")
-        if not 0.0 <= self.score <= 1.0:  # also rejects NaN
+        if not 0.0 <= self.score <= 1.0:
             raise ValueError("score must lie in [0, 1]")
         if abs(self.score - max(self.class_probs)) > 1e-6:
             raise ValueError("score must equal max(class_probs)")
@@ -214,6 +217,7 @@ class FrameDetections:
     detections: list[Detection] = field(default_factory=list)
 
     def __post_init__(self):
+        (self.frame_index,) = ints((self.frame_index,), "frame_index")
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
 
@@ -237,9 +241,13 @@ class Track:
     entries: dict[int, TrackEntry]
 
     def __post_init__(self):
+        self.track_id, self.category_id = ints(
+            (self.track_id, self.category_id, *self.entries), "track_id, category_id and frame indices"
+        )[:2]
+        (self.score,) = reals((self.score,), "track score")
         if not self.entries:
             raise ValueError("track must have at least one entry")
-        if not 0.0 <= self.score <= 1.0:  # also rejects NaN
+        if not 0.0 <= self.score <= 1.0:
             raise ValueError("track score must lie in [0, 1]")
         if any(f < 0 for f in self.entries):
             raise ValueError("track entry frame indices must be non-negative")
@@ -258,6 +266,10 @@ class VideoGroundTruth:
     category_names: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.video_id, self.height, self.width, self.length = ints(
+            (self.video_id, self.height, self.width, self.length, *self.category_set),
+            "video_id, height, width, length and category_set",
+        )[:4]
         if self.height <= 0 or self.width <= 0 or self.length <= 0:
             raise ValueError("video dimensions and length must be positive")
         known = set(self.category_set)
@@ -285,6 +297,9 @@ class VideoMeta:
     video_id: int | None = None
 
     def __post_init__(self):
+        names = ["length"] + [n for n in ("height", "width", "video_id") if getattr(self, n) is not None]
+        for name, value in zip(names, ints([getattr(self, n) for n in names], "length, height, width and video_id")):
+            object.__setattr__(self, name, value)
         if self.length <= 0:
             raise ValueError("video length must be positive")
 
@@ -294,7 +309,10 @@ class VideoMeta:
 
 
 def rle_encode(bitmap) -> RleMask:
-    """Encode a 2-D binary grid into column-major run-length counts."""
+    """Encode a 2-D binary grid into column-major run-length counts.
+
+    A public helper and the test oracle of the run-based mask code;
+    ``synth`` encodes its shapes without a dense grid."""
     grid = np.asarray(bitmap)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError("bitmap must be a non-empty 2-D array")
@@ -309,18 +327,14 @@ def rle_encode(bitmap) -> RleMask:
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:
-    """Decode run-length counts back into a dense boolean (H, W) grid."""
+    """Decode run-length counts back into a dense boolean (H, W) grid.
+
+    A public helper and test oracle, and the dense step of ``rle_crop``;
+    ``synth`` never decodes."""
     if sum(mask.counts) != mask.height * mask.width:
         raise CountsMismatch("counts must sum to height*width")
-    flat = np.zeros(mask.height * mask.width, dtype=bool)
-    pos = 0
-    value = False
-    for c in mask.counts:
-        if value:
-            flat[pos : pos + c] = True
-        pos += c
-        value = not value
-    return flat.reshape((mask.height, mask.width), order="F")
+    ones = (np.arange(len(mask.counts)) & 1).astype(bool)  # the odd runs are ones
+    return np.repeat(ones, mask.counts).reshape((mask.height, mask.width), order="F")
 
 
 def rle_intersection_area(a: RleMask, b: RleMask) -> int:
@@ -419,4 +433,7 @@ def box_giou(a: BBox, b: BBox) -> float:
     inter = max(0.0, iw) * max(0.0, ih)
     union = a.area + b.area - inter
     enclosure = (max(a.x1, b.x1) - min(a.x, b.x)) * (max(a.y1, b.y1) - min(a.y, b.y))
-    return inter / union - (enclosure - union) / enclosure
+    # rounding in the corner differences can put either term one ulp
+    # outside its range (identical boxes can give an IoU of 1 + 2**-52)
+    iou = min(inter / union, 1.0)
+    return iou - max(enclosure - union, 0.0) / enclosure

@@ -8,6 +8,11 @@ renormalized, scaled base. Motion is a uniform integer step per axis
 per frame, clipped to the canvas, which makes consecutive boxes overlap
 little or not at all; identity must come from the embeddings.
 
+Masks are encoded straight from each shape's box: a rect or an
+inscribed ellipse (sampled at pixel centers) covers one run of rows per
+column, so the run-length counts and the tight box come from those
+column runs without drawing a canvas.
+
 Dropout models occlusion: a dropped (video, object, frame) cell has
 neither a detection nor a ground-truth entry. Clutter detections carry
 fresh random unit embeddings and low scores and are marked CLUTTER in
@@ -29,14 +34,13 @@ from .core import (
     Detection,
     Embedding,
     FrameDetections,
+    RleMask,
     Track,
     TrackEntry,
     VideoGroundTruth,
-    bbox_of_mask,
     config_numbers,
     ints,
     reals,
-    rle_encode,
 )
 from .errors import ConfigError, ConfigInfeasible
 from .rng import SplitMix64
@@ -123,18 +127,44 @@ def _sample_bases(rng: SplitMix64, count: int, dim: int) -> list[np.ndarray]:
     return bases
 
 
-def _render(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> np.ndarray:
-    grid = np.zeros((canvas_h, canvas_w), dtype=bool)
+def _shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> tuple[RleMask, BBox]:
+    """Mask and tight box of a rect or of the ellipse inscribed in the box
+    [x, x + w) x [y, y + h), encoded from the box window alone.
+
+    Both shapes hold at most one run of ones per column, rows [top,
+    bottom) of that column, so the flat run bounds are col * canvas_h +
+    top and col * canvas_h + bottom.
+    """
+    cols = np.arange(x, x + w)
     if shape == "rect":
-        grid[y : y + h, x : x + w] = True
-        return grid
-    # ellipse inscribed in the box, sampled at pixel centers
-    cy, cx = y + h / 2.0, x + w / 2.0
-    ry, rx = h / 2.0, w / 2.0
-    rows = (np.arange(canvas_h) + 0.5 - cy) / ry
-    cols = (np.arange(canvas_w) + 0.5 - cx) / rx
-    grid[:] = rows[:, None] ** 2 + cols[None, :] ** 2 <= 1.0
-    return grid
+        top = np.full(w, y)
+        bottom = top + h
+    else:
+        # pixel centers inside the ellipse; outside the box none can be
+        cy, cx = y + h / 2.0, x + w / 2.0
+        ry, rx = h / 2.0, w / 2.0
+        rows = (np.arange(y, y + h) + 0.5 - cy) / ry
+        inside = rows[:, None] ** 2 + ((cols + 0.5 - cx) / rx)[None, :] ** 2 <= 1.0
+        filled = inside.any(axis=0)  # a thin ellipse misses its edge columns
+        cols, inside = cols[filled], inside[:, filled]
+        top = y + inside.argmax(axis=0)
+        bottom = y + h - inside[::-1].argmax(axis=0)
+    starts = cols * canvas_h + top
+    ends = cols * canvas_h + bottom
+    if h == canvas_h:  # runs can meet across columns: merge them
+        apart = ends[:-1] != starts[1:]
+        starts = starts[np.concatenate(([True], apart))]
+        ends = ends[np.concatenate((apart, [True]))]
+    bounds = np.zeros(2 * len(starts) + 1, dtype=np.int64)
+    bounds[1::2] = starts
+    bounds[2::2] = ends
+    counts = (bounds[1:] - bounds[:-1]).tolist()
+    tail = canvas_w * canvas_h - int(ends[-1])
+    if tail:
+        counts.append(tail)
+    x0, y0 = int(cols[0]), int(top.min())
+    bbox = BBox(float(x0), float(y0), float(int(cols[-1]) + 1 - x0), float(int(bottom.max()) - y0))
+    return RleMask(height=canvas_h, width=canvas_w, counts=counts), bbox
 
 
 def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: float) -> Embedding:
@@ -193,9 +223,7 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
             score = 0.6 + 0.35 * rng.next_float()
             x, y = pos[k]
             w, h = sizes[k]
-            mask = rle_encode(_render(shapes[k], x, y, w, h, cw, ch))
-            bbox = bbox_of_mask(mask)
-            assert bbox is not None
+            mask, bbox = _shape_mask(shapes[k], x, y, w, h, cw, ch)
             cat = k + 1
             probs = [0.0] * (n_cats + 1)
             probs[cat] = score
@@ -220,13 +248,13 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
                 cat = rng.randint(1, n_cats)
                 emb = Embedding(tuple(float(v) for v in _unit_gaussian(rng, cfg.embedding_dim)))
                 score = 0.05 + 0.25 * rng.next_float()
-                mask = rle_encode(_render("rect", x, y, w, h, cw, ch))
+                mask, bbox = _shape_mask("rect", x, y, w, h, cw, ch)
                 probs = [0.0] * (n_cats + 1)
                 probs[cat] = score
                 identity[(video_id, f, len(dets))] = CLUTTER
                 dets.append(
                     Detection(
-                        bbox=BBox(float(x), float(y), float(w), float(h)),
+                        bbox=bbox,
                         score=score,
                         category_id=cat,
                         class_probs=tuple(probs),

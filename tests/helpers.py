@@ -71,6 +71,21 @@ def track_from_grids(track_id: int, category_id: int, score: float, grids: dict[
     return Track(track_id=track_id, category_id=category_id, score=score, entries=entries)
 
 
+def render_shape(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> np.ndarray:
+    """Dense (canvas_h, canvas_w) grid of a synth shape: the rect [x, x + w)
+    x [y, y + h), or the ellipse inscribed in it sampled at pixel centers."""
+    grid = np.zeros((canvas_h, canvas_w), dtype=bool)
+    if shape == "rect":
+        grid[y : y + h, x : x + w] = True
+        return grid
+    cy, cx = y + h / 2.0, x + w / 2.0
+    ry, rx = h / 2.0, w / 2.0
+    rows = (np.arange(canvas_h) + 0.5 - cy) / ry
+    cols = (np.arange(canvas_w) + 0.5 - cx) / rx
+    grid[:] = rows[:, None] ** 2 + cols[None, :] ** 2 <= 1.0
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Decoded-grid spatio-temporal IoU
 

@@ -13,14 +13,18 @@ from vistrack import (
     DegenerateBox,
     Detection,
     Embedding,
+    FrameDetections,
     RleMask,
+    Track,
+    TrackEntry,
+    VideoGroundTruth,
     bbox_of_mask,
     box_giou,
     mask_iou,
     rle_decode,
     rle_encode,
 )
-from vistrack.core import ints, reals, rle_crop, rle_intersection_area
+from vistrack.core import VideoMeta, ints, reals, rle_crop, rle_intersection_area
 from vistrack.errors import SchemaError
 
 
@@ -173,14 +177,15 @@ def test_empty_array_is_empty_tuple(check):
     assert check([], "field") == ()
 
 
-def _detection(class_probs):
-    return Detection(
-        bbox=BBox(0.0, 0.0, 1.0, 1.0),
-        score=0.5,
-        category_id=0,
-        class_probs=class_probs,
-        embedding=Embedding((1.0,)),
-    )
+def _detection(class_probs=(0.5,), **fields):
+    return Detection(**{
+        "bbox": BBox(0.0, 0.0, 1.0, 1.0),
+        "score": 0.5,
+        "category_id": 0,
+        "class_probs": class_probs,
+        "embedding": Embedding((1.0,)),
+        **fields,
+    })
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, np.bool_(True), None, 1j])
@@ -201,6 +206,83 @@ def test_embedding_and_class_probs_accept_real_scalars():
     assert all(type(p) is float for p in det.class_probs)
     ints = Embedding((1, 2))
     assert ints.values == (1.0, 2.0) and all(type(v) is float for v in ints.values)
+
+
+# ---------------------------------------------------------------------------
+# Domain types: integer fields take integers, scores take real numbers
+
+_BOX = BBox(0.0, 0.0, 1.0, 1.0)
+
+
+def _track(**fields):
+    entries = {0: TrackEntry(bbox=_BOX, mask=None, score=1.0)}
+    return Track(**{"track_id": 1, "category_id": 1, "score": 0.5, "entries": entries, **fields})
+
+
+def _ground_truth(**fields):
+    return VideoGroundTruth(**{"video_id": 1, "height": 4, "width": 4, "length": 2, "gt_tracks": [],
+                               "category_set": [1], **fields})
+
+
+def _frame(**fields):
+    return FrameDetections(**{"frame_index": 0, **fields})
+
+
+def _meta(**fields):
+    return VideoMeta(**{"length": 2, **fields})
+
+
+_INTEGER_FIELDS = [
+    pytest.param(make, name, id=f"{make.__name__}-{name}")
+    for make, names in [
+        (_track, ("track_id", "category_id")),
+        (_detection, ("category_id",)),
+        (_frame, ("frame_index",)),
+        (_meta, ("length", "height", "width", "video_id")),
+        (_ground_truth, ("video_id", "height", "width", "length")),
+    ]
+    for name in names
+]
+
+
+@pytest.mark.parametrize("make,name", _INTEGER_FIELDS)
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 1.0, 2.5, "1"], ids=repr)
+def test_integer_fields_reject_non_integers(make, name, bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        make(**{name: bad})
+
+
+@pytest.mark.parametrize("make,name", _INTEGER_FIELDS)
+def test_integer_fields_store_python_ints(make, name):
+    obj = make(**{name: np.int64(1)})
+    assert type(getattr(obj, name)) is int
+
+
+@pytest.mark.parametrize("bad", [True, 1.5], ids=repr)
+def test_frame_indices_and_category_set_reject_non_integers(bad):
+    with pytest.raises(ValueError, match="frame indices: expected an integer"):
+        _track(entries={bad: TrackEntry(bbox=_BOX, mask=None, score=1.0)})
+    with pytest.raises(ValueError, match="category_set: expected an integer"):
+        _ground_truth(category_set=[1, bad])
+
+
+def test_video_meta_keeps_absent_sizes():
+    meta = VideoMeta(length=np.int32(3))
+    assert (meta.length, meta.height, meta.width, meta.video_id) == (3, None, None, None)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "0.5", None, 1j, float("nan")], ids=repr)
+def test_scores_reject_non_reals(bad):
+    with pytest.raises(ValueError, match="score"):
+        _track(score=bad)
+    with pytest.raises(ValueError, match="score"):
+        _detection(score=bad)
+
+
+def test_scores_store_python_floats():
+    assert type(_track(score=np.float32(0.5)).score) is float
+    assert type(_track(score=1).score) is float
+    assert type(_detection(score=np.float64(0.5)).score) is float
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +434,13 @@ def test_giou_degenerate_pair():
     # a single degenerate side is fine: plain IoU 0 plus enclosure penalty
     other = BBox(0.0, 0.0, 2.0, 2.0)
     assert -1.0 <= box_giou(point, other) <= 1.0
+
+
+def test_giou_of_a_box_with_itself_stays_at_most_one():
+    # y + h - y rounds above h here, so the raw IoU term is 1 + 1 ulp
+    a = BBox(0.0, 1.0, 1.0, 0.1)
+    assert box_giou(a, a) <= 1.0
+    assert box_giou(a, a) == pytest.approx(1.0)
 
 
 @given(

@@ -1,18 +1,29 @@
 """Synthetic corpus generator: determinism, embedding geometry,
 identity bookkeeping, and occlusion/clutter semantics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from helpers import render_shape
 from vistrack import (
     CLUTTER,
     ConfigError,
     ConfigInfeasible,
     SynthConfig,
     bbox_of_mask,
+    core,
     rle_decode,
+    rle_encode,
     generate,
+    synth,
 )
+from vistrack.cli import entrypoint
+from vistrack.synth import _shape_mask
 
 
 SMALL = SynthConfig(
@@ -212,3 +223,80 @@ def test_config_validation():
         SynthConfig(n_videos=0)
     with pytest.raises(ConfigError):
         SynthConfig(frames_per_video=0)
+
+
+# ---------------------------------------------------------------------------
+# Masks straight from the box, against the dense-canvas oracle
+
+
+@st.composite
+def shapes(draw):
+    canvas_w = draw(st.integers(16, 300))
+    canvas_h = draw(st.integers(16, 300))
+    # full sides make runs meet across columns; thin sides leave an
+    # ellipse's edge columns empty
+    w = draw(st.one_of(st.integers(1, canvas_w), st.just(canvas_w), st.integers(1, 3)))
+    h = draw(st.one_of(st.integers(1, canvas_h), st.just(canvas_h), st.integers(1, 3)))
+    x = draw(st.integers(0, canvas_w - w))
+    y = draw(st.integers(0, canvas_h - h))
+    return draw(st.sampled_from(["rect", "ellipse"])), x, y, w, h, canvas_w, canvas_h
+
+
+@given(shapes())
+@example(("rect", 3, 0, 5, 20, 16, 20))  # full height: one run over five columns
+@example(("ellipse", 0, 0, 16, 20, 16, 20))  # the canvas' inscribed ellipse
+@example(("rect", 0, 0, 16, 16, 16, 16))  # the whole canvas: no zero-runs at all
+@example(("ellipse", 0, 7, 100, 2, 100, 16))  # thin and wide: empty edge columns
+def test_shape_mask_matches_the_dense_canvas(args):
+    mask, bbox = _shape_mask(*args)
+    expected = rle_encode(render_shape(*args))
+    assert mask == expected
+    assert all(type(c) is int for c in mask.counts)
+    assert bbox == bbox_of_mask(expected)
+    assert all(type(v) is float for v in (bbox.x, bbox.y, bbox.w, bbox.h))
+
+
+def test_thin_ellipse_leaves_its_edge_columns_empty():
+    _, bbox = _shape_mask("ellipse", 0, 7, 100, 2, 100, 16)
+    assert bbox.x > 0.0 and bbox.x + bbox.w < 100.0
+
+
+def test_generate_draws_no_dense_mask(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("synth used a dense mask")
+
+    for name in ("rle_encode", "rle_decode", "bbox_of_mask"):
+        monkeypatch.setattr(core, name, dense)
+        assert not hasattr(synth, name)
+    corpus = generate(SynthConfig(**{**SMALL.__dict__, "clutter_rate": 1.0}))
+    assert all(d.mask is not None for frames in corpus.detections.values() for fd in frames for d in fd.detections)
+
+
+# sha256 of annotations.json, detections.json and identity.json, recorded
+# from the dense-canvas encoder that this one replaced
+_GOLDEN = {
+    "default": (
+        None,
+        "8c548010739db1c9844d816bb612df2848b53161dbe1877b7a107e14535a6c32",
+        "bf180d4bfb38ddcafebedbd265fc23a4f7eb4470fd78aa5b82ab68f730618ef8",
+        "b24074f8bc830fc3d253707d045fcd996eb3a0f6d2a4d53bfa0a1e4a066f6d78",
+    ),
+    "clutter-dropout-64x128": (
+        {"clutter_rate": 1.0, "detector_dropout": 0.2, "canvas": [64, 128]},
+        "7a2df9538482061af96a50bcb0ca219e3515746e8b1157eb16d9843795e17766",
+        "b274ea1591fa186f1f744a53e0eece17f3b5547347f0eb6689ccfd19cf193b43",
+        "407b64395fd09247634749f6ad2772413f3f44861a6854a7a779117efa9c35ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_synth_files_golden_bytes(tmp_path, name):
+    config, *digests = _GOLDEN[name]
+    argv = ["synth", "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps({"synth": config}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert entrypoint(argv) == 0
+    files = ("annotations.json", "detections.json", "identity.json")
+    assert [hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files] == digests
