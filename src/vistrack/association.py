@@ -166,19 +166,24 @@ def assign(
     prediction left without a pair strictly above ``match_threshold``
     opens a new instance when its detection score reaches
     ``new_instance_score`` and is discarded otherwise. Ties break toward
-    the lowest prediction index, then the lowest (oldest) memory index:
-    the stable sort keeps equal scores in row-major (i, j) order.
+    the lowest prediction index, then the lowest (oldest) memory index.
+
+    Only the cells strictly above the threshold can match, so only they
+    are sorted (NaN is never above it). They come out of
+    ``np.flatnonzero`` in row-major (i, j) order, which the stable sort
+    keeps for equal scores.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape != (len(detections), len(memory)):
         raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
     n, m = s.shape
     flat = s.ravel()
+    cells = np.flatnonzero(flat > cfg.match_threshold)
     matched: dict[int, int] = {}
     taken_cols: set[int] = set()
-    for k in np.argsort(-flat, kind="stable").tolist():
-        if len(matched) == min(n, m) or not flat[k] > cfg.match_threshold:
-            break  # NaN sorts last, so it stops the walk too
+    for k in cells[np.argsort(-flat[cells], kind="stable")].tolist():
+        if len(matched) == min(n, m):
+            break
         i, j = divmod(k, m)
         if i not in matched and j not in taken_cols:
             matched[i] = j
@@ -205,16 +210,16 @@ def update_memory(
 
     Returns a new bank; ``memory`` is left unchanged.
     """
-    index_of = {tid: k for k, tid in enumerate(memory.track_ids)}
     rows = memory.embeddings.copy()
     rho = cfg.memory_momentum
     fresh = []
     for a in sorted(assignments, key=lambda a: a.pred_index):
         det = detections[a.pred_index]
         if a.outcome is Outcome.MATCHED:
-            k = index_of.get(a.track_id)
-            if k is None:
-                raise UnknownTrackId(f"assignment references unknown track id {a.track_id}")
+            try:
+                k = memory.track_ids.index(a.track_id)
+            except ValueError:
+                raise UnknownTrackId(f"assignment references unknown track id {a.track_id}") from None
             if len(det.embedding) != rows.shape[1]:
                 raise DimensionMismatch("detection embedding length must match memory")
             rows[k] = (1.0 - rho) * rows[k] + rho * np.asarray(det.embedding)

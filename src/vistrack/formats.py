@@ -26,7 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 from typing import Any, Mapping, Sequence
 
 from .association import AssociationConfig
@@ -109,14 +111,21 @@ def _emit(obj: Any, nl: str, out: list[str]) -> None:
                 text = map(_scalar, obj)
             out.append("[" + inner + sep.join(text) + nl + "]")
             return
+        # Visit only the non-null elements (per-frame result arrays are
+        # mostly null) and write each run of k nulls as one string.
         lead = "[" + inner
-        for value in obj:
-            if value is None:
-                out.append(lead + "null")
-            else:
-                out.append(lead)
-                _emit(value, inner, out)
+        nulls = sep + "null"
+        end = -1  # index of the last element written
+        for k in compress(range(len(obj)), map(is_not, obj, repeat(None))):
+            if k > end + 1:
+                out.append(lead + "null" + nulls * (k - end - 2))
+                lead = sep
+            out.append(lead)
+            _emit(obj[k], inner, out)
             lead = sep
+            end = k
+        if len(obj) > end + 1:
+            out.append(lead + "null" + nulls * (len(obj) - end - 2))
         out.append(nl + "]")
     else:
         out.append(_scalar(obj))

@@ -81,6 +81,19 @@ def fuse_tracks(
     pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
     pixels = [_track_pixels(t, video_length, video_dims) for t, _, _, _ in pool]
 
+    # Each track's keys: (category, frame) for every frame where it has a
+    # mask, and (category, None) when its total area is zero. Two tracks
+    # that share no key have ST-IoU 0, which never reaches merge_iou > 0;
+    # two zero-area tracks have ST-IoU 1.0.
+    keys = [
+        [(t.category_id, f) for f in masks] + ([] if area else [(t.category_id, None)])
+        for (t, _, _, _), (masks, area) in zip(pool, pixels)
+    ]
+    holders: dict[tuple[int, int | None], list[int]] = {}
+    for j, track_keys in enumerate(keys):
+        for key in track_keys:
+            holders.setdefault(key, []).append(j)
+
     claimed = [False] * len(pool)
     fused: list[Track] = []
     for i, (seed, w_i, _, _) in enumerate(pool):
@@ -88,12 +101,10 @@ def fuse_tracks(
             continue
         claimed[i] = True
         members = [(seed, w_i)]
-        for j in range(i + 1, len(pool)):
-            if claimed[j]:
+        for j in sorted(set().union(*(holders[key] for key in keys[i]))):  # ascending pool order
+            if j <= i or claimed[j]:
                 continue
             cand, w_j, _, _ = pool[j]
-            if cand.category_id != seed.category_id:
-                continue
             if _pixel_iou(pixels[i], pixels[j]) >= cfg.merge_iou:
                 claimed[j] = True
                 members.append((cand, w_j))

@@ -230,19 +230,21 @@ def test_assign_matches_enumeration_when_margin_clear(seed):
     assert greedy_pairs == oracle_pairs
 
 
-COARSE_SCORES = (0.3, 0.5, 0.6, 0.8)
+COARSE_SCORES = (0.3, 0.5, 0.6, 0.8, 1.0, np.nan, np.inf, -np.inf)
 
 
-@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@given(st.integers(0, 6), st.one_of(st.integers(0, 6), st.integers(7, 40)), st.data())
 @settings(max_examples=300, deadline=None)
 def test_assign_equals_rescanning_reference(n, m, data):
     """The sorted single pass gives the same assignments as rescanning every
-    free pair, on a coarse score grid where ties are the rule."""
+    free pair, on a coarse score grid where ties are the rule, with
+    non-finite scores, thresholds equal to grid values, and banks up to
+    40 wide as on a long video."""
     scores = np.array(
         data.draw(st.lists(st.sampled_from(COARSE_SCORES), min_size=n * m, max_size=n * m))
     ).reshape(n, m)
     dets = [det(data.draw(st.sampled_from((0.1, 0.2, 0.9))), (1, 0)) for _ in range(n)]
-    cfg = AssociationConfig(match_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.5, 0.6))))
+    cfg = AssociationConfig(match_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.5, 0.6, 0.8, 1.0))))
     bank = bank_of(*[(1, 0)] * m)
     assert assign(scores, dets, bank, cfg) == reference_assign(scores, dets, bank, cfg)
 
@@ -288,6 +290,13 @@ def test_update_unknown_track_id():
 
     with pytest.raises(UnknownTrackId):
         update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED, 99)], [det(0.9, (1, 0))], CFG)
+
+
+def test_update_match_without_track_id():
+    from vistrack import UnknownTrackId
+
+    with pytest.raises(UnknownTrackId, match="unknown track id None"):
+        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED)], [det(0.9, (1, 0))], CFG)
 
 
 def test_update_retains_unmatched_instances():

@@ -3,6 +3,7 @@ run-config loader, and the command-line entrypoints with their exit codes."""
 
 import enum
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -261,12 +262,33 @@ json_scalars = st.one_of(
     st.sampled_from([-0.0, 1e-05, 1e16, 1e-7, 123456789.0]),
     st.text(),
 )
+
+
+def _mostly_null(length, slots, as_tuple):
+    values = [None] * length
+    for k, v in slots.items():
+        values[k % length] = v
+    return tuple(values) if as_tuple else values
+
+
+def mostly_null_arrays(children):
+    """Arrays of up to ~700 slots with values at a few random slots, like a
+    results file's per-frame ``segmentations`` and ``bboxes``."""
+    return st.builds(
+        _mostly_null,
+        st.integers(1, 700),
+        st.dictionaries(st.integers(0, 699), children, max_size=6),
+        st.booleans(),
+    )
+
+
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(st.text(max_size=6), children, max_size=5),
+        mostly_null_arrays(children),
     ),
     max_leaves=30,
 )
@@ -294,6 +316,13 @@ def test_dumps_json_matches_reference(obj):
         None,
         [True, False, None, 1, 1.0, "x"],
         [None, {"counts": [1, 3], "size": [2, 2]}, None],
+        [None] * 700,
+        [[1]] + [None] * 699,
+        [None] * 699 + [{"a": 1}],
+        [None, None, [1], None],
+        (None, None, (1,), None),
+        [None, [], None, None, {}, [None, [2]], None],
+        [{"a": None}, None, [0.5], None, None],
         {"ar": {"1": 0.5, "10": 0.25}, "ap": 0.75},
         {3: "c", 1: None, 2: [1.5]},
         {2.5: 1, -1.0: 0},
@@ -705,6 +734,32 @@ def test_fuse_merges_duplicates(corpus_dir, tmp_path):
     assert sorted(merged) == sorted(single)
     for vid in single:
         assert len(merged[vid]) == len(single[vid])
+
+
+# sha256 of track's output at the default config and at match_threshold
+# 0.7, and of fusing the two, on one seeded 200-frame video with clutter
+# 2.0. Embedding noise 0.3, because at the default noise both thresholds
+# give the same bytes. Recorded from the full-sort assignment, the
+# slot-by-slot writer and the all-pairs fusion that these replaced.
+LONG_VIDEO_SYNTH = {"n_videos": 1, "frames_per_video": 200, "clutter_rate": 2.0, "embedding_noise_sigma": 0.3}
+LONG_VIDEO_GOLDEN = {
+    "results.json": "28854e302643a150615bfb54d1b4f13c0afb4f99137a400d49c7d19cca635a75",
+    "results_alt.json": "91962f1183e4035d43aa25c5703bbb14f0be48cb4c902dbfce9c9a7176c93bf6",
+    "fused.json": "4100c8b6b31608a68933ccdc833bec2cebb5386534ab9c8464775733b61900c4",
+}
+
+
+def test_long_video_track_and_fuse_golden_bytes(tmp_path):
+    synth_cfg, alt_cfg = tmp_path / "synth.json", tmp_path / "alt.json"
+    synth_cfg.write_text(json.dumps({"synth": LONG_VIDEO_SYNTH}))
+    alt_cfg.write_text(json.dumps({"association": {"match_threshold": 0.7}}))
+    det, res, alt, fused = (str(tmp_path / n) for n in ("detections.json", *LONG_VIDEO_GOLDEN))
+    assert entrypoint(["synth", "--config", str(synth_cfg), "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    assert entrypoint(["track", "--detections", det, "--out", res]) == 0
+    assert entrypoint(["track", "--detections", det, "--config", str(alt_cfg), "--out", alt]) == 0
+    assert entrypoint(["fuse", "--inputs", res, alt, "--out", fused]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in LONG_VIDEO_GOLDEN}
+    assert digests == LONG_VIDEO_GOLDEN
 
 
 def test_pseudopair_deterministic(corpus_dir, tmp_path):

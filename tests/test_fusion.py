@@ -20,6 +20,7 @@ from vistrack import (
     rle_encode,
     st_iou,
 )
+from vistrack import fusion
 
 
 def square(y, x, side, h=8, w=8):
@@ -208,6 +209,29 @@ def test_edge_cases_match_reference(rule):
     got = fuse_tracks(sets, LENGTH, cfg, video_dims=(H, W))
     assert [t.track_id for t in got] == [1, 3, 5, 6]
     same_fusion(got, reference_fuse(sets, LENGTH, H, W, cfg))
+
+
+def test_only_pairs_that_can_merge_are_compared(monkeypatch):
+    """A pair that shares no frame where both tracks have a mask has
+    ST-IoU 0, or 1.0 when both have zero area; only the latter is
+    compared."""
+    pairs = []
+    real = fusion._pixel_iou
+    monkeypatch.setattr(fusion, "_pixel_iou", lambda a, b: pairs.append((a, b)) or real(a, b))
+    empty = rle_encode(np.zeros((H, W), dtype=bool))
+    corner = rle_encode(square(0, 0, 2, h=H, w=W))
+    tracks = [
+        Track(1, 1, 0.9, {0: entry(corner)}),
+        Track(2, 1, 0.8, {1: entry(corner)}),
+        Track(3, 1, 0.7, {0: entry(corner), 2: entry(None)}),  # shares frame 0 with track 1
+        Track(4, 2, 0.6, {0: entry(corner)}),  # another category
+        Track(5, 1, 0.5, {1: entry(empty)}),  # zero area, shares frame 1 with track 2
+        Track(6, 1, 0.4, {2: entry(None)}),  # zero area, shares no masked frame with track 5
+    ]
+    got = fuse_tracks([tracks], LENGTH, FusionConfig())
+    assert len(pairs) == 3
+    assert [t.track_id for t in got] == [1, 2, 4, 5]
+    same_fusion(got, reference_fuse([tracks], LENGTH, H, W, FusionConfig()))
 
 
 SHAPES = [
