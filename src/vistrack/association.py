@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
 from .core import config_numbers, embedding_rows, ints, reals
 from .errors import ConfigError, DimensionMismatch, EmptyInput, UnknownTrackId

@@ -111,10 +111,16 @@ def _cmd_fuse(args) -> int:
     cfg = formats.load_run_config(args.config)
     loaded = [formats.load_results(p) for p in args.inputs]
     lengths: dict[int, int] = {}
-    for _, ls in loaded:
+    sizes: dict[int, tuple[int, int]] = {}
+    for tracks, ls in loaded:
         for vid, length in ls.items():
             if lengths.setdefault(vid, length) != length:
                 raise VideoMismatch(f"input files disagree on the length of video {vid}")
+            # load_results has checked that the masks of a video in one file share a size
+            masks = (e.mask for t in tracks[vid] for e in t.entries.values() if e.mask is not None)
+            mask = next(masks, None)
+            if mask is not None and sizes.setdefault(vid, (mask.height, mask.width)) != (mask.height, mask.width):
+                raise VideoMismatch(f"input files disagree on the mask size of video {vid}")
     merged = {}
     for vid in sorted(lengths):
         track_sets = [tracks.get(vid, []) for tracks, _ in loaded]

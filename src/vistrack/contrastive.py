@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .core import BBox, Detection, Embedding, box_giou, config_numbers, embedding_rows, reals
 from .errors import (
     ConfigError,

@@ -5,8 +5,9 @@ Masks are stored run-length encoded in column-major scan order: the image
 is read top-to-bottom within each column, columns left to right, and
 ``counts`` alternates runs of zeros and ones starting with the number of
 leading zeros (possibly 0). Pixel arithmetic on masks (areas,
-intersections) is exact integer arithmetic on the runs; decoding to a
-dense grid is only needed at the edges (cropping and test oracles).
+intersections, bounding boxes, crops) is exact integer arithmetic on the
+runs; the dense codecs ``rle_encode`` and ``rle_decode`` are public
+helpers and test oracles that no command calls.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch, NonFiniteInput
 
 
@@ -312,7 +312,7 @@ def rle_encode(bitmap) -> RleMask:
     """Encode a 2-D binary grid into column-major run-length counts.
 
     A public helper and the test oracle of the run-based mask code;
-    ``synth`` encodes its shapes without a dense grid."""
+    no command calls it."""
     grid = np.asarray(bitmap)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError("bitmap must be a non-empty 2-D array")
@@ -329,8 +329,8 @@ def rle_encode(bitmap) -> RleMask:
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode run-length counts back into a dense boolean (H, W) grid.
 
-    A public helper and test oracle, and the dense step of ``rle_crop``;
-    ``synth`` never decodes."""
+    A public helper and the test oracle of the run-based mask code;
+    no command calls it."""
     if sum(mask.counts) != mask.height * mask.width:
         raise CountsMismatch("counts must sum to height*width")
     ones = (np.arange(len(mask.counts)) & 1).astype(bool)  # the odd runs are ones
@@ -408,11 +408,44 @@ def bbox_of_mask(mask: RleMask) -> BBox | None:
 
 
 def rle_crop(mask: RleMask, x0: int, y0: int, x1: int, y1: int) -> RleMask:
-    """Re-encode the window [x0, x1) x [y0, y1) of a mask in window coordinates."""
-    if not (0 <= x0 < x1 <= mask.width and 0 <= y0 < y1 <= mask.height):
+    """Re-encode the window [x0, x1) x [y0, y1) of a mask in window coordinates.
+
+    Computed from the one-runs without decoding. Both scans are column
+    major, so the window pixels of one source run are one run in the
+    window: the one that starts and ends at the number of window pixels
+    before the source run's start and end. Runs that touch once the rows
+    outside the window are dropped merge into one.
+    """
+    h = mask.height
+    if not (0 <= x0 < x1 <= mask.width and 0 <= y0 < y1 <= h):
         raise ValueError("crop window must be non-empty and inside the mask")
-    grid = rle_decode(mask)
-    return rle_encode(grid[y0:y1, x0:x1])
+    wh = y1 - y0
+    first, stop = x0 * h, x1 * h  # the window's columns cover the flat positions [first, stop)
+    total = (x1 - x0) * wh
+    bounds = list(accumulate(mask.counts))
+    edges: list[int] = []  # window start and end of each one-run, merged
+    for start, end in zip(bounds[0::2], bounds[1::2]):  # one-run k covers [bounds[2k], bounds[2k+1])
+        if end <= first:
+            continue
+        if start >= stop:
+            break
+        # clamped to [first, stop], a position's column lies in [x0, x1]
+        col, row = divmod(start if start > first else first, h)
+        row -= y0
+        a = (col - x0) * wh + (0 if row < 0 else wh if row > wh else row)
+        col, row = divmod(end if end < stop else stop, h)
+        row -= y0
+        b = (col - x0) * wh + (0 if row < 0 else wh if row > wh else row)
+        if a == b:
+            continue
+        if edges and edges[-1] == a:
+            edges[-1] = b
+        else:
+            edges += (a, b)
+    counts = [b - a for a, b in zip([0] + edges, edges + [total])]
+    if counts[-1] == 0:  # the window ends inside a one-run
+        counts.pop()
+    return RleMask(height=wh, width=x1 - x0, counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .core import FrameDetections, RleMask, Track, VideoGroundTruth, config_numbers, ints, reals, rle_intersection_area
 from .errors import ConfigError, DimensionMismatch, UnknownCategory, UnknownVideoId
 from .synth import CLUTTER

@@ -534,10 +534,12 @@ def save_results(
 
 def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
     """Tracks grouped per video (file order preserved) plus the
-    segmentation-array length of each video."""
+    segmentation-array length of each video. The masks of one video must
+    share one size."""
     root = _expect_list(_read_json(path), "results")
     tracks: dict[int, list[Track]] = {}
     lengths: dict[int, int] = {}
+    sizes: dict[int, tuple[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     for i, r in enumerate(root):
         where = f"results[{i}]"
@@ -557,6 +559,14 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
             raise SchemaError(f"{where}: inconsistent video length for video {vid}")
         lengths.setdefault(vid, len(segs))
         entries = _entries_from(segs, boxes, where, score)
+        for f, e in entries.items():
+            if e.mask is not None:
+                size = (e.mask.height, e.mask.width)
+                if sizes.setdefault(vid, size) != size:
+                    raise SchemaError(
+                        f"{where}.segmentations[{f}]: mask size {list(size)} differs from "
+                        f"{list(sizes[vid])}, the size of the earlier masks of video {vid}"
+                    )
         try:
             track = Track(track_id=tid, category_id=cid, score=score, entries=entries)
         except ValueError as e:

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .core import (
     BBox,
     Detection,

@@ -37,7 +37,7 @@ from vistrack import (
     bbox_of_mask,
     rle_encode,
 )
-from vistrack import core
+from vistrack import core, pseudo_pair
 from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
@@ -525,6 +525,43 @@ def test_null_bbox_of_huge_mask_is_taken_from_runs(tmp_path, monkeypatch):
     assert tracks[1][0].entries[0].bbox == BBox(3.0, 0.0, 6.0, float(side))
 
 
+def _result_record(tid, frames, size, length=2, vid=1):
+    """A results record of one video with a full mask of ``size`` on each
+    of ``frames``."""
+    h, w = size
+    segs = [{"size": [h, w], "counts": [0, h * w]} if f in frames else None for f in range(length)]
+    return {"video_id": vid, "id": tid, "category_id": 1, "score": 0.5, "segmentations": segs, "bboxes": [None] * length}
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["shared-frame", "no-shared-frame"])
+def test_results_masks_of_one_video_must_share_a_size(tmp_path, capsys, frame):
+    """Whether or not the two tracks share a frame, the second mask size
+    is a schema error naming the record and frame, and fuse exits 2."""
+    p = tmp_path / "res.json"
+    p.write_text(json.dumps([_result_record(1, {0}, (4, 4)), _result_record(2, {frame}, (4, 5))]))
+    with pytest.raises(SchemaError, match=rf"results\[1\]\.segmentations\[{frame}\]"):
+        load_results(str(p))
+    assert entrypoint(["fuse", "--inputs", str(p), "--out", str(tmp_path / "fused.json")]) == 2
+    assert f"results[1].segmentations[{frame}]" in capsys.readouterr().err
+
+
+def test_results_masks_of_different_videos_may_differ_in_size(tmp_path):
+    p = tmp_path / "res.json"
+    p.write_text(json.dumps([_result_record(1, {0}, (4, 4)), _result_record(2, {0}, (4, 5), vid=2)]))
+    tracks, _ = load_results(str(p))
+    assert [t.entries[0].mask.width for vid in (1, 2) for t in tracks[vid]] == [4, 5]
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["shared-frame", "no-shared-frame"])
+def test_fuse_inputs_must_agree_on_mask_size(tmp_path, capsys, frame):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([_result_record(1, {0}, (4, 4))]))
+    b.write_text(json.dumps([_result_record(1, {frame}, (5, 4))]))
+    assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 4
+    assert "mask size of video 1" in capsys.readouterr().err
+    assert not (tmp_path / "fused.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # run config
 
@@ -772,6 +809,47 @@ def test_pseudopair_deterministic(corpus_dir, tmp_path):
     assert doc and all("view_a" in s and "view_b" in s for s in doc)
 
 
+def test_pseudopair_draws_no_dense_mask(corpus_dir, tmp_path, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("pseudopair used a dense mask")
+
+    for name in ("rle_encode", "rle_decode"):
+        monkeypatch.setattr(core, name, dense)
+        assert not hasattr(pseudo_pair, name)
+    ann = str(corpus_dir / "annotations.json")
+    assert entrypoint(["pseudopair", "--annotations", ann, "--out", str(tmp_path / "pairs.json")]) == 0
+
+
+# sha256 of pairs.json at two (synth config, crop config, pseudopair
+# --seed) settings, on corpora from `synth --seed 5`. Recorded from the
+# decode-slice-encode crop that the run-based one replaced.
+PAIRS_GOLDEN = {
+    "default": (None, None, 9, "03c0e14c5be1742baa96c1bf30a715875e94ff37a9d1e2162418887d9d3ef3c8"),
+    "small-crops-64x128": (
+        {"canvas": [64, 128], "detector_dropout": 0.2},
+        {"min_scale": 0.1, "max_scale": 0.5, "visibility_threshold": 0.05},
+        4,
+        "012c2ca9995116ef23986e615e2c83ba8dd672fb80992a9239fc3ce05626b3e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS_GOLDEN))
+def test_pseudopair_golden_bytes(tmp_path, name):
+    synth_cfg, crop_cfg, seed, digest = PAIRS_GOLDEN[name]
+    argv = ["synth", "--seed", "5", "--out-dir", str(tmp_path)]
+    if synth_cfg is not None:
+        (tmp_path / "synth.json").write_text(json.dumps({"synth": synth_cfg}))
+        argv += ["--config", str(tmp_path / "synth.json")]
+    assert entrypoint(argv) == 0
+    argv = ["pseudopair", "--annotations", str(tmp_path / "annotations.json"), "--seed", str(seed)]
+    if crop_cfg is not None:
+        (tmp_path / "crop.json").write_text(json.dumps({"crop": crop_cfg}))
+        argv += ["--config", str(tmp_path / "crop.json")]
+    assert entrypoint(argv + ["--out", str(tmp_path / "pairs.json")]) == 0
+    assert hashlib.sha256((tmp_path / "pairs.json").read_bytes()).hexdigest() == digest
+
+
 def test_losscheck_passes(capsys):
     assert entrypoint(["losscheck", "--samples", "10", "--seed", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -842,11 +920,41 @@ def test_exit_code_embedding_beyond_float_range(corpus_dir, tmp_path, capsys):
     assert ".embedding: value must be finite" in capsys.readouterr().err
 
 
-def test_import_cli_leaves_scipy_unloaded():
+def _loaded_after(code: str, package: str) -> bool:
+    """Whether ``package`` is in ``sys.modules`` after a fresh interpreter
+    on the checkout's src runs ``code``."""
     src = Path(vistrack.__file__).resolve().parents[1]
-    probe = "import sys, vistrack.cli; sys.exit(int('scipy' in sys.modules))"
+    probe = f"import sys\n{code}\nprint({package!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
-    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1] == "True"
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    assert not _loaded_after("import vistrack.cli", "scipy")
+
+
+def _run_cli(argv: list[str]) -> str:
+    return f"from vistrack.cli import entrypoint\nassert entrypoint({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("case", ["import vistrack", "import vistrack.cli", "--help", "fuse", "pseudopair", "eval"])
+def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, tmp_path, case):
+    """fuse and pseudopair work on the runs and never load numpy; eval,
+    whose AP math is on arrays, shows that the probe can see it."""
+    ann = str(corpus_dir / "annotations.json")
+    out = str(tmp_path / "out.json")
+    code = {
+        "import vistrack": "import vistrack",
+        "import vistrack.cli": "import vistrack.cli",
+        "--help": "from vistrack.cli import entrypoint\ntry:\n    entrypoint(['--help'])\n"
+        "except SystemExit as e:\n    assert e.code == 0",
+        "fuse": _run_cli(["fuse", "--inputs", str(results_file), str(results_file), "--out", out]),
+        "pseudopair": _run_cli(["pseudopair", "--annotations", ann, "--out", out]),
+        "eval": _run_cli(["eval", "--gt", ann, "--results", str(results_file), "--out", out]),
+    }[case]
+    assert _loaded_after(code, "numpy") == (case == "eval")
 
 
 def test_exit_code_bad_config(corpus_dir, tmp_path, capsys):

@@ -378,6 +378,66 @@ def test_crop_matches_sliced_grid(grid, data):
     assert np.array_equal(rle_decode(cropped), grid[y0:y1, x0:x1])
 
 
+@st.composite
+def run_masks(draw, max_side=12):
+    """Masks drawn as runs rather than pixels: one-runs long enough to
+    cross columns, a leading one-run, whole columns of ones, and the
+    all-zero mask."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    kind = draw(st.sampled_from(["runs", "columns", "empty"]))
+    if kind == "empty":
+        return RleMask(h, w, (h * w,))
+    if kind == "columns":
+        grid = np.zeros((h, w), dtype=bool)
+        grid[:, sorted(draw(st.sets(st.integers(0, w - 1))))] = True
+        return rle_encode(grid)
+    cuts = draw(st.sets(st.integers(1, h * w - 1), max_size=8)) if h * w > 1 else set()
+    bounds = [0, *sorted(cuts), h * w]
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    return RleMask(h, w, tuple([0] + counts if draw(st.booleans()) else counts))
+
+
+@st.composite
+def crop_windows(draw, h, w):
+    """(x0, y0, x1, y1) inside an h x w mask, often on an edge or one pixel wide."""
+
+    def side(size):
+        lo = draw(st.one_of(st.just(0), st.just(size - 1), st.integers(0, size - 1)))
+        hi = draw(st.one_of(st.just(lo + 1), st.just(size), st.integers(lo + 1, size)))
+        return lo, hi
+
+    (x0, x1), (y0, y1) = side(w), side(h)
+    return x0, y0, x1, y1
+
+
+@given(st.one_of(run_masks(), grids().map(rle_encode), sparse_grids().map(rle_encode)), st.data())
+@settings(max_examples=400)
+def test_crop_equals_the_dense_crop(mask, data):
+    x0, y0, x1, y1 = data.draw(crop_windows(mask.height, mask.width))
+    assert rle_crop(mask, x0, y0, x1, y1) == rle_encode(rle_decode(mask)[y0:y1, x0:x1])
+
+
+@pytest.mark.parametrize(
+    "rows,window,expected",
+    [
+        # a one-run from the last two rows of column 0 into the first
+        # row of column 1: whole, then with only its column-1 piece left
+        ([".#.", "...", "#..", "#.."], (0, 0, 2, 4), (2, 3, 3)),
+        ([".#.", "...", "#..", "#.."], (0, 0, 2, 2), (2, 1, 1)),
+        # two one-runs split only by rows outside the window merge
+        (["...", "##.", "##.", "..."], (0, 1, 2, 3), (0, 4)),
+        # a leading one-run and full columns: all ones in the window
+        (["##.", "##.", "##."], (0, 0, 2, 3), (0, 6)),
+        # a window on the right and bottom edges with no foreground
+        (["##.", "##.", "..."], (2, 1, 3, 3), (2,)),
+        # a 1-pixel window on a one
+        (["...", ".#.", "..."], (1, 1, 2, 2), (0, 1)),
+    ],
+)
+def test_crop_fixtures(rows, window, expected):
+    assert rle_crop(mask_from_rows(rows), *window).counts == expected
+
+
 def test_crop_rejects_empty_window():
     mask = rle_encode(np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
