@@ -4,10 +4,11 @@ instance segmentation outputs.
 The package operates on serialized per-frame detections (boxes, masks,
 class probabilities, appearance embeddings) and provides mask/box
 geometry, embedding similarity and greedy identity assignment against a
-memory bank, the contrastive embedding loss with analytic gradients,
-key/reference crop-pair sampling, spatio-temporal IoU evaluation, track
-fusion, and a seeded synthetic corpus generator. Every entry point is a
-pure function of its inputs and configured seeds.
+memory bank, the contrastive embedding loss with analytic gradients
+checked against finite differences, key/reference crop-pair sampling,
+spatio-temporal IoU evaluation, track fusion, and a seeded synthetic
+corpus generator. Every entry point is a pure function of its inputs and
+configured seeds.
 """
 
 from .association import (
@@ -22,17 +23,7 @@ from .association import (
     track_video_with_trace,
     update_memory,
 )
-from .contrastive import (
-    LossWeights,
-    MatchWeights,
-    SamplePartition,
-    embed_loss,
-    embed_loss_grad,
-    gradient_check_suite,
-    matching_cost,
-    select_samples,
-    total_loss,
-)
+from .contrastive import embed_loss, embed_loss_grad, gradient_check_suite
 from .core import (
     BBox,
     Detection,
@@ -44,7 +35,6 @@ from .core import (
     VideoGroundTruth,
     VideoMeta,
     bbox_of_mask,
-    box_giou,
     mask_iou,
     rle_decode,
     rle_encode,
@@ -53,7 +43,6 @@ from .errors import (
     ConfigError,
     ConfigInfeasible,
     CountsMismatch,
-    DegenerateBox,
     DimensionMismatch,
     DuplicateInstanceId,
     EmptyInput,

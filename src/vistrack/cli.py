@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import formats
 from .association import track_video
-from .core import VideoMeta
+from .core import Track, VideoMeta
 from .contrastive import gradient_check_suite
 from .errors import ConfigError, SchemaError, ToolkitError, VideoMismatch
 from .evaluation import EvalReport, evaluate
@@ -62,15 +62,30 @@ def _format_table(report: EvalReport, ks: tuple[int, ...]) -> str:
     return "\n".join(lines)
 
 
+def _mask_size(tracks: list[Track]) -> tuple[int, int] | None:
+    """(height, width) of the first mask of one video's tracks, None if
+    they have no mask. load_results has checked that the masks of a video
+    in one file share a size."""
+    mask = next((e.mask for t in tracks for e in t.entries.values() if e.mask is not None), None)
+    return None if mask is None else (mask.height, mask.width)
+
+
 def _cmd_eval(args) -> int:
     cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.gt)
     predictions, lengths = formats.load_results(args.results)
-    gt_lengths = {g.video_id: g.length for g in ground_truth}
+    gt_videos = {g.video_id: g for g in ground_truth}
     for vid, length in lengths.items():
-        if vid in gt_lengths and length != gt_lengths[vid]:
+        g = gt_videos.get(vid)
+        if g is None:
+            continue  # evaluate names the unknown video
+        if length != g.length:
+            raise VideoMismatch(f"results declare length {length} for video {vid}, ground truth says {g.length}")
+        size = _mask_size(predictions[vid])
+        if size not in (None, (g.height, g.width)):
             raise VideoMismatch(
-                f"results declare length {length} for video {vid}, ground truth says {gt_lengths[vid]}"
+                f"results masks of video {vid} are {size[0]}x{size[1]}, ground truth says {g.height}x{g.width}"
+                " (height x width)"
             )
     report = evaluate(predictions, ground_truth, cfg.eval)
     formats.save_report(report, args.out)
@@ -116,10 +131,8 @@ def _cmd_fuse(args) -> int:
         for vid, length in ls.items():
             if lengths.setdefault(vid, length) != length:
                 raise VideoMismatch(f"input files disagree on the length of video {vid}")
-            # load_results has checked that the masks of a video in one file share a size
-            masks = (e.mask for t in tracks[vid] for e in t.entries.values() if e.mask is not None)
-            mask = next(masks, None)
-            if mask is not None and sizes.setdefault(vid, (mask.height, mask.width)) != (mask.height, mask.width):
+            size = _mask_size(tracks[vid])
+            if size is not None and sizes.setdefault(vid, size) != size:
                 raise VideoMismatch(f"input files disagree on the mask size of video {vid}")
     merged = {}
     for vid in sorted(lengths):

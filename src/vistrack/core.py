@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ._numpy import np
-from .errors import ConfigError, CountsMismatch, DegenerateBox, DimensionMismatch, NonFiniteInput
+from .errors import ConfigError, CountsMismatch, DimensionMismatch, NonFiniteInput
 
 
 _INT = frozenset((int,))
@@ -446,27 +446,3 @@ def rle_crop(mask: RleMask, x0: int, y0: int, x1: int, y1: int) -> RleMask:
     if counts[-1] == 0:  # the window ends inside a one-run
         counts.pop()
     return RleMask(height=wh, width=x1 - x0, counts=tuple(counts))
-
-
-# ---------------------------------------------------------------------------
-# Box geometry
-
-
-def box_giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus the normalized empty share
-    of the smallest enclosing box.
-
-    Raises DegenerateBox when both boxes have zero area (the enclosing
-    box may also be degenerate, leaving the value undefined).
-    """
-    if a.area == 0.0 and b.area == 0.0:
-        raise DegenerateBox("generalized IoU is undefined when both boxes have zero area")
-    iw = min(a.x1, b.x1) - max(a.x, b.x)
-    ih = min(a.y1, b.y1) - max(a.y, b.y)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = a.area + b.area - inter
-    enclosure = (max(a.x1, b.x1) - min(a.x, b.x)) * (max(a.y1, b.y1) - min(a.y, b.y))
-    # rounding in the corner differences can put either term one ulp
-    # outside its range (identical boxes can give an IoU of 1 + 2**-52)
-    iou = min(inter / union, 1.0)
-    return iou - max(enclosure - union, 0.0) / enclosure

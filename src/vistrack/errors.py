@@ -37,10 +37,6 @@ class DimensionMismatch(ToolkitError):
     """Two operands disagree on embedding length, mask size, or matrix shape."""
 
 
-class DegenerateBox(ToolkitError):
-    """Box overlap is undefined because both boxes have zero area."""
-
-
 class EmptyInput(ToolkitError):
     """An operation that needs at least one element received none."""
 
@@ -54,7 +50,7 @@ class DuplicateInstanceId(ToolkitError):
 
 
 class NonFiniteInput(ToolkitError):
-    """A loss term or weight is NaN or infinite."""
+    """An embedding entry is NaN or infinite."""
 
 
 class ImageTooSmall(ToolkitError):
@@ -62,7 +58,7 @@ class ImageTooSmall(ToolkitError):
 
 
 class VideoMismatch(ToolkitError):
-    """Track sets given to fusion do not refer to the same video."""
+    """Inputs disagree on a video: its length or its mask size."""
 
 
 class UnknownVideoId(ToolkitError):

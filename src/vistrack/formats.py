@@ -32,7 +32,6 @@ from operator import is_not
 from typing import Any, Mapping, Sequence
 
 from .association import AssociationConfig
-from .contrastive import LossWeights, MatchWeights
 from .core import (
     BBox,
     Detection,
@@ -658,8 +657,6 @@ class RunConfig:
     crop: CropConfig = field(default_factory=CropConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    match_weights: MatchWeights = field(default_factory=MatchWeights)
-    loss_weights: LossWeights = field(default_factory=LossWeights)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 

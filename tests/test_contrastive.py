@@ -1,9 +1,8 @@
-"""Matching cost, sample selection, the contrastive loss, and its
-analytic gradients against finite differences."""
+"""The contrastive loss and its analytic gradients against finite
+differences."""
 
 import math
 import warnings
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,199 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vistrack import (
-    BBox,
-    ConfigError,
-    Detection,
     DimensionMismatch,
-    DuplicateInstanceId,
     Embedding,
-    LossWeights,
-    MatchWeights,
     MemoryBank,
     NonFiniteInput,
     embed_loss,
     embed_loss_grad,
     gradient_check_suite,
-    matching_cost,
-    select_samples,
     similarity,
-    total_loss,
 )
-from vistrack.contrastive import _optimal_assignment
 from helpers import reference_embed_loss, reference_embed_loss_grad
-
-W = MatchWeights()
-
-
-def det(box, probs, embedding=(1.0, 0.0)):
-    probs = tuple(float(p) for p in probs)
-    return Detection(
-        bbox=box,
-        score=max(probs),
-        category_id=int(np.argmax(probs)),
-        class_probs=probs,
-        embedding=Embedding(tuple(float(v) for v in embedding)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# matching_cost
-
-
-def test_cost_zero_for_exact_confident_match():
-    box = BBox(0.1, 0.2, 0.3, 0.4)
-    cost = matching_cost([det(box, (0.0, 1.0))], [(1, box)], W)
-    assert cost.shape == (1, 1)
-    assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cost_class_term_alone():
-    box = BBox(0.1, 0.2, 0.3, 0.4)
-    cost = matching_cost([det(box, (1.0, 0.0))], [(1, box)], W)
-    assert cost[0, 0] == pytest.approx(W.w_cls)
-
-
-def test_cost_worked_example():
-    a = BBox(0.0, 0.0, 0.5, 0.5)
-    b = BBox(0.25, 0.25, 0.5, 0.5)
-    cost = matching_cost([det(a, (0.0, 1.0))], [(1, b)], W)
-    assert cost[0, 0] == pytest.approx(2.5 + 136 / 63, abs=1e-12)
-
-
-def test_cost_normalizes_by_image_size():
-    # the same geometry at pixel scale must give the same cost
-    a = BBox(0.0, 0.0, 50.0, 50.0)
-    b = BBox(25.0, 25.0, 50.0, 50.0)
-    cost = matching_cost([det(a, (0.0, 1.0))], [(1, b)], W, image_size=(100.0, 100.0))
-    assert cost[0, 0] == pytest.approx(2.5 + 136 / 63, abs=1e-12)
-
-
-def test_cost_empty_gt():
-    cost = matching_cost([det(BBox(0, 0, 1, 1), (0.0, 1.0))], [], W)
-    assert cost.shape == (1, 0)
-
-
-def test_cost_rejects_category_beyond_probs():
-    with pytest.raises(DimensionMismatch):
-        matching_cost([det(BBox(0, 0, 1, 1), (0.0, 1.0))], [(5, BBox(0, 0, 1, 1))], W)
-
-
-def test_cost_positive_unless_exact():
-    rng = np.random.default_rng(11)
-    box = BBox(0.2, 0.2, 0.3, 0.3)
-    for _ in range(50):
-        dx = float(rng.uniform(0.001, 0.1))
-        moved = BBox(box.x + dx, box.y, box.w, box.h)
-        cost = matching_cost([det(moved, (0.0, 1.0))], [(1, box)], W)
-        assert cost[0, 0] > 0.0
-
-
-def test_match_weights_validation():
-    with pytest.raises(ConfigError):
-        MatchWeights(-1.0, 5.0, 2.0)
-    with pytest.raises(ConfigError):
-        MatchWeights(0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# optimal assignment (Hungarian) against exhaustive enumeration
-
-
-def _oracle_min_cost(cost: np.ndarray) -> float:
-    n, m = cost.shape
-    k = min(n, m)
-    best = math.inf
-    for rows in permutations(range(n), k):
-        for cols in permutations(range(m), k):
-            total = sum(cost[r, c] for r, c in zip(rows, cols))
-            best = min(best, total)
-    return best
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_assignment_total_matches_enumeration(seed):
-    rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    cost = rng.random((n, m))
-    picked = _optimal_assignment(cost)
-    assert len(picked) == min(n, m)
-    total = sum(cost[r, c] for c, r in picked.items())
-    assert total == pytest.approx(_oracle_min_cost(cost), abs=1e-12)
-
-
-def test_assignment_hungarian_route_matches_enumeration():
-    # a 9 x 5 instance: larger than the hypothesis cases above
-    rng = np.random.default_rng(3)
-    cost = rng.random((9, 5))
-    picked = _optimal_assignment(cost)
-    total = sum(cost[r, c] for c, r in picked.items())
-    best = math.inf
-    for rows in permutations(range(9), 5):
-        best = min(best, sum(cost[r, c] for c, r in enumerate(rows)))
-    assert total == pytest.approx(best, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# select_samples
-
-
-def test_select_single_pair():
-    box = BBox(0.1, 0.1, 0.2, 0.2)
-    preds = [det(box, (0.0, 1.0), embedding=(0.5, 0.5))]
-    part = select_samples(preds, [(7, 1, box)], 7, W)
-    assert part.key_instance == 7
-    assert part.positives == (Embedding((0.5, 0.5)),)
-    assert part.negatives == ()
-
-
-def test_select_key_absent_returns_none():
-    box = BBox(0.1, 0.1, 0.2, 0.2)
-    assert select_samples([det(box, (0.0, 1.0))], [(7, 1, box)], 8, W) is None
-
-
-def test_select_diagonal_dominant():
-    b1 = BBox(0.0, 0.0, 0.2, 0.2)
-    b2 = BBox(0.7, 0.7, 0.2, 0.2)
-    preds = [det(b1, (0.0, 1.0), embedding=(1.0, 0.0)), det(b2, (0.0, 1.0), embedding=(0.0, 1.0))]
-    gt = [(10, 1, b1), (20, 1, b2)]
-    part1 = select_samples(preds, gt, 10, W)
-    assert part1.positives == (Embedding((1.0, 0.0)),)
-    assert part1.negatives == (Embedding((0.0, 1.0)),)
-    part2 = select_samples(preds, gt, 20, W)
-    assert part2.positives == (Embedding((0.0, 1.0)),)
-    assert part2.negatives == (Embedding((1.0, 0.0)),)
-
-
-def test_select_duplicate_ids_rejected():
-    box = BBox(0.1, 0.1, 0.2, 0.2)
-    with pytest.raises(DuplicateInstanceId):
-        select_samples([det(box, (0.0, 1.0))], [(7, 1, box), (7, 1, box)], 7, W)
-
-
-def test_select_near_tie_joins_positives():
-    # two identical predictions; one gets the assignment, the duplicate
-    # sits within the tie window and must also count as positive
-    box = BBox(0.1, 0.1, 0.2, 0.2)
-    far = BBox(0.7, 0.7, 0.2, 0.2)
-    preds = [
-        det(box, (0.0, 1.0), embedding=(1.0, 0.0)),
-        det(box, (0.0, 1.0), embedding=(0.9, 0.1)),
-        det(far, (0.0, 1.0), embedding=(0.0, 1.0)),
-    ]
-    part = select_samples(preds, [(1, 1, box)], 1, W)
-    assert set(part.positives) == {Embedding((1.0, 0.0)), Embedding((0.9, 0.1))}
-    assert part.negatives == (Embedding((0.0, 1.0)),)
-
-
-def test_select_more_gt_than_predictions():
-    # the key column can stay unassigned; the partition is then all-negative
-    b1 = BBox(0.0, 0.0, 0.2, 0.2)
-    b2 = BBox(0.7, 0.7, 0.2, 0.2)
-    preds = [det(b1, (0.0, 1.0), embedding=(1.0, 0.0))]
-    part = select_samples(preds, [(1, 1, b1), (2, 1, b2)], 2, W)
-    assert part.positives == ()
-    assert part.negatives == (Embedding((1.0, 0.0)),)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +162,12 @@ def test_loss_and_grad_equal_reference(inputs):
     assert len(losses) == 1  # one conversion: every form gives the same float
 
 
-def test_loss_of_a_sample_partition_needs_no_conversion():
-    b1, b2 = BBox(0.1, 0.1, 0.2, 0.2), BBox(0.6, 0.6, 0.2, 0.2)
-    preds = [det(b1, (0.0, 1.0), embedding=(1.0, 0.5)), det(b2, (0.0, 1.0), embedding=(0.0, 1.0))]
-    part = select_samples(preds, [(1, 1, b1), (2, 1, b2)], 1, W)
+def test_loss_of_embedding_tuples_needs_no_conversion():
+    positives, negatives = (Embedding((1.0, 0.5)),), (Embedding((0.0, 1.0)),)
     anchor = Embedding((1.0, 0.0))
     expected = reference_embed_loss([1.0, 0.0], [[1.0, 0.5]], [[0.0, 1.0]])
-    assert embed_loss(anchor, part.positives, part.negatives) == pytest.approx(expected, rel=1e-12)
-    assert embed_loss_grad(anchor, part.positives, part.negatives)[1].shape == (1, 2)
+    assert embed_loss(anchor, positives, negatives) == pytest.approx(expected, rel=1e-12)
+    assert embed_loss_grad(anchor, positives, negatives)[1].shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +256,3 @@ def test_gradient_suite_bounds():
     assert worst_rel <= 1e-4
     assert worst_abs <= 1e-7
 
-
-# ---------------------------------------------------------------------------
-# total_loss
-
-
-def test_total_loss_values():
-    w = LossWeights()
-    assert total_loss(0.0, 0.0, 0.0, 0.0, w) == 0.0
-    assert total_loss(1.0, 1.0, 1.0, 1.0, w) == pytest.approx(7.0)
-    assert total_loss(0.3, 9.0, 9.0, 9.0, LossWeights(0.0, 0.0)) == pytest.approx(0.3)
-
-
-def test_total_loss_rejects_nonfinite():
-    with pytest.raises(NonFiniteInput):
-        total_loss(float("nan"), 0.0, 0.0, 0.0, LossWeights())
-    with pytest.raises(NonFiniteInput):
-        total_loss(0.0, float("inf"), 0.0, 0.0, LossWeights())

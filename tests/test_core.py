@@ -10,7 +10,6 @@ from vistrack import (
     BBox,
     ConfigError,
     CountsMismatch,
-    DegenerateBox,
     Detection,
     Embedding,
     FrameDetections,
@@ -19,7 +18,6 @@ from vistrack import (
     TrackEntry,
     VideoGroundTruth,
     bbox_of_mask,
-    box_giou,
     mask_iou,
     rle_decode,
     rle_encode,
@@ -469,47 +467,3 @@ def test_bbox_coordinates_are_finite_reals(bad, message):
     with pytest.raises(ValueError, match=f"bbox: {message}"):
         BBox(0.0, bad, 1.0, 1.0)
 
-
-def test_giou_disjoint_fixture():
-    a = BBox(0.0, 0.0, 1.0, 1.0)
-    b = BBox(2.0, 0.0, 1.0, 1.0)
-    assert box_giou(a, b) == pytest.approx(-1 / 3)
-
-
-def test_giou_overlap_fixture():
-    a = BBox(0.0, 0.0, 2.0, 2.0)
-    b = BBox(1.0, 1.0, 2.0, 2.0)
-    assert box_giou(a, b) == pytest.approx(1 / 7 - 2 / 9)
-
-
-def test_giou_identical_is_one():
-    a = BBox(3.0, 4.0, 5.0, 6.0)
-    assert box_giou(a, a) == pytest.approx(1.0)
-
-
-def test_giou_degenerate_pair():
-    point = BBox(1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(DegenerateBox):
-        box_giou(point, point)
-    # a single degenerate side is fine: plain IoU 0 plus enclosure penalty
-    other = BBox(0.0, 0.0, 2.0, 2.0)
-    assert -1.0 <= box_giou(point, other) <= 1.0
-
-
-def test_giou_of_a_box_with_itself_stays_at_most_one():
-    # y + h - y rounds above h here, so the raw IoU term is 1 + 1 ulp
-    a = BBox(0.0, 1.0, 1.0, 0.1)
-    assert box_giou(a, a) <= 1.0
-    assert box_giou(a, a) == pytest.approx(1.0)
-
-
-@given(
-    st.tuples(*[st.floats(0, 20) for _ in range(2)], *[st.floats(0.1, 20) for _ in range(2)]),
-    st.tuples(*[st.floats(0, 20) for _ in range(2)], *[st.floats(0.1, 20) for _ in range(2)]),
-)
-def test_giou_bounds_and_symmetry(ta, tb):
-    a = BBox(*ta)
-    b = BBox(*tb)
-    g = box_giou(a, b)
-    assert -1.0 <= g <= 1.0
-    assert g == pytest.approx(box_giou(b, a))
