@@ -649,35 +649,55 @@ def test_run_config_bad_similarity_kind(tmp_path):
         load_run_config(str(p))
 
 
-def _float_fields():
-    """(config class, field) for every float-typed field of every RunConfig section."""
+def _config_fields(kind):
+    """(config class, field) for every ``kind``-typed field of every RunConfig section."""
     return [
         (section.default_factory, f.name)
         for section in fields(RunConfig)
         for f in fields(section.default_factory)
-        if get_type_hints(section.default_factory)[f.name] is float
+        if get_type_hints(section.default_factory)[f.name] is kind
     ]
 
 
 def test_float_fields_cover_every_section():
-    found = {(cls.__name__, name) for cls, name in _float_fields()}
+    found = {(cls.__name__, name) for cls, name in _config_fields(float)}
     assert len(found) == 11
     assert {("AssociationConfig", "match_threshold"), ("FusionConfig", "merge_iou"),
             ("CropConfig", "min_scale"), ("SynthConfig", "clutter_rate")} <= found
 
 
-@pytest.mark.parametrize("cls,name", _float_fields())
+@pytest.mark.parametrize("cls,name", _config_fields(float))
 @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, [0.5], float("nan"), float("inf"), -float("inf")])
 def test_float_config_field_rejects_non_reals_and_non_finite(cls, name, value):
     with pytest.raises(ConfigError, match=name):
         cls(**{name: value})
 
 
-@pytest.mark.parametrize("cls,name", _float_fields())
+@pytest.mark.parametrize("cls,name", _config_fields(float))
 def test_float_config_field_takes_an_int_as_float(cls, name):
     value = 0 if name == "detector_dropout" else 1
     got = getattr(cls(**{name: value}), name)
     assert type(got) is float and got == value
+
+
+def test_int_fields_cover_every_section():
+    found = {(cls.__name__, name) for cls, name in _config_fields(int)}
+    assert len(found) == 10
+    assert {("AssociationConfig", "keep_top_n_per_frame"), ("FusionConfig", "max_output_tracks"),
+            ("CropConfig", "rng_seed"), ("SynthConfig", "n_videos"), ("EvalConfig", "recall_points")} <= found
+
+
+@pytest.mark.parametrize("cls,name", _config_fields(int))
+@pytest.mark.parametrize("value", [True, False, "2", None, 2.0, 2.5, 2j, [2], float("nan")])
+def test_int_config_field_rejects_non_integers(cls, name, value):
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls,name", _config_fields(int))
+def test_int_config_field_takes_a_numpy_integer_as_int(cls, name):
+    got = getattr(cls(**{name: np.int64(2)}), name)
+    assert type(got) is int and got == 2
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
