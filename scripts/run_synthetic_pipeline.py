@@ -11,7 +11,6 @@ import time
 
 from vistrack import (
     AssociationConfig,
-    EvalConfig,
     SynthConfig,
     evaluate,
     generate,
@@ -55,7 +54,7 @@ def main():
         n = id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)
         total_switches += n
         switch_free += n == 0
-    report = evaluate(predictions, corpus.ground_truth, EvalConfig())
+    report = evaluate(predictions, corpus.ground_truth)
     dt = time.perf_counter() - t0
 
     n_vid = len(corpus.ground_truth)

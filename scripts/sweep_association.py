@@ -12,7 +12,6 @@ import argparse
 
 from vistrack import (
     AssociationConfig,
-    EvalConfig,
     SimilarityKind,
     SynthConfig,
     evaluate,
@@ -31,7 +30,7 @@ def run_setting(corpus, assoc):
         tracks, trace = track_video_with_trace(corpus.detections[g.video_id], assoc, meta)
         predictions[g.video_id] = tracks
         switches += id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)
-    report = evaluate(predictions, corpus.ground_truth, EvalConfig())
+    report = evaluate(predictions, corpus.ground_truth)
     return report.overall.ap, switches
 
 

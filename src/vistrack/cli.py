@@ -19,7 +19,7 @@ from .association import track_video
 from .core import Track, VideoMeta
 from .contrastive import gradient_check_suite
 from .errors import ConfigError, SchemaError, ToolkitError, VideoMismatch
-from .evaluation import EvalReport, evaluate
+from .evaluation import MAX_DETECTIONS, EvalReport, evaluate
 from .fusion import fuse_tracks
 from .pseudo_pair import ImageMeta, SourceAnnotation, make_pair
 from .rng import SplitMix64
@@ -41,14 +41,14 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _format_table(report: EvalReport, ks: tuple[int, ...]) -> str:
-    headers = ["category", "AP", "AP50", "AP75"] + [f"AR@{k}" for k in ks]
+def _format_table(report: EvalReport) -> str:
+    headers = ["category", "AP", "AP50", "AP75"] + [f"AR@{k}" for k in MAX_DETECTIONS]
     rows = []
 
     def fmt(m):
         if m is None:
-            return ["-"] * (3 + len(ks))
-        return [f"{m.ap:.4f}", f"{m.ap50:.4f}", f"{m.ap75:.4f}"] + [f"{m.ar[k]:.4f}" for k in ks]
+            return ["-"] * (3 + len(MAX_DETECTIONS))
+        return [f"{m.ap:.4f}", f"{m.ap50:.4f}", f"{m.ap75:.4f}"] + [f"{m.ar[k]:.4f}" for k in MAX_DETECTIONS]
 
     for c in sorted(report.per_category):
         rows.append([str(c)] + fmt(report.per_category[c]))
@@ -71,7 +71,6 @@ def _mask_size(tracks: list[Track]) -> tuple[int, int] | None:
 
 
 def _cmd_eval(args) -> int:
-    cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.gt)
     predictions, lengths = formats.load_results(args.results)
     gt_videos = {g.video_id: g for g in ground_truth}
@@ -87,18 +86,17 @@ def _cmd_eval(args) -> int:
                 f"results masks of video {vid} are {size[0]}x{size[1]}, ground truth says {g.height}x{g.width}"
                 " (height x width)"
             )
-    report = evaluate(predictions, ground_truth, cfg.eval)
+    report = evaluate(predictions, ground_truth)
     formats.save_report(report, args.out)
     if args.table:
-        print(_format_table(report, cfg.eval.max_detections))
+        print(_format_table(report))
     return 0
 
 
 def _cmd_pseudopair(args) -> int:
     cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.annotations)
-    seed = cfg.crop.rng_seed if args.seed is None else args.seed
-    rng = SplitMix64(seed)
+    rng = SplitMix64(args.seed)
     samples = []
     image_id = 0
     for g in sorted(ground_truth, key=lambda g: g.video_id):
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score tracks against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--results", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--table", action="store_true")
     p.set_defaults(func=_cmd_eval)
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pseudopair", help="sample key/reference crop pairs from annotations")
     p.add_argument("--annotations", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pseudopair)
 

@@ -1,5 +1,8 @@
-"""Spatio-temporal track evaluation: AP over an IoU-threshold grid plus
-average recall at capped detections per video.
+"""Spatio-temporal track evaluation under the fixed YouTube-VIS protocol
+(Yang et al., "Video Instance Segmentation", ICCV 2019): AP averaged
+over the IoU thresholds 0.50:0.05:0.95, AP at 0.50 and 0.75, and AR@1
+and AR@10, each per category with 101 recall points, then averaged over
+the categories with ground truth.
 
 The track IoU pools pixels over time: sum of per-frame intersections
 divided by the sum of per-frame unions, with absent entries (or absent
@@ -17,36 +20,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ._numpy import np
-from .core import FrameDetections, RleMask, Track, VideoGroundTruth, config_numbers, ints, reals, rle_intersection_area
-from .errors import ConfigError, DimensionMismatch, UnknownCategory, UnknownVideoId
+from .core import FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
+from .errors import DimensionMismatch, UnknownCategory, UnknownVideoId
 from .synth import CLUTTER
 
-DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
-    recall_points: int = 101
-    max_detections: tuple[int, ...] = (1, 10)
-    category_agnostic: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "iou_thresholds", reals(self.iou_thresholds, "iou_thresholds", ConfigError))
-        object.__setattr__(self, "max_detections", ints(self.max_detections, "max_detections", ConfigError))
-        config_numbers(self, ints, "recall_points")
-        if not self.iou_thresholds:
-            raise ConfigError("iou_thresholds must be non-empty")
-        if any(not 0.0 < t <= 1.0 for t in self.iou_thresholds):
-            raise ConfigError("iou_thresholds must lie in (0, 1]")
-        if list(self.iou_thresholds) != sorted(set(self.iou_thresholds)):
-            raise ConfigError("iou_thresholds must be strictly increasing")
-        if self.recall_points < 2:
-            raise ConfigError("recall_points must be at least 2")
-        if not self.max_detections or any(k < 1 for k in self.max_detections):
-            raise ConfigError("max_detections entries must be positive")
-        if not isinstance(self.category_agnostic, bool):
-            raise ConfigError(f"category_agnostic must be true or false, got {self.category_agnostic!r}")
+# The YouTube-VIS protocol of the module docstring; evaluate has no other.
+IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+RECALL_POINTS = 101
+MAX_DETECTIONS = (1, 10)
 
 
 @dataclass(frozen=True)
@@ -205,7 +186,7 @@ def match_tracks(
     return [(p, gts[j] if j >= 0 else None) for p, j in zip(ranked, cols)]
 
 
-def _ap_from_flags(flags: Sequence[bool], n_gt: int, recall_points: int) -> float:
+def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
     """Envelope average precision sampled at evenly spaced recall points."""
     if n_gt <= 0:
         raise ValueError("n_gt must be positive")
@@ -218,17 +199,13 @@ def _ap_from_flags(flags: Sequence[bool], n_gt: int, recall_points: int) -> floa
     for i in range(precision.size - 1, 0, -1):
         if precision[i] > precision[i - 1]:
             precision[i - 1] = precision[i]
-    grid = np.linspace(0.0, 1.0, recall_points)
+    grid = np.linspace(0.0, 1.0, RECALL_POINTS)
     idx = np.searchsorted(recall, grid, side="left")
     sampled = [precision[i] if i < precision.size else 0.0 for i in idx]
     return float(np.mean(sampled))
 
 
-def average_precision(
-    matches: Iterable[tuple[float, bool]],
-    n_gt: int,
-    recall_points: int = 101,
-) -> float | None:
+def average_precision(matches: Iterable[tuple[float, bool]], n_gt: int) -> float | None:
     """AP from pooled (score, is_true_positive) rows of one category.
 
     Rows are sorted by descending score (stable in the given order);
@@ -238,7 +215,7 @@ def average_precision(
     if n_gt <= 0:
         return None
     order = sorted(range(len(rows)), key=lambda i: (-rows[i][0], i))
-    return _ap_from_flags([rows[i][1] for i in order], n_gt, recall_points)
+    return _ap_from_flags([rows[i][1] for i in order], n_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +234,6 @@ class _CategoryPool:
 def evaluate(
     predictions: Mapping[int, Sequence[Track]],
     ground_truth: Sequence[VideoGroundTruth],
-    cfg: EvalConfig,
 ) -> EvalReport:
     """Corpus metrics per category and averaged over categories with
     ground truth.
@@ -277,25 +253,17 @@ def evaluate(
         if vid not in gt_by_vid:
             raise UnknownVideoId(f"predictions reference unknown video id {vid}")
 
-    def cat_of(track: Track) -> int:
-        return 0 if cfg.category_agnostic else track.category_id
+    categories = sorted({c for g in ground_truth for c in g.category_set})
+    known = set(categories)
+    for g in ground_truth:
+        for t in g.gt_tracks:
+            if t.category_id not in known:
+                raise UnknownCategory(f"ground-truth category {t.category_id} not in category set")
+    for vid, tracks in predictions.items():
+        for t in tracks:
+            if t.category_id not in known:
+                raise UnknownCategory(f"predicted category {t.category_id} not in category set")
 
-    if cfg.category_agnostic:
-        categories = [0]
-    else:
-        categories = sorted({c for g in ground_truth for c in g.category_set})
-        known = set(categories)
-        for g in ground_truth:
-            for t in g.gt_tracks:
-                if t.category_id not in known:
-                    raise UnknownCategory(f"ground-truth category {t.category_id} not in category set")
-        for vid, tracks in predictions.items():
-            for t in tracks:
-                if t.category_id not in known:
-                    raise UnknownCategory(f"predicted category {t.category_id} not in category set")
-
-    thresholds = list(cfg.iou_thresholds)
-    all_thr = sorted(set(thresholds) | {0.5, 0.75})
     pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
 
     for vid in sorted(gt_by_vid):
@@ -303,18 +271,18 @@ def evaluate(
         dims = (g.height, g.width)
         vid_preds = list(predictions.get(vid, ()))
         for c in categories:
-            gts = [t for t in g.gt_tracks if cat_of(t) == c]
+            gts = [t for t in g.gt_tracks if t.category_id == c]
             pool = pools[c]
             pool.n_gt += len(gts)
-            emitted = [(i, t) for i, t in enumerate(vid_preds) if cat_of(t) == c]
+            emitted = [(i, t) for i, t in enumerate(vid_preds) if t.category_id == c]
             ranked = [emitted[e] for e in _score_order([t for _, t in emitted])]
             iou = _st_iou_matrix([t for _, t in ranked], gts, g.length, dims)
-            flags = {t: [j >= 0 for j in _greedy_match(iou, t)] for t in all_thr}
-            for t in all_thr:
-                for k in cfg.max_detections:
+            flags = {t: [j >= 0 for j in _greedy_match(iou, t)] for t in IOU_THRESHOLDS}
+            for t in IOU_THRESHOLDS:
+                for k in MAX_DETECTIONS:
                     pool.recalled[(t, k)] += sum(flags[t][:k])
             for r, (emission_idx, track) in enumerate(ranked):
-                pool.rows.append((track.score, vid, emission_idx, {t: flags[t][r] for t in all_thr}))
+                pool.rows.append((track.score, vid, emission_idx, {t: flags[t][r] for t in IOU_THRESHOLDS}))
 
     per_category: dict[int, Metrics | None] = {}
     for c in categories:
@@ -327,15 +295,14 @@ def evaluate(
             key=lambda i: (-pool.rows[i][0], pool.rows[i][1], pool.rows[i][2]),
         )
         ap_by_thr = {
-            t: _ap_from_flags([pool.rows[i][3][t] for i in order], pool.n_gt, cfg.recall_points)
-            for t in all_thr
+            t: _ap_from_flags([pool.rows[i][3][t] for i in order], pool.n_gt) for t in IOU_THRESHOLDS
         }
         ar = {
-            k: float(np.mean([pool.recalled[(t, k)] / pool.n_gt for t in thresholds]))
-            for k in cfg.max_detections
+            k: float(np.mean([pool.recalled[(t, k)] / pool.n_gt for t in IOU_THRESHOLDS]))
+            for k in MAX_DETECTIONS
         }
         per_category[c] = Metrics(
-            ap=float(np.mean([ap_by_thr[t] for t in thresholds])),
+            ap=float(np.mean([ap_by_thr[t] for t in IOU_THRESHOLDS])),
             ap50=ap_by_thr[0.5],
             ap75=ap_by_thr[0.75],
             ar=ar,
@@ -348,10 +315,7 @@ def evaluate(
             ap=float(np.mean([m.ap for m in scored])),
             ap50=float(np.mean([m.ap50 for m in scored])),
             ap75=float(np.mean([m.ap75 for m in scored])),
-            ar={
-                k: float(np.mean([m.ar[k] for m in scored]))
-                for k in cfg.max_detections
-            },
+            ar={k: float(np.mean([m.ar[k] for m in scored])) for k in MAX_DETECTIONS},
         )
     return EvalReport(per_category=per_category, overall=overall)
 

@@ -47,7 +47,7 @@ from .core import (
     reals,
 )
 from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
-from .evaluation import EvalConfig, EvalReport
+from .evaluation import EvalReport
 from .fusion import FusionConfig
 from .pseudo_pair import CropConfig, CropPairSample
 from .synth import SynthConfig
@@ -171,9 +171,9 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path}: not valid UTF-8: {e}") from e
 
 
-def _expect_object(value: Any, where: str) -> dict:
+def _expect_object(value: Any, where: str, error: type[Exception] = SchemaError) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
+        raise error(f"{where}: expected a JSON object")
     return value
 
 
@@ -643,6 +643,8 @@ def load_identity(path: str) -> dict[tuple[int, int, int], int]:
         if len(arr) != 4:
             raise SchemaError(f"identity[{i}]: expected [video, frame, detection, track]")
         v, f, d, t = ints(arr, f"identity[{i}]", SchemaError)
+        if (v, f, d) in out:
+            raise SchemaError(f"identity[{i}]: duplicate row for video {v} frame {f} detection {d}")
         out[(v, f, d)] = t
     return out
 
@@ -655,7 +657,6 @@ def load_identity(path: str) -> dict[tuple[int, int, int], int]:
 class RunConfig:
     association: AssociationConfig = field(default_factory=AssociationConfig)
     crop: CropConfig = field(default_factory=CropConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
@@ -668,14 +669,14 @@ def load_run_config(path: str | None) -> RunConfig:
     """
     if path is None:
         return RunConfig()
-    root = _expect_object(_read_json(path), "config")
+    root = _expect_object(_read_json(path), "config", ConfigError)
     sections = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
     for name, value in root.items():
         if name not in sections:
             raise ConfigError(f"config: unknown section '{name}'")
         cls = sections[name].default_factory  # the config dataclass itself
-        obj = _expect_object(value, f"config.{name}")
+        obj = _expect_object(value, f"config.{name}", ConfigError)
         allowed = {f.name for f in fields(cls)}
         ctor_kwargs = {}
         for key, raw in obj.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BBox, RleMask, config_numbers, ints, reals, rle_crop
+from .core import BBox, RleMask, config_numbers, reals, rle_crop
 from .errors import ConfigError, DuplicateInstanceId, ImageTooSmall
 from .rng import SplitMix64
 
@@ -79,11 +79,9 @@ class CropConfig:
     min_scale: float = 0.5
     max_scale: float = 1.0
     visibility_threshold: float = 0.3
-    rng_seed: int = 0
 
     def __post_init__(self):
         config_numbers(self, reals, "min_scale", "max_scale", "visibility_threshold")
-        config_numbers(self, ints, "rng_seed")
         if not (0.0 < self.min_scale <= self.max_scale <= 1.0):
             raise ConfigError("crop scales must satisfy 0 < min_scale <= max_scale <= 1")
         if not (0.0 < self.visibility_threshold <= 1.0):

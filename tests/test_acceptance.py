@@ -27,7 +27,6 @@ from vistrack import (
     CropConfig,
     Detection,
     Embedding,
-    EvalConfig,
     FusionConfig,
     ImageMeta,
     MemoryBank,
@@ -48,6 +47,7 @@ from vistrack import (
     st_iou,
 )
 from vistrack.cli import entrypoint
+from vistrack.evaluation import IOU_THRESHOLDS
 from vistrack.formats import save_pairs
 
 
@@ -188,11 +188,10 @@ def test_criterion_4_end_to_end(tmp_path):
 
 
 def test_criterion_5_evaluator_oracle():
-    cfg = EvalConfig()
     for seed in range(100):
         preds, gts = random_micro_corpus(seed)
-        report = evaluate(preds, gts, cfg)
-        brute = evaluate_brute(preds, gts, cfg.iou_thresholds)
+        report = evaluate(preds, gts)
+        brute = evaluate_brute(preds, gts, IOU_THRESHOLDS)
         for c, metrics in report.per_category.items():
             expected = brute[c]
             if metrics is None:
@@ -280,7 +279,7 @@ def _random_annotations(rng, width, height):
 def _pair_run(seed):
     np_rng = np.random.default_rng(seed)
     crop_rng = SplitMix64(seed)
-    cfg = CropConfig(rng_seed=seed)
+    cfg = CropConfig()
     samples = []
     sources = []
     for image_id in range(1, 1001):

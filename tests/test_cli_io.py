@@ -25,7 +25,6 @@ from vistrack import (
     ConfigError,
     Detection,
     Embedding,
-    EvalConfig,
     FrameDetections,
     ParseError,
     SchemaError,
@@ -428,6 +427,13 @@ def test_wrong_embedding_length_rejected(tmp_path):
         load_detections(str(p))
 
 
+def test_duplicate_identity_row_rejected(tmp_path):
+    p = tmp_path / "id.json"
+    p.write_text("[[1, 0, 0, 1], [1, 0, 0, 2]]")
+    with pytest.raises(SchemaError, match=r"identity\[1\]: duplicate row for video 1 frame 0 detection 0"):
+        load_identity(str(p))
+
+
 def test_duplicate_annotation_id_rejected(tmp_path):
     p = tmp_path / "ann.json"
     save_annotations(tiny_gt(), str(p))
@@ -582,7 +588,6 @@ def test_run_config_defaults():
     cfg = load_run_config(None)
     assert cfg.association.match_threshold == 0.5
     assert cfg.fusion.score_rule is ScoreRule.MEAN
-    assert cfg.eval.recall_points == 101
 
 
 def test_run_config_overrides(tmp_path):
@@ -592,7 +597,6 @@ def test_run_config_overrides(tmp_path):
             {
                 "association": {"match_threshold": 0.6},
                 "fusion": {"score_rule": "max", "source_weights": [2, 1]},
-                "eval": {"iou_thresholds": [0.5, 0.75]},
                 "synth": {"canvas": [48, 32]},
             }
         )
@@ -601,11 +605,10 @@ def test_run_config_overrides(tmp_path):
     assert cfg.association.match_threshold == 0.6
     assert cfg.fusion.score_rule is ScoreRule.MAX
     assert cfg.fusion.source_weights == (2.0, 1.0)
-    assert cfg.eval.iou_thresholds == (0.5, 0.75)
     assert cfg.synth.canvas == (48, 32)
 
 
-@pytest.mark.parametrize("section", ["tracking", "match_weights", "loss_weights"])
+@pytest.mark.parametrize("section", ["tracking", "match_weights", "loss_weights", "eval"])
 def test_run_config_unknown_section(tmp_path, capsys, section):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({section: {}}))
@@ -615,10 +618,23 @@ def test_run_config_unknown_section(tmp_path, capsys, section):
     assert f"config: unknown section '{section}'" in capsys.readouterr().err
 
 
-def test_run_config_unknown_field(tmp_path):
+@pytest.mark.parametrize(
+    "doc,where",
+    [([], "config"), (5, "config"), ({"association": 5}, "config.association"), ({"fusion": [1]}, "config.fusion")],
+    ids=["array", "number", "number-section", "array-section"],
+)
+def test_run_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc, where):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"association": {"thresh": 0.4}}))
-    with pytest.raises(ConfigError, match="thresh"):
+    p.write_text(json.dumps(doc))
+    assert entrypoint(["synth", "--config", str(p), "--out-dir", str(tmp_path / "corpus")]) == 3
+    assert f"error: {where}: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("association", "thresh"), ("crop", "rng_seed")])
+def test_run_config_unknown_field(tmp_path, section, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({section: {key: 0}}))
+    with pytest.raises(ConfigError, match=rf"config\.{section}: unknown field '{key}'"):
         load_run_config(str(p))
 
 
@@ -682,9 +698,9 @@ def test_float_config_field_takes_an_int_as_float(cls, name):
 
 def test_int_fields_cover_every_section():
     found = {(cls.__name__, name) for cls, name in _config_fields(int)}
-    assert len(found) == 10
+    assert len(found) == 8
     assert {("AssociationConfig", "keep_top_n_per_frame"), ("FusionConfig", "max_output_tracks"),
-            ("CropConfig", "rng_seed"), ("SynthConfig", "n_videos"), ("EvalConfig", "recall_points")} <= found
+            ("SynthConfig", "n_videos"), ("SynthConfig", "rng_seed")} <= found
 
 
 @pytest.mark.parametrize("cls,name", _config_fields(int))
@@ -698,13 +714,6 @@ def test_int_config_field_rejects_non_integers(cls, name, value):
 def test_int_config_field_takes_a_numpy_integer_as_int(cls, name):
     got = getattr(cls(**{name: np.int64(2)}), name)
     assert type(got) is int and got == 2
-
-
-@pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
-def test_category_agnostic_must_be_bool(value):
-    with pytest.raises(ConfigError, match="category_agnostic"):
-        EvalConfig(category_agnostic=value)
-    assert EvalConfig(category_agnostic=True).category_agnostic is True
 
 
 def _json_forms():
@@ -745,8 +754,6 @@ def test_run_config_json_forms_cover_every_enum_and_tuple_field():
         ("association", "similarity_kind"),
         ("fusion", "score_rule"),
         ("synth", "canvas"),
-        ("eval", "iou_thresholds"),
-        ("eval", "max_detections"),
         ("fusion", "source_weights"),
     } <= keys
 
@@ -854,11 +861,13 @@ def test_pseudopair_draws_no_dense_mask(corpus_dir, tmp_path, monkeypatch):
     assert entrypoint(["pseudopair", "--annotations", ann, "--out", str(tmp_path / "pairs.json")]) == 0
 
 
-# sha256 of pairs.json at two (synth config, crop config, pseudopair
-# --seed) settings, on corpora from `synth --seed 5`. Recorded from the
-# decode-slice-encode crop that the run-based one replaced.
+# sha256 of pairs.json at three (synth config, crop config, pseudopair
+# --seed) settings, on corpora from `synth --seed 5`. The first two were
+# recorded from the decode-slice-encode crop that the run-based one
+# replaced; "no-seed" passes no --seed and expects the bytes of `--seed 0`.
 PAIRS_GOLDEN = {
     "default": (None, None, 9, "03c0e14c5be1742baa96c1bf30a715875e94ff37a9d1e2162418887d9d3ef3c8"),
+    "no-seed": (None, None, None, "3aaa53b1ba9e3926a7238dc0897e8e0c8a1e221abb93fbc6c182b256c4b86d5b"),
     "small-crops-64x128": (
         {"canvas": [64, 128], "detector_dropout": 0.2},
         {"min_scale": 0.1, "max_scale": 0.5, "visibility_threshold": 0.05},
@@ -876,7 +885,9 @@ def test_pseudopair_golden_bytes(tmp_path, name):
         (tmp_path / "synth.json").write_text(json.dumps({"synth": synth_cfg}))
         argv += ["--config", str(tmp_path / "synth.json")]
     assert entrypoint(argv) == 0
-    argv = ["pseudopair", "--annotations", str(tmp_path / "annotations.json"), "--seed", str(seed)]
+    argv = ["pseudopair", "--annotations", str(tmp_path / "annotations.json")]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
     if crop_cfg is not None:
         (tmp_path / "crop.json").write_text(json.dumps({"crop": crop_cfg}))
         argv += ["--config", str(tmp_path / "crop.json")]
@@ -1044,25 +1055,18 @@ def results_file(corpus_dir, tmp_path_factory):
 @pytest.mark.parametrize(
     "command,config,field",
     [
-        ("eval", {"eval": {"recall_points": 10.5}}, "recall_points"),
         ("track", {"association": {"keep_top_n_per_frame": 2.5}}, "keep_top_n_per_frame"),
         ("fuse", {"fusion": {"max_output_tracks": 2.5}}, "max_output_tracks"),
         ("synth", {"synth": {"n_videos": 2.5}}, "n_videos"),
-        ("pseudopair", {"crop": {"rng_seed": 1.5}}, "rng_seed"),
-        ("eval", {"eval": {"max_detections": [1.7, 10]}}, "max_detections"),
         ("synth", {"synth": {"canvas": [96.7, 96]}}, "canvas"),
-        ("eval", {"eval": {"iou_thresholds": ["0.5", "0.75"]}}, "iou_thresholds"),
         ("track", {"association": {"match_threshold": True}}, "match_threshold"),
         ("track", {"association": {"match_threshold": "0.5"}}, "match_threshold"),
-        ("eval", {"eval": {"category_agnostic": "no"}}, "category_agnostic"),
         ("fuse", {"fusion": {"merge_iou": True}}, "merge_iou"),
         ("synth", {"synth": {"clutter_rate": "1"}}, "clutter_rate"),
         ("pseudopair", {"crop": {"min_scale": True}}, "min_scale"),
         ("synth", {"synth": {"embedding_noise_sigma": float("nan")}}, "embedding_noise_sigma"),
         ("fuse", {"fusion": {"source_weights": [float("nan"), 1.0]}}, "source_weights"),
         ("fuse", {"fusion": {"source_weights": [float("inf"), 1.0]}}, "source_weights"),
-        ("eval", {"eval": {"iou_thresholds": 0.5}}, "iou_thresholds"),
-        ("eval", {"eval": {"max_detections": 10}}, "max_detections"),
         ("fuse", {"fusion": {"source_weights": 1.0}}, "source_weights"),
         ("synth", {"synth": {"canvas": 96}}, "canvas"),
     ],
@@ -1076,7 +1080,6 @@ def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, 
     ann = str(corpus_dir / "annotations.json")
     argv = {
         "track": ["track", "--detections", str(corpus_dir / "detections.json")],
-        "eval": ["eval", "--gt", ann, "--results", str(results_file)],
         "fuse": ["fuse", "--inputs", str(results_file)],
         "pseudopair": ["pseudopair", "--annotations", ann],
         "synth": ["synth", "--out-dir", str(tmp_path / "corpus")],

@@ -18,7 +18,6 @@ from vistrack import (
     AssociationConfig,
     BBox,
     DimensionMismatch,
-    EvalConfig,
     SynthConfig,
     Track,
     TrackEntry,
@@ -31,7 +30,7 @@ from vistrack import (
     match_tracks,
     st_iou,
 )
-from vistrack.evaluation import average_precision
+from vistrack.evaluation import IOU_THRESHOLDS, average_precision
 
 
 def square(h, w, y, x, side):
@@ -246,7 +245,7 @@ def _one_video_corpus():
 
 def test_evaluate_identical_predictions_all_ones():
     preds, gts = _one_video_corpus()
-    report = evaluate(preds, gts, EvalConfig())
+    report = evaluate(preds, gts)
     assert report.overall.ap == 1.0
     assert report.overall.ap50 == 1.0
     assert report.overall.ap75 == 1.0
@@ -255,14 +254,14 @@ def test_evaluate_identical_predictions_all_ones():
 
 def test_evaluate_empty_predictions_all_zero():
     _, gts = _one_video_corpus()
-    report = evaluate({1: []}, gts, EvalConfig())
+    report = evaluate({1: []}, gts)
     assert report.overall.ap == 0.0
     assert report.overall.ar == {1: 0.0, 10: 0.0}
 
 
 def test_evaluate_absent_category_is_none_and_excluded():
     preds, gts = _one_video_corpus()
-    report = evaluate(preds, gts, EvalConfig())
+    report = evaluate(preds, gts)
     assert report.per_category[3] is None
     assert set(report.per_category) == {1, 2, 3}
 
@@ -271,7 +270,7 @@ def test_evaluate_rejects_maskless_result_entry_beyond_length():
     preds, gts = _one_video_corpus()
     bad = maskless_track([0, gts[0].length], track_id=3, category_id=1)
     with pytest.raises(DimensionMismatch):
-        evaluate({1: preds[1] + [bad]}, gts, EvalConfig())
+        evaluate({1: preds[1] + [bad]}, gts)
 
 
 def test_evaluate_one_missed_of_four():
@@ -292,11 +291,11 @@ def test_evaluate_one_missed_of_four():
         ],
         2: [track_from_grids(1, 1, 0.95, {0: square(8, 8, 0, 0, 5)})],
     }
-    report = evaluate(preds, gts, EvalConfig())
+    report = evaluate(preds, gts)
     assert report.overall.ar[10] == pytest.approx(0.75, abs=1e-12)
     # top-1 per video recalls one GT in each video: 2 of 4 overall
     assert report.overall.ar[1] == pytest.approx(0.5, abs=1e-12)
-    brute = evaluate_brute(preds, gts, EvalConfig().iou_thresholds)
+    brute = evaluate_brute(preds, gts, IOU_THRESHOLDS)
     assert report.overall.ap == pytest.approx(brute["overall"]["ap"], abs=1e-9)
 
 
@@ -304,29 +303,22 @@ def test_evaluate_unknown_video():
     preds, gts = _one_video_corpus()
     preds[99] = preds[1]
     with pytest.raises(UnknownVideoId):
-        evaluate(preds, gts, EvalConfig())
+        evaluate(preds, gts)
 
 
 def test_evaluate_unknown_category():
     preds, gts = _one_video_corpus()
     preds[1][0] = track_from_grids(1, 9, 0.9, {0: square(8, 8, 0, 0, 4)})
     with pytest.raises(UnknownCategory):
-        evaluate(preds, gts, EvalConfig())
-
-
-def test_evaluate_category_agnostic_pools_everything():
-    preds, gts = _one_video_corpus()
-    report = evaluate(preds, gts, EvalConfig(category_agnostic=True))
-    assert set(report.per_category) == {0}
-    assert report.overall.ap == 1.0
+        evaluate(preds, gts)
 
 
 def test_evaluate_invariant_to_video_and_insertion_order():
     preds, gts = random_micro_corpus(1234)
-    base = evaluate(preds, gts, EvalConfig())
+    base = evaluate(preds, gts)
     flipped_preds = dict(reversed(list(preds.items())))
     flipped_gts = list(reversed(gts))
-    again = evaluate(flipped_preds, flipped_gts, EvalConfig())
+    again = evaluate(flipped_preds, flipped_gts)
     assert base.overall == again.overall
     assert base.per_category == again.per_category
 
@@ -343,9 +335,9 @@ def test_evaluate_distinct_score_order_irrelevant():
             score = 1.0 - k * 1e-3
             out.append(Track(t.track_id, t.category_id, score, dict(t.entries)))
         relabeled[vid] = out
-    base = evaluate(relabeled, gts, EvalConfig())
+    base = evaluate(relabeled, gts)
     shuffled = {vid: list(reversed(ts)) for vid, ts in relabeled.items()}
-    again = evaluate(shuffled, gts, EvalConfig())
+    again = evaluate(shuffled, gts)
     assert base.overall == again.overall
 
 
@@ -353,8 +345,8 @@ def test_evaluate_removing_fp_never_hurts():
     preds, gts = _one_video_corpus()
     junk = track_from_grids(5, 1, 0.85, {1: square(8, 8, 5, 5, 2)})
     with_fp = {1: [preds[1][0], junk, preds[1][1]]}
-    lo = evaluate(with_fp, gts, EvalConfig())
-    hi = evaluate(preds, gts, EvalConfig())
+    lo = evaluate(with_fp, gts)
+    hi = evaluate(preds, gts)
     assert hi.overall.ap >= lo.overall.ap - 1e-12
 
 
@@ -362,9 +354,8 @@ def test_evaluate_removing_fp_never_hurts():
 @settings(max_examples=40, deadline=None)
 def test_evaluate_matches_brute_force(seed):
     preds, gts = random_micro_corpus(seed)
-    cfg = EvalConfig()
-    report = evaluate(preds, gts, cfg)
-    brute = evaluate_brute(preds, gts, cfg.iou_thresholds)
+    report = evaluate(preds, gts)
+    brute = evaluate_brute(preds, gts, IOU_THRESHOLDS)
     for c, metrics in report.per_category.items():
         expected = brute[c]
         if metrics is None:
