@@ -434,6 +434,30 @@ def test_duplicate_identity_row_rejected(tmp_path):
         load_identity(str(p))
 
 
+@pytest.mark.parametrize(
+    "rows,index,key",
+    [
+        ([[1, 0, 0, 1], [1, 0, 1, 1], [1, 0, 0, 1]], 2, (1, 0, 0)),
+        ([[1, 0, 0, 1], [2, 3, 1, 4], [2, 3, 1, -1]], 2, (2, 3, 1)),
+        ([[2, 5, 0, 3], [1, 0, 0, 1], [2, 5, 0, 7]], 2, (2, 5, 0)),
+    ],
+    ids=["not-adjacent", "later-video", "out-of-order"],
+)
+def test_duplicate_identity_row_rejected_anywhere(tmp_path, rows, index, key):
+    p = tmp_path / "id.json"
+    p.write_text(json.dumps(rows))
+    v, f, d = key
+    with pytest.raises(SchemaError, match=rf"identity\[{index}\]: duplicate row for video {v} frame {f} detection {d}"):
+        load_identity(str(p))
+
+
+@pytest.mark.parametrize("other", [[2, 0, 0, 1], [1, 1, 0, 1], [1, 0, 1, 1]], ids=["video", "frame", "detection"])
+def test_identity_rows_that_differ_in_one_key_are_both_kept(tmp_path, other):
+    p = tmp_path / "id.json"
+    p.write_text(json.dumps([[1, 0, 0, 1], other]))
+    assert load_identity(str(p)) == {(1, 0, 0): 1, tuple(other[:3]): 1}
+
+
 def test_duplicate_annotation_id_rejected(tmp_path):
     p = tmp_path / "ann.json"
     save_annotations(tiny_gt(), str(p))
@@ -620,8 +644,30 @@ def test_run_config_unknown_section(tmp_path, capsys, section):
 
 @pytest.mark.parametrize(
     "doc,where",
-    [([], "config"), (5, "config"), ({"association": 5}, "config.association"), ({"fusion": [1]}, "config.fusion")],
-    ids=["array", "number", "number-section", "array-section"],
+    [
+        ([], "config"),
+        (5, "config"),
+        ("config", "config"),
+        (None, "config"),
+        (True, "config"),
+        ({"association": 5}, "config.association"),
+        ({"fusion": [1]}, "config.fusion"),
+        ({"crop": "min_scale"}, "config.crop"),
+        ({"synth": None}, "config.synth"),
+        ({"association": False}, "config.association"),
+    ],
+    ids=[
+        "array",
+        "number",
+        "string",
+        "null",
+        "bool",
+        "number-section",
+        "array-section",
+        "string-section",
+        "null-section",
+        "bool-section",
+    ],
 )
 def test_run_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc, where):
     p = tmp_path / "cfg.json"
@@ -893,6 +939,29 @@ def test_pseudopair_golden_bytes(tmp_path, name):
         argv += ["--config", str(tmp_path / "crop.json")]
     assert entrypoint(argv + ["--out", str(tmp_path / "pairs.json")]) == 0
     assert hashlib.sha256((tmp_path / "pairs.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["2.5", "2.0", "nan", "2j", "True", "None", "", "two", "[2]"])
+def test_pseudopair_seed_rejects_non_integers(corpus_dir, tmp_path, capsys, value):
+    """--seed is the only way to seed pseudopair, so it takes integers alone."""
+    ann = str(corpus_dir / "annotations.json")
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(["pseudopair", "--annotations", ann, "--seed", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_takes_no_config(corpus_dir, results_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    argv = ["eval", "--gt", str(corpus_dir / "annotations.json"), "--results", str(results_file)]
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(argv + ["--config", str(cfg), "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_losscheck_passes(capsys):

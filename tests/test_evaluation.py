@@ -18,6 +18,7 @@ from vistrack import (
     AssociationConfig,
     BBox,
     DimensionMismatch,
+    Metrics,
     SynthConfig,
     Track,
     TrackEntry,
@@ -30,7 +31,7 @@ from vistrack import (
     match_tracks,
     st_iou,
 )
-from vistrack.evaluation import IOU_THRESHOLDS, average_precision
+from vistrack.evaluation import IOU_THRESHOLDS, MAX_DETECTIONS, RECALL_POINTS, average_precision
 
 
 def square(h, w, y, x, side):
@@ -228,8 +229,31 @@ def test_ap_unreached_recall_counts_zero():
     assert average_precision([(0.9, True)], n_gt=2) == pytest.approx(51 / 101, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows,n_gt,expected",
+    [
+        ([(0.9, False), (0.8, True)], 1, 0.5),
+        ([(0.8, True), (0.9, False)], 1, 0.5),
+        ([(0.9, False), (0.9, True)], 1, 0.5),
+        ([(0.9, True), (0.9, False)], 1, 1.0),
+        ([(0.9, True), (0.8, True)], 4, 51 / 101),
+        ([(0.9, True), (0.8, False), (0.7, False), (0.6, True)], 2, 76 / 101),
+        ([], 2, 0.0),
+    ],
+    ids=["fp-first", "sorted-by-score", "tie-keeps-order-fp", "tie-keeps-order-tp", "half-recall", "envelope", "empty"],
+)
+def test_ap_at_101_recall_points_by_hand(rows, n_gt, expected):
+    assert average_precision(rows, n_gt) == pytest.approx(expected, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
+
+
+def test_protocol_is_youtube_vis():
+    assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+    assert RECALL_POINTS == 101
+    assert MAX_DETECTIONS == (1, 10)
 
 
 def _one_video_corpus():
@@ -311,6 +335,18 @@ def test_evaluate_unknown_category():
     preds[1][0] = track_from_grids(1, 9, 0.9, {0: square(8, 8, 0, 0, 4)})
     with pytest.raises(UnknownCategory):
         evaluate(preds, gts)
+
+
+def test_evaluate_never_matches_across_categories():
+    """Categories come from the ground truth: a perfect mask under the
+    wrong category recalls nothing."""
+    g = track_from_grids(1, 1, 1.0, {0: square(8, 8, 0, 0, 4)})
+    gt = VideoGroundTruth(video_id=1, height=8, width=8, length=1, gt_tracks=[g], category_set=[1, 2])
+    p = track_from_grids(1, 2, 0.9, {0: square(8, 8, 0, 0, 4)})
+    report = evaluate({1: [p]}, [gt])
+    assert report.per_category[2] is None
+    assert report.per_category[1] == Metrics(ap=0.0, ap50=0.0, ap75=0.0, ar={1: 0.0, 10: 0.0})
+    assert report.overall == report.per_category[1]
 
 
 def test_evaluate_invariant_to_video_and_insertion_order():
