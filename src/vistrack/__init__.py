@@ -12,16 +12,12 @@ configured seeds.
 """
 
 from .association import (
-    Assignment,
     AssociationConfig,
-    MemoryBank,
-    Outcome,
     SimilarityKind,
     assign,
     similarity,
     track_video,
     track_video_with_trace,
-    update_memory,
 )
 from .contrastive import embed_loss, embed_loss_grad, gradient_check_suite
 from .core import (
@@ -52,7 +48,6 @@ from .errors import (
     SchemaError,
     ToolkitError,
     UnknownCategory,
-    UnknownTrackId,
     UnknownVideoId,
     VideoMismatch,
 )

@@ -1,59 +1,30 @@
 """Online embedding association against a per-video memory bank.
 
 Frames are processed in order. Each frame's detections are compared to
-the remembered instances by embedding similarity, greedily matched
-one-to-one in descending similarity, and the memory is updated with an
-exponential moving average. Unmatched detections either open a new
-track (high class score) or are discarded.
+the remembered instances by embedding similarity and greedily matched
+one-to-one in descending similarity. The bank is an (M, D) array whose
+row j holds track j + 1: a matched row is blended in place with its
+detection's embedding, ``(1 - rho) * row + rho * embedding`` at
+``memory_momentum`` rho, and an unmatched detection either appends a
+new row, opening a track (high class score), or is discarded. Rows are
+never removed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
 from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
 from .core import config_numbers, embedding_rows, ints, reals
-from .errors import ConfigError, DimensionMismatch, EmptyInput, UnknownTrackId
+from .errors import ConfigError, DimensionMismatch, EmptyInput
 
 
 class SimilarityKind(str, Enum):
     BISOFTMAX = "bisoftmax"
     COSINE = "cosine"
-
-
-class Outcome(str, Enum):
-    MATCHED = "matched"
-    NEW_INSTANCE = "new_instance"
-    DISCARDED = "discarded"
-
-
-@dataclass
-class MemoryBank:
-    """Remembered instances, oldest first: their track ids, one smoothed
-    float64 embedding row per id, and the next fresh track id."""
-
-    track_ids: list[int] = field(default_factory=list)
-    embeddings: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    next_id: int = 1
-
-    def __post_init__(self):
-        ids, rows = self.track_ids, self.embeddings
-        if len(ids) != len(set(ids)):
-            raise ValueError("memory track ids must be unique")
-        if ids and self.next_id <= max(ids):
-            raise ValueError("next_id must exceed every stored track id")
-        if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 or rows.ndim != 2:
-            raise ValueError("memory embeddings must be a 2-D float64 array")
-        if len(rows) != len(ids) or (ids and not rows.shape[1]):
-            raise ValueError("memory embeddings must hold one non-empty row per track id")
-        if not np.isfinite(rows).all():
-            raise ValueError("memory embeddings must be finite")
-
-    def __len__(self) -> int:
-        return len(self.track_ids)
 
 
 @dataclass(frozen=True)
@@ -81,15 +52,6 @@ class AssociationConfig:
             raise ConfigError(
                 f"unknown similarity_kind: {self.similarity_kind!r} (expected 'bisoftmax' or 'cosine')"
             ) from e
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Outcome for one prediction index of a frame."""
-
-    pred_index: int
-    outcome: Outcome
-    track_id: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +90,19 @@ def cosine_scores(pred: np.ndarray, mem: np.ndarray) -> np.ndarray:
 
 def similarity(
     pred_embeddings: list[Embedding] | np.ndarray,
-    memory: MemoryBank,
+    memory_embeddings: list[Embedding] | np.ndarray,
     kind: SimilarityKind = SimilarityKind.BISOFTMAX,
 ) -> np.ndarray:
-    """N x M similarity matrix between predictions and memory instances.
+    """N x M similarity matrix between N prediction and M memory embeddings.
 
-    ``pred_embeddings`` are N Embeddings or an (N, D) float array.
-    Raises EmptyInput when either side is empty; callers short-circuit
-    the empty-memory case before scoring.
+    Each side is a list of Embeddings or an (n, D) float array. Raises
+    EmptyInput when either side is empty; callers short-circuit the
+    empty-memory case before scoring.
     """
-    if not len(pred_embeddings) or not len(memory):
+    if not len(pred_embeddings) or not len(memory_embeddings):
         raise EmptyInput("similarity requires at least one prediction and one memory instance")
     pred = embedding_rows(pred_embeddings)
-    mem = memory.embeddings
+    mem = embedding_rows(memory_embeddings)
     if pred.shape[1] != mem.shape[1]:
         raise DimensionMismatch("prediction and memory embeddings must share one length")
     if kind is SimilarityKind.COSINE:
@@ -149,23 +111,17 @@ def similarity(
 
 
 # ---------------------------------------------------------------------------
-# Assignment protocol
+# Assignment
 
 
-def assign(
-    scores: np.ndarray,
-    detections: list[Detection],
-    memory: MemoryBank,
-    cfg: AssociationConfig,
-) -> list[Assignment]:
-    """Greedy one-to-one assignment of predictions to memory instances.
+def assign(scores: np.ndarray, threshold: float) -> list[int]:
+    """Greedy one-to-one matching of the rows of ``scores`` (predictions)
+    to its columns (memory instances): the matched column of each row,
+    or -1 for a row left without a pair strictly above ``threshold``.
 
-    Candidate pairs are taken in descending similarity; a pair is accepted
-    while both its prediction and its memory instance are still free. A
-    prediction left without a pair strictly above ``match_threshold``
-    opens a new instance when its detection score reaches
-    ``new_instance_score`` and is discarded otherwise. Ties break toward
-    the lowest prediction index, then the lowest (oldest) memory index.
+    Candidate pairs are taken in descending score; a pair is accepted
+    while both its row and its column are still free. Ties break toward
+    the lowest row, then the lowest (oldest) column.
 
     Only the cells strictly above the threshold can match, so only they
     are sorted (NaN is never above it). They come out of
@@ -173,64 +129,21 @@ def assign(
     keeps for equal scores.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape != (len(detections), len(memory)):
-        raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
+    if s.ndim != 2:
+        raise DimensionMismatch("scores must be an N x M matrix over predictions and memory")
     n, m = s.shape
     flat = s.ravel()
-    cells = np.flatnonzero(flat > cfg.match_threshold)
-    matched: dict[int, int] = {}
-    taken_cols: set[int] = set()
+    cells = np.flatnonzero(flat > threshold)
+    cols = [-1] * n
+    taken: set[int] = set()
     for k in cells[np.argsort(-flat[cells], kind="stable")].tolist():
-        if len(matched) == min(n, m):
+        if len(taken) == min(n, m):
             break
         i, j = divmod(k, m)
-        if i not in matched and j not in taken_cols:
-            matched[i] = j
-            taken_cols.add(j)
-    out = []
-    for i in range(n):
-        if i in matched:
-            out.append(Assignment(i, Outcome.MATCHED, memory.track_ids[matched[i]]))
-        elif detections[i].score >= cfg.new_instance_score:
-            out.append(Assignment(i, Outcome.NEW_INSTANCE))
-        else:
-            out.append(Assignment(i, Outcome.DISCARDED))
-    return out
-
-
-def update_memory(
-    memory: MemoryBank,
-    assignments: list[Assignment],
-    detections: list[Detection],
-    cfg: AssociationConfig,
-) -> MemoryBank:
-    """Blend matched embeddings (EMA with ``memory_momentum``), append new
-    instances with fresh ids in ascending prediction order, keep the rest.
-
-    Returns a new bank; ``memory`` is left unchanged.
-    """
-    rows = memory.embeddings.copy()
-    rho = cfg.memory_momentum
-    fresh = []
-    for a in sorted(assignments, key=lambda a: a.pred_index):
-        det = detections[a.pred_index]
-        if a.outcome is Outcome.MATCHED:
-            try:
-                k = memory.track_ids.index(a.track_id)
-            except ValueError:
-                raise UnknownTrackId(f"assignment references unknown track id {a.track_id}") from None
-            if len(det.embedding) != rows.shape[1]:
-                raise DimensionMismatch("detection embedding length must match memory")
-            rows[k] = (1.0 - rho) * rows[k] + rho * np.asarray(det.embedding)
-        elif a.outcome is Outcome.NEW_INSTANCE:
-            fresh.append(det.embedding)
-    if fresh:
-        new_rows = embedding_rows(fresh)
-        if len(memory) and new_rows.shape[1] != rows.shape[1]:
-            raise DimensionMismatch("detection embedding length must match memory")
-        rows = np.concatenate([rows, new_rows]) if len(memory) else new_rows
-    next_id = memory.next_id + len(fresh)
-    return MemoryBank(memory.track_ids + list(range(memory.next_id, next_id)), rows, next_id)
+        if cols[i] < 0 and j not in taken:
+            cols[i] = j
+            taken.add(j)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +174,15 @@ def track_video_with_trace(
 ) -> tuple[list[Track], dict[tuple[int, int], int]]:
     """Run the tracker and also report which track id each detection joined.
 
-    The trace maps (frame_index, detection index within the frame) to the
-    assigned track id; discarded or capacity-dropped detections are absent.
+    Track ids are 1..n in spawn order; detections that spawn on one
+    frame take them in ascending detection order. The trace maps
+    (frame_index, detection index within the frame) to the assigned
+    track id; discarded or capacity-dropped detections are absent.
     """
-    bank = MemoryBank()
-    history: dict[int, list[tuple[int, Detection]]] = {}
-    spawn_order: list[int] = []
+    rows = np.empty((0, 0))  # the bank: row j is track j + 1's smoothed embedding
+    history: list[list[tuple[int, Detection]]] = []  # row j's (frame, detection) entries
     trace: dict[tuple[int, int], int] = {}
+    rho = cfg.memory_momentum
     last_frame = -1
     for fd in frames:
         if fd.frame_index <= last_frame:
@@ -286,32 +201,30 @@ def track_video_with_trace(
                     raise DimensionMismatch("detection mask dimensions must equal video dimensions")
         if not dets:
             continue
-        if len(bank) == 0:
-            scores = np.zeros((len(dets), 0))
+        emb = embedding_rows([d.embedding for d in dets])
+        if len(rows):
+            cols = assign(similarity(emb, rows, cfg.similarity_kind), cfg.match_threshold)
         else:
-            scores = similarity([d.embedding for d in dets], bank, cfg.similarity_kind)
-        assignments = assign(scores, dets, bank, cfg)
-        known = len(bank)
-        bank = update_memory(bank, assignments, dets, cfg)
-        fresh_ids = iter(bank.track_ids[known:])
-        for a in assignments:  # in ascending pred_index, the order fresh ids were minted
-            if a.outcome is Outcome.MATCHED:
-                tid = a.track_id
-            elif a.outcome is Outcome.NEW_INSTANCE:
-                tid = next(fresh_ids)
+            cols = [-1] * len(dets)
+        fresh = []
+        for i, j in enumerate(cols):
+            if j >= 0:
+                rows[j] = (1.0 - rho) * rows[j] + rho * emb[i]
+            elif dets[i].score >= cfg.new_instance_score:
+                j = len(history)
+                history.append([])
+                fresh.append(i)
             else:
                 continue
-            if tid not in history:
-                history[tid] = []
-                spawn_order.append(tid)
-            history[tid].append((fd.frame_index, dets[a.pred_index]))
-            trace[(fd.frame_index, kept_indices[a.pred_index])] = tid
+            history[j].append((fd.frame_index, dets[i]))
+            trace[(fd.frame_index, kept_indices[i])] = j + 1
+        if fresh:
+            rows = np.concatenate([rows, emb[fresh]]) if len(rows) else emb[fresh]
     tracks = []
-    for tid in spawn_order:
-        recorded = history[tid]
+    for j, recorded in enumerate(history):
         entries = {f: TrackEntry(det.bbox, det.mask, det.score) for f, det in recorded}
         score = sum(det.score for _, det in recorded) / len(recorded)
-        tracks.append(Track(tid, _majority_category(recorded), score, entries))
+        tracks.append(Track(j + 1, _majority_category(recorded), score, entries))
     return tracks, trace
 
 

@@ -93,10 +93,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _seed(seed: int) -> int:
+    """A --seed value, which SplitMix64 takes in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _cmd_pseudopair(args) -> int:
+    rng = SplitMix64(_seed(args.seed))
     cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.annotations)
-    rng = SplitMix64(args.seed)
     samples = []
     image_id = 0
     for g in sorted(ground_truth, key=lambda g: g.video_id):
@@ -164,7 +171,7 @@ def _cmd_synth(args) -> int:
 def _cmd_losscheck(args) -> int:
     if args.samples < 1:  # a check of no instances would print PASS
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    worst_rel, worst_abs = gradient_check_suite(samples=args.samples, seed=args.seed)
+    worst_rel, worst_abs = gradient_check_suite(samples=args.samples, seed=_seed(args.seed))
     ok = worst_rel <= GRAD_REL_BOUND and worst_abs <= GRAD_ABS_BOUND
     print(f"max relative error: {worst_rel:.3e} (bound {GRAD_REL_BOUND:.0e})")
     print(f"max absolute error near zero: {worst_abs:.3e} (bound {GRAD_ABS_BOUND:.0e})")

@@ -41,10 +41,6 @@ class EmptyInput(ToolkitError):
     """An operation that needs at least one element received none."""
 
 
-class UnknownTrackId(ToolkitError):
-    """An assignment references a track id missing from the memory bank."""
-
-
 class DuplicateInstanceId(ToolkitError):
     """Ground-truth instances on one frame must have unique ids."""
 

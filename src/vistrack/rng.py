@@ -24,7 +24,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:  # never reduced modulo 2**64: distinct seeds give distinct streams
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

@@ -88,6 +88,10 @@ class SynthConfig:
             raise ConfigError("motion_step_max must be non-negative")
         if self.embedding_scale <= 0.0:
             raise ConfigError("embedding_scale must be positive")
+        if not 0 <= self.rng_seed < 2**64 - self.n_videos:
+            raise ConfigError(
+                f"rng_seed must lie in [0, 2**64 - n_videos), as video v is seeded with rng_seed + v; got {self.rng_seed}"
+            )
 
 
 @dataclass

@@ -17,16 +17,12 @@ import numpy as np
 
 from vistrack import (
     CLUTTER,
-    Assignment,
     BBox,
-    DimensionMismatch,
     Embedding,
-    Outcome,
     RleMask,
     SimilarityKind,
     Track,
     TrackEntry,
-    UnknownTrackId,
     rle_decode,
     rle_encode,
     track_video_with_trace,
@@ -365,18 +361,16 @@ def matching_margin(scores: np.ndarray, pairs: set[tuple[int, int]]) -> float:
 # Rescanning greedy assignment
 
 
-def reference_assign(scores, detections, memory, cfg) -> list[Assignment]:
+def reference_assign(scores, threshold) -> list[int]:
     """The association step by its definition: repeatedly rescan every
     pending x available pair for the maximum score (ties: lowest
     prediction, then lowest memory index) and stop once it is not
-    strictly above the threshold."""
+    strictly above the threshold. Returns each row's matched column, or -1."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape != (len(detections), len(memory.track_ids)):
-        raise DimensionMismatch("scores must be an N x M matrix over detections and memory")
     n, m = s.shape
     available = [True] * m
     pending = list(range(n))
-    matched: dict[int, int] = {}
+    cols = [-1] * n
     while pending and any(available):
         best_value = -np.inf
         best_pair = None
@@ -385,21 +379,13 @@ def reference_assign(scores, detections, memory, cfg) -> list[Assignment]:
                 if available[j] and s[i, j] > best_value:
                     best_value = s[i, j]
                     best_pair = (i, j)
-        if best_pair is None or best_value <= cfg.match_threshold:
+        if best_pair is None or best_value <= threshold:
             break
         i, j = best_pair
-        matched[i] = j
+        cols[i] = j
         available[j] = False
         pending.remove(i)
-    out = []
-    for i in range(n):
-        if i in matched:
-            out.append(Assignment(i, Outcome.MATCHED, memory.track_ids[matched[i]]))
-        elif detections[i].score >= cfg.new_instance_score:
-            out.append(Assignment(i, Outcome.NEW_INSTANCE))
-        else:
-            out.append(Assignment(i, Outcome.DISCARDED))
-    return out
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -424,48 +410,12 @@ class RecordBank:
     instances: list[MemoryInstance] = field(default_factory=list)
     next_id: int = 1
 
-    @property
-    def track_ids(self) -> list[int]:
-        return [inst.track_id for inst in self.instances]
-
-
-def reference_update(memory, assignments, detections, frame_index, cfg) -> tuple[RecordBank, dict[int, int]]:
-    """Apply assignments record by record, rebuilding each blended
-    embedding as a tuple; returns the new bank and fresh ids by pred index."""
-    index_of = {inst.track_id: k for k, inst in enumerate(memory.instances)}
-    instances = list(memory.instances)
-    next_id = memory.next_id
-    minted: dict[int, int] = {}
-    rho = cfg.memory_momentum
-    for a in sorted(assignments, key=lambda a: a.pred_index):
-        det = detections[a.pred_index]
-        if a.outcome is Outcome.MATCHED:
-            k = index_of.get(a.track_id)
-            if k is None:
-                raise UnknownTrackId(f"assignment references unknown track id {a.track_id}")
-            inst = instances[k]
-            if len(inst.embedding) != len(det.embedding):
-                raise DimensionMismatch("detection embedding length must match memory")
-            blended = (1.0 - rho) * np.asarray(inst.embedding) + rho * np.asarray(det.embedding)
-            instances[k] = replace(
-                inst,
-                embedding=Embedding(tuple(blended)),
-                last_seen_frame=frame_index,
-                hit_count=inst.hit_count + 1,
-            )
-        elif a.outcome is Outcome.NEW_INSTANCE:
-            minted[a.pred_index] = next_id
-            instances.append(
-                MemoryInstance(next_id, det.embedding, det.category_id, frame_index, 1)
-            )
-            next_id += 1
-    return RecordBank(instances, next_id), minted
-
 
 def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tuple[int, int], int]]:
     """``track_video_with_trace`` over a bank of per-instance records that
     is stacked into a matrix anew for every frame, with the rescanning
-    ``reference_assign``."""
+    ``reference_assign``; it blends, opens and discards record by record
+    and mints each track id from a counter."""
     bank = RecordBank()
     history: dict[int, list] = {}
     spawn_order: list[int] = []
@@ -490,20 +440,32 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
                 scores = cosine_scores(pred, mem)
             else:
                 scores = bisoftmax_scores(pred @ mem.T)
-        assignments = reference_assign(scores, dets, bank, cfg)
-        bank, minted = reference_update(bank, assignments, dets, fd.frame_index, cfg)
-        for a in assignments:
-            if a.outcome is Outcome.MATCHED:
-                tid = a.track_id
-            elif a.outcome is Outcome.NEW_INSTANCE:
-                tid = minted[a.pred_index]
+        fresh = []  # records of the tracks this frame opens, appended after it
+        for i, j in enumerate(reference_assign(scores, cfg.match_threshold)):
+            det = dets[i]
+            if j >= 0:
+                inst = bank.instances[j]
+                rho = cfg.memory_momentum
+                blended = (1.0 - rho) * np.asarray(inst.embedding) + rho * np.asarray(det.embedding)
+                bank.instances[j] = replace(
+                    inst,
+                    embedding=Embedding(tuple(blended)),
+                    last_seen_frame=fd.frame_index,
+                    hit_count=inst.hit_count + 1,
+                )
+                tid = inst.track_id
+            elif det.score >= cfg.new_instance_score:
+                tid = bank.next_id
+                fresh.append(MemoryInstance(tid, det.embedding, det.category_id, fd.frame_index, 1))
+                bank.next_id += 1
             else:
                 continue
             if tid not in history:
                 history[tid] = []
                 spawn_order.append(tid)
-            history[tid].append((fd.frame_index, dets[a.pred_index]))
-            trace[(fd.frame_index, kept_indices[a.pred_index])] = tid
+            history[tid].append((fd.frame_index, det))
+            trace[(fd.frame_index, kept_indices[i])] = tid
+        bank.instances += fresh
     tracks = []
     for tid in spawn_order:
         recorded = history[tid]

@@ -25,12 +25,9 @@ from vistrack import (
     AssociationConfig,
     BBox,
     CropConfig,
-    Detection,
     Embedding,
     FusionConfig,
     ImageMeta,
-    MemoryBank,
-    Outcome,
     ScoreRule,
     SourceAnnotation,
     SplitMix64,
@@ -90,28 +87,7 @@ def test_criterion_2_loss_fixtures():
 
 
 def _greedy_pairs(scores, cfg):
-    n, m = scores.shape
-    dets = [
-        Detection(
-            bbox=BBox(0.0, 0.0, 1.0, 1.0),
-            score=0.9,
-            category_id=1,
-            class_probs=(0.0, 0.9),
-            embedding=Embedding((1.0, 0.0)),
-        )
-        for _ in range(n)
-    ]
-    bank = MemoryBank(
-        track_ids=[j + 1 for j in range(m)],
-        embeddings=np.tile([1.0, 0.0], (m, 1)),
-        next_id=m + 1,
-    )
-    id_to_col = {j + 1: j for j in range(m)}
-    out = set()
-    for a in assign(scores, dets, bank, cfg):
-        if a.outcome is Outcome.MATCHED:
-            out.add((a.pred_index, id_to_col[a.track_id]))
-    return out
+    return {(i, j) for i, j in enumerate(assign(scores, cfg.match_threshold)) if j >= 0}
 
 
 def test_criterion_3_association_oracle():

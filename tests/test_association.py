@@ -1,5 +1,5 @@
-"""Similarity scoring, greedy assignment, memory update, whole-video
-tracking, and the exhaustive-matching oracle."""
+"""Similarity scoring, greedy assignment, whole-video tracking with its
+memory update, and the exhaustive-matching oracle."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    MemoryInstance,
-    RecordBank,
     best_matching,
     matching_margin,
     reference_assign,
     reference_track_video,
-    reference_update,
 )
 from vistrack import (
-    Assignment,
     AssociationConfig,
     BBox,
     Detection,
@@ -24,15 +20,12 @@ from vistrack import (
     Embedding,
     EmptyInput,
     FrameDetections,
-    MemoryBank,
-    Outcome,
     SimilarityKind,
     VideoMeta,
     assign,
     similarity,
     track_video,
     track_video_with_trace,
-    update_memory,
 )
 from vistrack.association import bisoftmax_scores, cosine_scores, row_softmax
 
@@ -49,9 +42,9 @@ def det(score, embedding, category=1, n_cats=4):
     )
 
 
-def bank_of(*vectors, next_id=None):
-    rows = np.array(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
-    return MemoryBank(list(range(1, len(vectors) + 1)), rows, next_id or len(vectors) + 1)
+def bank_of(*vectors):
+    """Memory rows: one float64 row per remembered instance."""
+    return np.array(vectors, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +107,16 @@ def test_similarity_errors():
     with pytest.raises(EmptyInput):
         similarity([], bank_of((1.0, 0.0)))
     with pytest.raises(EmptyInput):
-        similarity([Embedding((1.0, 0.0))], MemoryBank())
+        similarity([Embedding((1.0, 0.0))], np.empty((0, 2)))
     with pytest.raises(DimensionMismatch):
         similarity([Embedding((1.0, 0.0, 0.0))], bank_of((1.0, 0.0)))
+
+
+def test_similarity_takes_embeddings_on_both_sides():
+    pred = [Embedding((2.0, 0.0))]
+    mem = [Embedding((2.0, 0.0)), Embedding((0.0, 2.0))]
+    for kind in SimilarityKind:
+        assert np.array_equal(similarity(pred, mem, kind), similarity(bank_of((2.0, 0.0)), bank_of(*mem), kind))
 
 
 def test_similarity_kind_dispatch():
@@ -134,81 +134,50 @@ def test_similarity_kind_dispatch():
 
 
 CFG = AssociationConfig()
+T = CFG.match_threshold
 
 
 def test_assign_dominant_diagonal():
-    scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-    dets = [det(0.9, (1, 0)), det(0.9, (0, 1))]
-    out = assign(scores, dets, bank_of((1, 0), (0, 1)), CFG)
-    assert [(a.outcome, a.track_id) for a in out] == [
-        (Outcome.MATCHED, 1),
-        (Outcome.MATCHED, 2),
-    ]
-
-
-def test_assign_below_threshold_high_score_spawns():
-    out = assign(np.array([[0.3]]), [det(0.9, (1, 0))], bank_of((1, 0)), CFG)
-    assert out == [Assignment(0, Outcome.NEW_INSTANCE, None)]
-
-
-def test_assign_below_threshold_low_score_discards():
-    out = assign(np.array([[0.3]]), [det(0.1, (1, 0))], bank_of((1, 0)), CFG)
-    assert out == [Assignment(0, Outcome.DISCARDED, None)]
+    assert assign(np.array([[0.9, 0.1], [0.2, 0.8]]), T) == [0, 1]
 
 
 def test_assign_two_preds_one_memory():
-    scores = np.array([[0.9], [0.8]])
-    dets = [det(0.9, (1, 0)), det(0.9, (1, 0))]
-    out = assign(scores, dets, bank_of((1, 0)), CFG)
-    assert out[0] == Assignment(0, Outcome.MATCHED, 1)
-    assert out[1] == Assignment(1, Outcome.NEW_INSTANCE, None)
+    assert assign(np.array([[0.9], [0.8]]), T) == [0, -1]
 
 
 def test_assign_reevaluation_cascade():
     # pred0 takes mem0 at 0.9; pred1 falls back to mem1 at 0.6
-    scores = np.array([[0.9, 0.7], [0.85, 0.6]])
-    dets = [det(0.9, (1, 0)), det(0.9, (0, 1))]
-    out = assign(scores, dets, bank_of((1, 0), (0, 1)), CFG)
-    assert out[0].track_id == 1
-    assert out[1].track_id == 2
+    assert assign(np.array([[0.9, 0.7], [0.85, 0.6]]), T) == [0, 1]
 
 
 def test_assign_threshold_is_strict():
-    out = assign(np.array([[0.5]]), [det(0.9, (1, 0))], bank_of((1, 0)), CFG)
-    assert out[0].outcome is Outcome.NEW_INSTANCE
+    assert assign(np.array([[0.5]]), 0.5) == [-1]
+    assert assign(np.array([[0.3]]), T) == [-1]
 
 
 def test_assign_tie_prefers_lowest_indices():
-    scores = np.array([[0.8, 0.8], [0.8, 0.8]])
-    dets = [det(0.9, (1, 0)), det(0.9, (0, 1))]
-    out = assign(scores, dets, bank_of((1, 0), (0, 1)), CFG)
-    assert out[0].track_id == 1
-    assert out[1].track_id == 2
+    assert assign(np.array([[0.8, 0.8], [0.8, 0.8]]), T) == [0, 1]
 
 
 def test_assign_empty_memory():
-    scores = np.zeros((2, 0))
-    dets = [det(0.9, (1, 0)), det(0.05, (0, 1))]
-    out = assign(scores, dets, MemoryBank(), CFG)
-    assert out[0].outcome is Outcome.NEW_INSTANCE
-    assert out[1].outcome is Outcome.DISCARDED
+    assert assign(np.zeros((2, 0)), T) == [-1, -1]
+    assert assign(np.zeros((0, 3)), T) == []
 
 
-def test_assign_shape_mismatch():
+def test_assign_needs_a_matrix():
     with pytest.raises(DimensionMismatch):
-        assign(np.zeros((2, 2)), [det(0.9, (1, 0))], bank_of((1, 0), (0, 1)), CFG)
+        assign(np.zeros(2), T)
 
 
 def test_assign_one_to_one():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n, m = rng.integers(1, 5), rng.integers(1, 5)
-        scores = rng.random((n, m))
-        dets = [det(float(rng.uniform(0.3, 0.9)), (1, 0)) for _ in range(n)]
-        out = assign(scores, dets, bank_of(*[(1, 0)] * m), CFG)
-        matched = [a.track_id for a in out if a.outcome is Outcome.MATCHED]
+        cols = assign(rng.random((n, m)), T)
+        matched = [j for j in cols if j >= 0]
         assert len(matched) == len(set(matched))
-        assert len(out) == n
+        assert len(cols) == n
+        assert all(-1 <= j < m for j in cols)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -219,14 +188,10 @@ def test_assign_matches_enumeration_when_margin_clear(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     scores = rng.uniform(0.05, 0.95, size=(n, m))
-    _, oracle_pairs = best_matching(scores, CFG.match_threshold)
+    _, oracle_pairs = best_matching(scores, T)
     if matching_margin(scores, oracle_pairs) <= 0.1:
         return  # ambiguous instance: the contract is silent here
-    dets = [det(0.9, (1, 0)) for _ in range(n)]
-    out = assign(scores, dets, bank_of(*[(1, 0)] * m), CFG)
-    greedy_pairs = {
-        (a.pred_index, a.track_id - 1) for a in out if a.outcome is Outcome.MATCHED
-    }
+    greedy_pairs = {(i, j) for i, j in enumerate(assign(scores, T)) if j >= 0}
     assert greedy_pairs == oracle_pairs
 
 
@@ -236,148 +201,21 @@ COARSE_SCORES = (0.3, 0.5, 0.6, 0.8, 1.0, np.nan, np.inf, -np.inf)
 @given(st.integers(0, 6), st.one_of(st.integers(0, 6), st.integers(7, 40)), st.data())
 @settings(max_examples=300, deadline=None)
 def test_assign_equals_rescanning_reference(n, m, data):
-    """The sorted single pass gives the same assignments as rescanning every
+    """The sorted single pass gives the same columns as rescanning every
     free pair, on a coarse score grid where ties are the rule, with
     non-finite scores, thresholds equal to grid values, and banks up to
     40 wide as on a long video."""
     scores = np.array(
         data.draw(st.lists(st.sampled_from(COARSE_SCORES), min_size=n * m, max_size=n * m))
     ).reshape(n, m)
-    dets = [det(data.draw(st.sampled_from((0.1, 0.2, 0.9))), (1, 0)) for _ in range(n)]
-    cfg = AssociationConfig(match_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.5, 0.6, 0.8, 1.0))))
-    bank = bank_of(*[(1, 0)] * m)
-    assert assign(scores, dets, bank, cfg) == reference_assign(scores, dets, bank, cfg)
-
-
-# ---------------------------------------------------------------------------
-# update_memory
-
-
-def test_update_blends_matched_embedding():
-    bank = bank_of((1.0, 0.0))
-    d = det(0.9, (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], CFG)
-    assert out.embeddings[0].tolist() == [0.5, 0.5]
-
-
-@pytest.mark.parametrize("rho,expected", [(0.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
-def test_update_momentum_extremes(rho, expected):
-    cfg = AssociationConfig(memory_momentum=rho)
-    bank = bank_of((1.0, 0.0))
-    d = det(0.9, (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1)], [d], cfg)
-    assert tuple(out.embeddings[0].tolist()) == expected
-
-
-def test_update_appends_new_instances_in_pred_order():
-    bank = bank_of((1.0, 0.0))
-    dets = [det(0.9, (0.3, 0.3)), det(0.8, (0.7, 0.7))]
-    out = update_memory(
-        bank,
-        [Assignment(1, Outcome.NEW_INSTANCE), Assignment(0, Outcome.NEW_INSTANCE)],
-        dets,
-        CFG,
-    )
-    assert out.track_ids == [1, 2, 3]
-    # ids minted in ascending prediction order regardless of assignment order
-    assert out.embeddings[1].tolist() == [0.3, 0.3]
-    assert out.embeddings[2].tolist() == [0.7, 0.7]
-    assert out.next_id == 4
-
-
-def test_update_unknown_track_id():
-    from vistrack import UnknownTrackId
-
-    with pytest.raises(UnknownTrackId):
-        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED, 99)], [det(0.9, (1, 0))], CFG)
-
-
-def test_update_match_without_track_id():
-    from vistrack import UnknownTrackId
-
-    with pytest.raises(UnknownTrackId, match="unknown track id None"):
-        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.MATCHED)], [det(0.9, (1, 0))], CFG)
-
-
-def test_update_retains_unmatched_instances():
-    bank = bank_of((1.0, 0.0), (0.0, 1.0))
-    out = update_memory(bank, [Assignment(0, Outcome.DISCARDED)], [det(0.1, (1, 0))], CFG)
-    # no expiry, nothing touched
-    assert out.track_ids == bank.track_ids
-    assert np.array_equal(out.embeddings, bank.embeddings)
-
-
-def test_update_leaves_input_bank_unchanged():
-    bank = bank_of((1.0, 0.0), (0.0, 1.0))
-    ids, rows = list(bank.track_ids), bank.embeddings.copy()
-    dets = [det(0.9, (0.0, 1.0)), det(0.9, (5.0, 5.0))]
-    out = update_memory(bank, [Assignment(0, Outcome.MATCHED, 1), Assignment(1, Outcome.NEW_INSTANCE)], dets, CFG)
-    assert out.track_ids == [1, 2, 3] and out.next_id == 4
-    assert bank.track_ids == ids and bank.next_id == 3
-    assert np.array_equal(bank.embeddings, rows)
-    assert not np.shares_memory(out.embeddings, bank.embeddings)
-
-
-def test_update_rejects_new_rows_of_another_length():
-    with pytest.raises(DimensionMismatch):
-        update_memory(bank_of((1.0, 0.0)), [Assignment(0, Outcome.NEW_INSTANCE)], [det(0.9, (1, 0, 0))], CFG)
-
-
-@pytest.mark.parametrize(
-    "ids,rows,next_id,message",
-    [
-        ([1, 1], np.zeros((2, 2)), 3, "unique"),
-        ([1, 4], np.zeros((2, 2)), 4, "next_id"),
-        ([1, 2], np.zeros(4), 3, "float64"),
-        ([1, 2], np.zeros((3, 2)), 3, "one non-empty row per track id"),
-        ([1], np.zeros((1, 0)), 2, "one non-empty row per track id"),
-        ([1], np.zeros((1, 2), dtype=np.float32), 2, "float64"),
-        ([1], [[0.0, 1.0]], 2, "float64"),
-        ([1], np.array([[0.0, np.inf]]), 2, "finite"),
-    ],
-)
-def test_memory_bank_invariants(ids, rows, next_id, message):
-    with pytest.raises(ValueError, match=message):
-        MemoryBank(ids, rows, next_id)
+    threshold = data.draw(st.sampled_from((0.0, 0.3, 0.5, 0.6, 0.8, 1.0)))
+    assert assign(scores, threshold) == reference_assign(scores, threshold)
 
 
 # Components of random real embeddings: a few exact values mixed with
 # arbitrary magnitudes.
 COORDS = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.1, 3.0)), st.floats(-1e6, 1e6))
 MOMENTA = (0.0, 0.3, 0.5, 1.0)
-
-
-def record_bank(bank):
-    instances = [
-        MemoryInstance(tid, Embedding(tuple(row.tolist())), 1, 0) for tid, row in zip(bank.track_ids, bank.embeddings)
-    ]
-    return RecordBank(instances, bank.next_id)
-
-
-@given(st.integers(1, 4), st.data())
-@settings(max_examples=200, deadline=None)
-def test_update_equals_per_instance_reference(dim, data):
-    """The array update gives bit for bit the rows of the per-instance
-    record update, which rebuilds every blended embedding as a tuple."""
-    vector = st.lists(COORDS, min_size=dim, max_size=dim)
-    m = data.draw(st.integers(0, 5))
-    bank = bank_of(*data.draw(st.lists(vector, min_size=m, max_size=m)), next_id=m + data.draw(st.integers(1, 3)))
-    dets = [det(0.9, v) for v in data.draw(st.lists(vector, max_size=6))]
-    free = list(bank.track_ids)
-    assignments = []
-    for i in range(len(dets)):
-        outcome = data.draw(st.sampled_from(list(Outcome)))
-        if outcome is Outcome.MATCHED and free:
-            assignments.append(Assignment(i, outcome, free.pop(data.draw(st.integers(0, len(free) - 1)))))
-        elif outcome is not Outcome.MATCHED:
-            assignments.append(Assignment(i, outcome))
-    cfg = AssociationConfig(memory_momentum=data.draw(st.sampled_from(MOMENTA)))
-    assignments = data.draw(st.permutations(assignments))
-    out = update_memory(bank, assignments, dets, cfg)
-    ref, _ = reference_update(record_bank(bank), assignments, dets, 0, cfg)
-    assert out.track_ids == ref.track_ids
-    assert out.next_id == ref.next_id
-    assert [tuple(row.tolist()) for row in out.embeddings] == [inst.embedding.values for inst in ref.instances]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +274,88 @@ def test_tracker_equals_per_instance_reference(inputs):
     ref_tracks, ref_trace = reference_track_video(frames, cfg, meta)
     assert tracks == ref_tracks
     assert trace == ref_trace
+
+
+def tracked(frames, cfg, length=10):
+    """track_video_with_trace, checked against the per-instance reference."""
+    meta = VideoMeta(length=length)
+    tracks, trace = track_video_with_trace(frames, cfg, meta)
+    assert (tracks, trace) == reference_track_video(frames, cfg, meta)
+    return tracks, trace
+
+
+COSINE = AssociationConfig(similarity_kind=SimilarityKind.COSINE)
+
+
+@pytest.mark.parametrize("rho,track", [(0.0, 2), (0.5, 1), (1.0, 1)])
+def test_momentum_decides_a_later_match(rho, track):
+    """Frame 1's detection X joins track 1 and pulls its row toward track
+    2's. Frame 2's detection Y has dot 0.7 with track 1's first row, 1
+    with track 2's and 1.5 with X, so it joins track 2 only while track
+    1's row ignores X (rho 0), and track 1 once the row takes half of X
+    (dot 1.1) or all of it."""
+    frames = [
+        FrameDetections(0, [det(0.9, (1.0, 0.0)), det(0.9, (0.0, 1.0))]),
+        FrameDetections(1, [det(0.9, (1.0, 0.8))]),
+        FrameDetections(2, [det(0.9, (0.7, 1.0))]),
+    ]
+    _, trace = tracked(frames, AssociationConfig(memory_momentum=rho))
+    assert trace == {(0, 0): 1, (0, 1): 2, (1, 0): 1, (2, 0): track}
+
+
+def test_spawn_at_new_instance_score_and_discard_below():
+    """A detection without a match opens a track at exactly
+    new_instance_score and is discarded just below it, with an empty
+    bank (frame 0) and with a bank it does not match (frame 1: cosine
+    0, a score of 0.5, is not above the threshold)."""
+    at, below = COSINE.new_instance_score, COSINE.new_instance_score - 0.01
+    frames = [
+        FrameDetections(0, [det(at, (1.0, 0.0)), det(below, (0.0, 1.0))]),
+        FrameDetections(1, [det(below, (0.0, -1.0)), det(at, (0.0, 1.0))]),
+    ]
+    tracks, trace = tracked(frames, COSINE)
+    assert trace == {(0, 0): 1, (1, 1): 2}
+    assert [t.track_id for t in tracks] == [1, 2]
+
+
+def test_fresh_ids_follow_ascending_detection_order():
+    """Detections that open tracks on one frame take the next ids in
+    detection order, not score order, around a matched one."""
+    frames = [
+        FrameDetections(0, [det(0.5, (1.0, 0.0, 0.0)), det(0.9, (0.0, 1.0, 0.0))]),
+        FrameDetections(1, [det(0.3, (0.0, 0.0, 1.0)), det(0.9, (1.0, 0.0, 0.0)), det(0.6, (0.0, 0.0, -1.0))]),
+    ]
+    tracks, trace = tracked(frames, COSINE)
+    assert trace == {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1, (1, 2): 4}
+    assert [t.track_id for t in tracks] == [1, 2, 3, 4]
+
+
+def test_unmatched_rows_are_kept():
+    """Track 1 goes unseen for two frames, while track 2 is matched and
+    a detection is discarded, and then takes its object back."""
+    a, b = (1.0, 0.0), (0.0, 1.0)
+    frames = [
+        FrameDetections(0, [det(0.9, a)]),
+        FrameDetections(1, [det(0.9, b), det(0.1, (-1.0, 0.0))]),
+        FrameDetections(2, [det(0.9, b)]),
+        FrameDetections(3, [det(0.9, a), det(0.9, b)]),
+    ]
+    tracks, trace = tracked(frames, COSINE)
+    assert trace == {(0, 0): 1, (1, 0): 2, (2, 0): 2, (3, 0): 1, (3, 1): 2}
+    assert sorted(tracks[0].entries) == [0, 3]
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        [FrameDetections(0, [det(0.9, (1.0, 0.0))]), FrameDetections(1, [det(0.9, (1.0, 0.0, 0.0))])],
+        [FrameDetections(0, [det(0.9, (1.0, 0.0)), det(0.1, (1.0, 0.0, 0.0))])],
+    ],
+    ids=["against-the-bank", "within-a-frame"],
+)
+def test_track_video_rejects_embeddings_of_another_length(frames):
+    with pytest.raises(DimensionMismatch):
+        track_video(frames, CFG, META)
 
 
 def test_single_detection_single_track():

@@ -953,6 +953,41 @@ def test_pseudopair_seed_rejects_non_integers(corpus_dir, tmp_path, capsys, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+def test_synth_seed_out_of_range_exits_3(tmp_path, capsys, seed):
+    """Video v of the 10 default videos is seeded with --seed + v, so
+    2**64 - 1 is out of range as well."""
+    out = tmp_path / "corpus"
+    assert entrypoint(["synth", "--seed", str(seed), "--out-dir", str(out)]) == 3
+    assert f"got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+def test_pseudopair_seed_lies_in_64_bits(corpus_dir, tmp_path, capsys, seed):
+    ann = str(corpus_dir / "annotations.json")
+    out = tmp_path / "pairs.json"
+    code = entrypoint(["pseudopair", "--annotations", ann, "--seed", str(seed), "--out", str(out)])
+    if seed == 2**64 - 1:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 3
+        assert f"--seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+def test_losscheck_seed_lies_in_64_bits(capsys, seed):
+    code = entrypoint(["losscheck", "--samples", "3", "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    if seed == 2**64 - 1:
+        assert code == 0 and "PASS" in out
+    else:
+        assert code == 3
+        assert f"--seed must lie in [0, 2**64), got {seed}" in err
+        assert "PASS" not in out
+
+
 def test_eval_takes_no_config(corpus_dir, results_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from vistrack import (
     DimensionMismatch,
     Embedding,
-    MemoryBank,
     NonFiniteInput,
     embed_loss,
     embed_loss_grad,
@@ -173,9 +172,10 @@ def test_loss_of_embedding_tuples_needs_no_conversion():
 # ---------------------------------------------------------------------------
 # the input contract of the array entry points
 
-_BANK = MemoryBank([1], np.array([[1.0, 0.0]]), 2)
+_BANK = np.array([[1.0, 0.0]])
 _SETS = {
     "similarity": lambda rows: similarity(rows, _BANK),
+    "similarity memory": lambda rows: similarity([[1.0, 0.0]], rows),
     "embed_loss positives": lambda rows: embed_loss([1.0, 0.0], rows, [[0.0, 1.0]]),
     "embed_loss negatives": lambda rows: embed_loss([1.0, 0.0], [[0.0, 1.0]], rows),
     "embed_loss_grad positives": lambda rows: embed_loss_grad([1.0, 0.0], rows, [[0.0, 1.0]]),

@@ -14,6 +14,7 @@ from vistrack import (
     CLUTTER,
     ConfigError,
     ConfigInfeasible,
+    SplitMix64,
     SynthConfig,
     bbox_of_mask,
     core,
@@ -223,6 +224,33 @@ def test_config_validation():
         SynthConfig(n_videos=0)
     with pytest.raises(ConfigError):
         SynthConfig(frames_per_video=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_rng_rejects_a_seed_outside_64_bits(seed):
+    """A seed is never reduced modulo 2**64, which would give -1 the
+    stream of 2**64 - 1."""
+    with pytest.raises(ValueError, match=f"got {seed}"):
+        SplitMix64(seed)
+
+
+def test_rng_takes_every_64_bit_seed():
+    assert SplitMix64(0).next_u64() != SplitMix64(2**64 - 1).next_u64()
+
+
+@pytest.mark.parametrize(
+    "n_videos,seed",
+    [(1, -1), (1, 2**64), (1, 2**64 - 1), (10, 2**64 - 10)],
+)
+def test_rng_seed_of_the_last_video_must_fit_64_bits(n_videos, seed):
+    """Video v (1..n_videos) is seeded with rng_seed + v."""
+    with pytest.raises(ConfigError, match=f"rng_seed .*got {seed}"):
+        SynthConfig(n_videos=n_videos, rng_seed=seed)
+
+
+def test_top_rng_seed_generates():
+    cfg = SynthConfig(**{**SMALL.__dict__, "n_videos": 2, "rng_seed": 2**64 - 3})
+    assert [g.video_id for g in generate(cfg).ground_truth] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
