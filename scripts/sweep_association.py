@@ -26,7 +26,7 @@ def run_setting(corpus, assoc):
     predictions = {}
     switches = 0
     for g in corpus.ground_truth:
-        meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
+        meta = VideoMeta(length=g.length, height=g.height, width=g.width)
         tracks, trace = track_video_with_trace(corpus.detections[g.video_id], assoc, meta)
         predictions[g.video_id] = tracks
         switches += id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)

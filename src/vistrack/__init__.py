@@ -23,7 +23,6 @@ from .contrastive import embed_loss, embed_loss_grad, gradient_check_suite
 from .core import (
     BBox,
     Detection,
-    Embedding,
     FrameDetections,
     RleMask,
     Track,

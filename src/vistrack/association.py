@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
-from .core import Detection, Embedding, FrameDetections, Track, TrackEntry, VideoMeta
+from .core import Detection, FrameDetections, Track, TrackEntry, VideoMeta
 from .core import config_numbers, embedding_rows, ints, reals
 from .errors import ConfigError, DimensionMismatch, EmptyInput
 
@@ -89,13 +89,14 @@ def cosine_scores(pred: np.ndarray, mem: np.ndarray) -> np.ndarray:
 
 
 def similarity(
-    pred_embeddings: list[Embedding] | np.ndarray,
-    memory_embeddings: list[Embedding] | np.ndarray,
+    pred_embeddings: list[tuple[float, ...]] | np.ndarray,
+    memory_embeddings: list[tuple[float, ...]] | np.ndarray,
     kind: SimilarityKind = SimilarityKind.BISOFTMAX,
 ) -> np.ndarray:
     """N x M similarity matrix between N prediction and M memory embeddings.
 
-    Each side is a list of Embeddings or an (n, D) float array. Raises
+    Each side is a sequence of embeddings (sequences of reals) or an
+    (n, D) float array, as ``embedding_rows`` takes them. Raises
     EmptyInput when either side is empty; callers short-circuit the
     empty-memory case before scoring.
     """
@@ -183,6 +184,7 @@ def track_video_with_trace(
     history: list[list[tuple[int, Detection]]] = []  # row j's (frame, detection) entries
     trace: dict[tuple[int, int], int] = {}
     rho = cfg.memory_momentum
+    height, width = video_meta.height, video_meta.width  # None where not declared
     last_frame = -1
     for fd in frames:
         if fd.frame_index <= last_frame:
@@ -192,13 +194,9 @@ def track_video_with_trace(
         last_frame = fd.frame_index
         kept_indices = _keep_top(fd.detections, cfg.keep_top_n_per_frame)
         dets = [fd.detections[i] for i in kept_indices]
-        if video_meta.height is not None and video_meta.width is not None:
-            for det in dets:
-                if det.mask is not None and (det.mask.height, det.mask.width) != (
-                    video_meta.height,
-                    video_meta.width,
-                ):
-                    raise DimensionMismatch("detection mask dimensions must equal video dimensions")
+        for det in dets:
+            if det.mask is not None and (height not in (None, det.mask.height) or width not in (None, det.mask.width)):
+                raise DimensionMismatch("detection mask dimensions must equal video dimensions")
         if not dets:
             continue
         emb = embedding_rows([d.embedding for d in dets])
@@ -222,7 +220,7 @@ def track_video_with_trace(
             rows = np.concatenate([rows, emb[fresh]]) if len(rows) else emb[fresh]
     tracks = []
     for j, recorded in enumerate(history):
-        entries = {f: TrackEntry(det.bbox, det.mask, det.score) for f, det in recorded}
+        entries = {f: TrackEntry(det.bbox, det.mask) for f, det in recorded}
         score = sum(det.score for _, det in recorded) / len(recorded)
         tracks.append(Track(j + 1, _majority_category(recorded), score, entries))
     return tracks, trace

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import formats
 from .association import track_video
-from .core import Track, VideoMeta
+from .core import VideoMeta
 from .contrastive import gradient_check_suite
 from .errors import ConfigError, SchemaError, ToolkitError, VideoMismatch
 from .evaluation import MAX_DETECTIONS, EvalReport, evaluate
@@ -62,28 +62,19 @@ def _format_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _mask_size(tracks: list[Track]) -> tuple[int, int] | None:
-    """(height, width) of the first mask of one video's tracks, None if
-    they have no mask. load_results has checked that the masks of a video
-    in one file share a size."""
-    mask = next((e.mask for t in tracks for e in t.entries.values() if e.mask is not None), None)
-    return None if mask is None else (mask.height, mask.width)
-
-
 def _cmd_eval(args) -> int:
     ground_truth = formats.load_annotations(args.gt)
-    predictions, lengths = formats.load_results(args.results)
+    predictions, metas = formats.load_results(args.results)
     gt_videos = {g.video_id: g for g in ground_truth}
-    for vid, length in lengths.items():
+    for vid, meta in metas.items():
         g = gt_videos.get(vid)
         if g is None:
             continue  # evaluate names the unknown video
-        if length != g.length:
-            raise VideoMismatch(f"results declare length {length} for video {vid}, ground truth says {g.length}")
-        size = _mask_size(predictions[vid])
-        if size not in (None, (g.height, g.width)):
+        if meta.length != g.length:
+            raise VideoMismatch(f"results declare length {meta.length} for video {vid}, ground truth says {g.length}")
+        if meta.height is not None and (meta.height, meta.width) != (g.height, g.width):
             raise VideoMismatch(
-                f"results masks of video {vid} are {size[0]}x{size[1]}, ground truth says {g.height}x{g.width}"
+                f"results masks of video {vid} are {meta.height}x{meta.width}, ground truth says {g.height}x{g.width}"
                 " (height x width)"
             )
     report = evaluate(predictions, ground_truth)
@@ -132,12 +123,12 @@ def _cmd_fuse(args) -> int:
     loaded = [formats.load_results(p) for p in args.inputs]
     lengths: dict[int, int] = {}
     sizes: dict[int, tuple[int, int]] = {}
-    for tracks, ls in loaded:
-        for vid, length in ls.items():
-            if lengths.setdefault(vid, length) != length:
+    for _, metas in loaded:
+        for vid, meta in metas.items():
+            if lengths.setdefault(vid, meta.length) != meta.length:
                 raise VideoMismatch(f"input files disagree on the length of video {vid}")
-            size = _mask_size(tracks[vid])
-            if size is not None and sizes.setdefault(vid, size) != size:
+            size = (meta.height, meta.width)
+            if meta.height is not None and sizes.setdefault(vid, size) != size:
                 raise VideoMismatch(f"input files disagree on the mask size of video {vid}")
     merged = {}
     for vid in sorted(lengths):
@@ -155,7 +146,7 @@ def _cmd_synth(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     formats.save_annotations(corpus.ground_truth, os.path.join(args.out_dir, "annotations.json"))
     metas = {
-        g.video_id: VideoMeta(length=g.length, height=g.height, width=g.width, video_id=g.video_id)
+        g.video_id: VideoMeta(length=g.length, height=g.height, width=g.width)
         for g in corpus.ground_truth
     }
     formats.save_detections(

@@ -29,7 +29,7 @@ def embed_loss(v, positives, negatives) -> float:
     """log(1 + sum over positive/negative pairs of exp(v.k- - v.k+)).
 
     ``v`` has shape (D,), ``positives`` (P, D) and ``negatives`` (N, D), as
-    Embeddings, lists of reals or float arrays. Computed through a shifted
+    sequences of reals or float arrays. Computed through a shifted
     log-sum-exp, so dot products up to the float64 exponent range stay
     finite. Empty positives or negatives give 0.
     """

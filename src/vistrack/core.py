@@ -134,35 +134,13 @@ class RleMask:
         return sum(self.counts[1::2])
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Fixed-length appearance vector attached to a detection."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", reals(self.values, "embedding"))
-        if not self.values:
-            raise ValueError("embedding must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The values as a new array (float64 by default), for ``np.asarray``."""
-        if copy is False:
-            raise ValueError("an Embedding can only be converted to an array by copying")
-        return np.array(self.values, dtype=np.float64 if dtype is None else dtype)
-
-
 def embedding_rows(rows) -> np.ndarray:
-    """n embeddings (Embeddings, sequences of reals or array rows) as one
-    (n, D) float64 array. Ragged rows raise DimensionMismatch, non-real
-    entries ValueError (they are never converted), NaN or inf NonFiniteInput."""
+    """n embeddings (sequences of reals or array rows) as one (n, D)
+    float64 array. Ragged rows raise DimensionMismatch, non-real entries
+    ValueError (they are never converted), NaN or inf NonFiniteInput."""
     if not isinstance(rows, np.ndarray):
         rows = [
-            r if isinstance(r, Embedding) or (isinstance(r, np.ndarray) and r.dtype.kind in "fiu")
-            else reals(r, "embedding", finite=False)
+            r if isinstance(r, np.ndarray) and r.dtype.kind in "fiu" else reals(r, "embedding", finite=False)
             for r in rows
         ]
         if len(set(map(len, rows))) > 1:
@@ -185,7 +163,7 @@ class Detection:
     score: float
     category_id: int
     class_probs: tuple[float, ...]
-    embedding: Embedding
+    embedding: tuple[float, ...]
     mask: RleMask | None = None
 
     def __post_init__(self):
@@ -196,6 +174,9 @@ class Detection:
         object.__setattr__(self, "class_probs", reals(self.class_probs, "class_probs"))
         if not self.class_probs:
             raise ValueError("class_probs must be non-empty")
+        object.__setattr__(self, "embedding", reals(self.embedding, "embedding"))
+        if not self.embedding:
+            raise ValueError("embedding must be non-empty")
         if min(self.class_probs) < 0.0:
             raise ValueError("class probabilities must be finite and non-negative")
         # tolerances leave room for 6-significant-digit serialization
@@ -224,11 +205,10 @@ class FrameDetections:
 
 @dataclass(frozen=True)
 class TrackEntry:
-    """Per-frame payload of a track: box, optional mask, per-frame score."""
+    """Per-frame payload of a track: box and optional mask."""
 
     bbox: BBox
     mask: RleMask | None
-    score: float
 
 
 @dataclass
@@ -294,11 +274,10 @@ class VideoMeta:
     length: int
     height: int | None = None
     width: int | None = None
-    video_id: int | None = None
 
     def __post_init__(self):
-        names = ["length"] + [n for n in ("height", "width", "video_id") if getattr(self, n) is not None]
-        for name, value in zip(names, ints([getattr(self, n) for n in names], "length, height, width and video_id")):
+        names = ["length"] + [n for n in ("height", "width") if getattr(self, n) is not None]
+        for name, value in zip(names, ints([getattr(self, n) for n in names], "length, height and width")):
             object.__setattr__(self, name, value)
         if self.length <= 0:
             raise ValueError("video length must be positive")

@@ -35,7 +35,6 @@ from .association import AssociationConfig
 from .core import (
     BBox,
     Detection,
-    Embedding,
     FrameDetections,
     RleMask,
     Track,
@@ -242,7 +241,7 @@ def _entries_json(t: Track, length: int) -> tuple[list[Any], list[Any]]:
     return segs, boxes
 
 
-def _entries_from(segs: list, boxes: list, where: str, score: float) -> dict[int, TrackEntry]:
+def _entries_from(segs: list, boxes: list, where: str) -> dict[int, TrackEntry]:
     """Track entries from equal-length per-frame arrays. A frame with a
     mask but no box takes the mask's bounding box; a frame with neither,
     or with only an empty mask, has no entry."""
@@ -257,7 +256,7 @@ def _entries_from(segs: list, boxes: list, where: str, score: float) -> dict[int
             bbox = bbox_of_mask(mask) if mask is not None else None
             if bbox is None:
                 continue
-        entries[f] = TrackEntry(bbox=bbox, mask=mask, score=score)
+        entries[f] = TrackEntry(bbox=bbox, mask=mask)
     return entries
 
 
@@ -335,7 +334,7 @@ def load_annotations(path: str) -> list[VideoGroundTruth]:
             raise SchemaError(
                 f"{where}: segmentations and bboxes must have exactly video length ({length}) entries"
             )
-        entries = _entries_from(segs, boxes, where, 1.0)
+        entries = _entries_from(segs, boxes, where)
         try:
             track = Track(track_id=tid, category_id=cid, score=1.0, entries=entries)
         except ValueError as e:
@@ -383,7 +382,7 @@ def _detection_json(d: Detection) -> dict:
         "category_id": d.category_id,
         "class_probs": [_q(p) for p in d.class_probs],
         "segmentation": _rle_json(d.mask) if d.mask is not None else None,
-        "embedding": [_q(v) for v in d.embedding.values],
+        "embedding": [_q(v) for v in d.embedding],
     }
 
 
@@ -456,7 +455,7 @@ def load_detections(path: str) -> DetectionsFile:
         if last_frame >= length:
             raise SchemaError(f"{where}: frame_index {last_frame} outside declared length {length}")
         out.videos[vid] = frames
-        out.metas[vid] = VideoMeta(length=length, height=height, width=width, video_id=vid)
+        out.metas[vid] = VideoMeta(length=length, height=height, width=width)
     return out
 
 
@@ -485,16 +484,15 @@ def _detection_from(value: Any, where: str, dim: int, height: int | None, width:
         )
     seg = obj.get("segmentation")
     mask = _rle_from(seg, f"{where}.segmentation") if seg is not None else None
-    if mask is not None and height is not None and width is not None:
-        if (mask.height, mask.width) != (height, width):
-            raise SchemaError(f"{where}.segmentation: mask dimensions must equal video dimensions")
+    if mask is not None and (height not in (None, mask.height) or width not in (None, mask.width)):
+        raise SchemaError(f"{where}.segmentation: mask dimensions must equal video dimensions")
     try:
         return Detection(
             bbox=bbox,
             score=score,
             category_id=cid,
             class_probs=probs,
-            embedding=Embedding(emb_vals),
+            embedding=emb_vals,
             mask=mask,
         )
     except ValueError as e:
@@ -531,10 +529,10 @@ def save_results(
     _write(records, path)
 
 
-def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
-    """Tracks grouped per video (file order preserved) plus the
-    segmentation-array length of each video. The masks of one video must
-    share one size."""
+def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
+    """Tracks grouped per video (file order preserved) plus each video's
+    meta: its segmentation-array length and the one size that its masks
+    must share (height and width None when it has no mask)."""
     root = _expect_list(_read_json(path), "results")
     tracks: dict[int, list[Track]] = {}
     lengths: dict[int, int] = {}
@@ -557,7 +555,7 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
         if vid in lengths and lengths[vid] != len(segs):
             raise SchemaError(f"{where}: inconsistent video length for video {vid}")
         lengths.setdefault(vid, len(segs))
-        entries = _entries_from(segs, boxes, where, score)
+        entries = _entries_from(segs, boxes, where)
         for f, e in entries.items():
             if e.mask is not None:
                 size = (e.mask.height, e.mask.width)
@@ -571,7 +569,7 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, int]]:
         except ValueError as e:
             raise SchemaError(f"{where}: {e}") from e
         tracks.setdefault(vid, []).append(track)
-    return tracks, lengths
+    return tracks, {vid: VideoMeta(length, *sizes.get(vid, (None, None))) for vid, length in lengths.items()}
 
 
 # ---------------------------------------------------------------------------

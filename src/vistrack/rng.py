@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .core import ints
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -24,6 +26,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        (seed,) = ints((seed,), f"seed {seed!r}")
         if not 0 <= seed <= _MASK64:  # never reduced modulo 2**64: distinct seeds give distinct streams
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.state = seed

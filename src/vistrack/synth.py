@@ -31,7 +31,6 @@ from ._numpy import np
 from .core import (
     BBox,
     Detection,
-    Embedding,
     FrameDetections,
     RleMask,
     Track,
@@ -170,7 +169,7 @@ def _shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canva
     return RleMask(height=canvas_h, width=canvas_w, counts=counts), bbox
 
 
-def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: float) -> Embedding:
+def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: float) -> tuple[float, ...]:
     if sigma > 0.0:
         vec = base + np.array([rng.gauss(sigma) for _ in range(base.size)])
         n = float(np.linalg.norm(vec))
@@ -180,7 +179,7 @@ def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: flo
             vec = vec / n
     else:
         vec = base
-    return Embedding(tuple(float(v) for v in vec * scale))
+    return tuple(float(v) for v in vec * scale)
 
 
 def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, list[FrameDetections], dict]:
@@ -241,7 +240,7 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
                     mask=mask,
                 )
             )
-            entries[k][f] = TrackEntry(bbox=bbox, mask=mask, score=1.0)
+            entries[k][f] = TrackEntry(bbox=bbox, mask=mask)
         if cfg.clutter_rate > 0.0:
             for _ in range(rng.poisson(cfg.clutter_rate)):
                 w = rng.randint(side_lo, side_hi)
@@ -249,7 +248,7 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
                 x = rng.randint(0, cw - w)
                 y = rng.randint(0, ch - h)
                 cat = rng.randint(1, n_cats)
-                emb = Embedding(tuple(float(v) for v in _unit_gaussian(rng, cfg.embedding_dim)))
+                emb = tuple(float(v) for v in _unit_gaussian(rng, cfg.embedding_dim))
                 score = 0.05 + 0.25 * rng.next_float()
                 mask, bbox = _shape_mask("rect", x, y, w, h, cw, ch)
                 probs = [0.0] * (n_cats + 1)

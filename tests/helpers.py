@@ -18,7 +18,6 @@ import numpy as np
 from vistrack import (
     CLUTTER,
     BBox,
-    Embedding,
     RleMask,
     SimilarityKind,
     Track,
@@ -63,7 +62,7 @@ def track_from_grids(track_id: int, category_id: int, score: float, grids: dict[
             bbox = BBox(float(xs.min()), float(ys.min()), float(xs.max() - xs.min() + 1), float(ys.max() - ys.min() + 1))
         else:
             bbox = BBox(0.0, 0.0, 0.0, 0.0)
-        entries[f] = TrackEntry(bbox=bbox, mask=mask, score=score)
+        entries[f] = TrackEntry(bbox=bbox, mask=mask)
     return Track(track_id=track_id, category_id=category_id, score=score, entries=entries)
 
 
@@ -397,7 +396,7 @@ class MemoryInstance:
     """One remembered instance: smoothed embedding plus bookkeeping."""
 
     track_id: int
-    embedding: Embedding
+    embedding: tuple[float, ...]
     category_id: int
     last_seen_frame: int
     hit_count: int = 1
@@ -449,7 +448,7 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
                 blended = (1.0 - rho) * np.asarray(inst.embedding) + rho * np.asarray(det.embedding)
                 bank.instances[j] = replace(
                     inst,
-                    embedding=Embedding(tuple(blended)),
+                    embedding=tuple(blended),
                     last_seen_frame=fd.frame_index,
                     hit_count=inst.hit_count + 1,
                 )
@@ -469,7 +468,7 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
     tracks = []
     for tid in spawn_order:
         recorded = history[tid]
-        entries = {f: TrackEntry(det.bbox, det.mask, det.score) for f, det in recorded}
+        entries = {f: TrackEntry(det.bbox, det.mask) for f, det in recorded}
         score = sum(det.score for _, det in recorded) / len(recorded)
         tracks.append(Track(tid, _majority_category(recorded), score, entries))
     return tracks, trace
@@ -497,7 +496,7 @@ def traced_videos(corpus, cfg):
     """Yield (video ground truth, frames, tracker trace) per corpus video."""
     for g in corpus.ground_truth:
         frames = corpus.detections[g.video_id]
-        meta = VideoMeta(video_id=g.video_id, height=g.height, width=g.width, length=g.length)
+        meta = VideoMeta(length=g.length, height=g.height, width=g.width)
         _, trace = track_video_with_trace(frames, cfg, meta)
         yield g, frames, trace
 

@@ -25,7 +25,6 @@ from vistrack import (
     AssociationConfig,
     BBox,
     CropConfig,
-    Embedding,
     FusionConfig,
     ImageMeta,
     ScoreRule,
@@ -71,13 +70,13 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_loss_fixtures():
-    v = Embedding((1.0, 0.0))
+    v = (1.0, 0.0)
     assert embed_loss(v, [], []) == 0.0
-    assert embed_loss(v, [Embedding((1.0, 0.0))], [Embedding((1.0, 0.0))]) == pytest.approx(
+    assert embed_loss(v, [(1.0, 0.0)], [(1.0, 0.0)]) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
     # one positive at dot 2, one negative at dot 0
-    got = embed_loss(Embedding((2.0, 0.0)), [Embedding((1.0, 0.0))], [Embedding((0.0, 1.0))])
+    got = embed_loss((2.0, 0.0), [(1.0, 0.0)], [(0.0, 1.0)])
     assert got == pytest.approx(math.log1p(math.exp(-2.0)), abs=1e-12)
     ok("2 (loss value fixtures at 1e-12)")
 

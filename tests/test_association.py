@@ -17,12 +17,12 @@ from vistrack import (
     BBox,
     Detection,
     DimensionMismatch,
-    Embedding,
     EmptyInput,
     FrameDetections,
     SimilarityKind,
     VideoMeta,
     assign,
+    rle_encode,
     similarity,
     track_video,
     track_video_with_trace,
@@ -30,7 +30,7 @@ from vistrack import (
 from vistrack.association import bisoftmax_scores, cosine_scores, row_softmax
 
 
-def det(score, embedding, category=1, n_cats=4):
+def det(score, embedding, category=1, n_cats=4, mask=None):
     probs = [0.0] * (n_cats + 1)
     probs[category] = score
     return Detection(
@@ -38,7 +38,8 @@ def det(score, embedding, category=1, n_cats=4):
         score=score,
         category_id=category,
         class_probs=tuple(probs),
-        embedding=Embedding(tuple(float(v) for v in embedding)),
+        embedding=embedding,
+        mask=mask,
     )
 
 
@@ -107,20 +108,20 @@ def test_similarity_errors():
     with pytest.raises(EmptyInput):
         similarity([], bank_of((1.0, 0.0)))
     with pytest.raises(EmptyInput):
-        similarity([Embedding((1.0, 0.0))], np.empty((0, 2)))
+        similarity([(1.0, 0.0)], np.empty((0, 2)))
     with pytest.raises(DimensionMismatch):
-        similarity([Embedding((1.0, 0.0, 0.0))], bank_of((1.0, 0.0)))
+        similarity([(1.0, 0.0, 0.0)], bank_of((1.0, 0.0)))
 
 
 def test_similarity_takes_embeddings_on_both_sides():
-    pred = [Embedding((2.0, 0.0))]
-    mem = [Embedding((2.0, 0.0)), Embedding((0.0, 2.0))]
+    pred = [(2.0, 0.0)]
+    mem = [(2.0, 0.0), (0.0, 2.0)]
     for kind in SimilarityKind:
         assert np.array_equal(similarity(pred, mem, kind), similarity(bank_of((2.0, 0.0)), bank_of(*mem), kind))
 
 
 def test_similarity_kind_dispatch():
-    emb = [Embedding((2.0, 0.0))]
+    emb = [(2.0, 0.0)]
     bank = bank_of((2.0, 0.0), (0.0, 2.0))
     bi = similarity(emb, bank, SimilarityKind.BISOFTMAX)
     cos = similarity(emb, bank, SimilarityKind.COSINE)
@@ -356,6 +357,14 @@ def test_unmatched_rows_are_kept():
 def test_track_video_rejects_embeddings_of_another_length(frames):
     with pytest.raises(DimensionMismatch):
         track_video(frames, CFG, META)
+
+
+@pytest.mark.parametrize("side", ["height", "width"])
+def test_track_video_checks_a_side_declared_alone(side):
+    frames = [FrameDetections(0, [det(0.9, (1.0, 0.0), mask=rle_encode(np.ones((4, 4), dtype=bool)))])]
+    with pytest.raises(DimensionMismatch, match="video dimensions"):
+        track_video(frames, CFG, VideoMeta(length=1, **{side: 64}))
+    assert len(track_video(frames, CFG, VideoMeta(length=1, **{side: 4}))) == 1
 
 
 def test_single_detection_single_track():

@@ -24,7 +24,6 @@ from vistrack import (
     BBox,
     ConfigError,
     Detection,
-    Embedding,
     FrameDetections,
     ParseError,
     SchemaError,
@@ -66,7 +65,7 @@ def tiny_gt():
         track_id=1,
         category_id=1,
         score=1.0,
-        entries={0: TrackEntry(bbox=bbox_of_mask(m), mask=m, score=1.0)},
+        entries={0: TrackEntry(bbox=bbox_of_mask(m), mask=m)},
     )
     return [
         VideoGroundTruth(
@@ -82,7 +81,7 @@ def tiny_detections():
         score=1 / 3,
         category_id=1,
         class_probs=(0.0, 1 / 3),
-        embedding=Embedding((0.6, 0.8)),
+        embedding=(0.6, 0.8),
         mask=m,
     )
     return {1: [FrameDetections(frame_index=0, detections=[det])]}
@@ -238,7 +237,7 @@ def test_annotations_golden_bytes(tmp_path):
 def test_detections_golden_bytes(tmp_path):
     p = tmp_path / "det.json"
     save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
     )
     assert p.read_text() == GOLDEN_DETECTIONS
 
@@ -362,7 +361,7 @@ def test_annotations_round_trip(tmp_path):
 def test_detections_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_detections(
-        tiny_detections(), str(a), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+        tiny_detections(), str(a), metas={1: VideoMeta(length=2, height=4, width=4)}
     )
     loaded = load_detections(str(a))
     save_detections(loaded.videos, str(b), metas=loaded.metas, embedding_dim=loaded.embedding_dim)
@@ -372,9 +371,26 @@ def test_detections_round_trip(tmp_path):
 def test_results_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_results({1: tiny_gt()[0].gt_tracks}, str(a), video_lengths={1: 2})
-    tracks, lengths = load_results(str(a))
-    save_results(tracks, str(b), video_lengths=lengths)
+    tracks, metas = load_results(str(a))
+    assert metas == {1: VideoMeta(length=2, height=4, width=4)}
+    save_results(tracks, str(b), video_lengths={vid: meta.length for vid, meta in metas.items()})
     assert filecmp.cmp(a, b, shallow=False)
+
+
+def test_results_meta_of_a_video_without_masks(tmp_path, capsys):
+    """A video whose tracks carry only boxes has no mask size, so fuse
+    takes it beside a file that has masks for the same video."""
+    boxes_only = {"video_id": 1, "id": 1, "category_id": 1, "score": 0.5}
+    boxes_only.update(segmentations=[None, None, None], bboxes=[[0, 0, 2, 2], None, [1, 1, 2, 2]])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([boxes_only]))
+    b.write_text(json.dumps([_result_record(1, {0}, (4, 4), length=3)]))
+    _, metas = load_results(str(a))
+    assert metas == {1: VideoMeta(length=3)}
+    assert (metas[1].height, metas[1].width) == (None, None)
+    assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 0
+    _, fused = load_results(str(tmp_path / "fused.json"))
+    assert fused == {1: VideoMeta(length=3, height=4, width=4)}
 
 
 def test_identity_round_trip(tmp_path):
@@ -418,7 +434,7 @@ def test_string_rle_counts_rejected(tmp_path):
 def test_wrong_embedding_length_rejected(tmp_path):
     p = tmp_path / "det.json"
     save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
     )
     doc = json.loads(p.read_text())
     doc["videos"][0]["frames"][0]["detections"][0]["embedding"] = [0.6, 0.8, 0.0]
@@ -471,7 +487,7 @@ def test_duplicate_annotation_id_rejected(tmp_path):
 def test_out_of_order_frames_rejected(tmp_path):
     p = tmp_path / "det.json"
     save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
     )
     doc = json.loads(p.read_text())
     frame = doc["videos"][0]["frames"][0]
@@ -484,7 +500,7 @@ def test_out_of_order_frames_rejected(tmp_path):
 def _tiny_detections_doc(tmp_path):
     p = tmp_path / "det.json"
     save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(video_id=1, height=4, width=4, length=2)}
+        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
     )
     return p, json.loads(p.read_text())
 
@@ -517,6 +533,21 @@ def test_negative_frame_index_rejected(tmp_path, fidx):
     p.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="non-negative"):
         load_detections(str(p))
+
+
+@pytest.mark.parametrize("key", ["height", "width"])
+def test_track_checks_a_size_declared_alone(tmp_path, capsys, key):
+    """A 4x4 mask in a video that declares only its height (or width) as
+    64 is a schema error, as when both sides are declared."""
+    p, doc = _tiny_detections_doc(tmp_path)
+    video = doc["videos"][0]
+    del video["height"], video["width"]
+    video[key] = 64
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "res.json"
+    assert entrypoint(["track", "--detections", str(p), "--out", str(out)]) == 2
+    assert "segmentation: mask dimensions must equal video dimensions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_video_without_frames_or_length_has_length_one(tmp_path):
@@ -578,8 +609,9 @@ def test_results_masks_of_one_video_must_share_a_size(tmp_path, capsys, frame):
 def test_results_masks_of_different_videos_may_differ_in_size(tmp_path):
     p = tmp_path / "res.json"
     p.write_text(json.dumps([_result_record(1, {0}, (4, 4)), _result_record(2, {0}, (4, 5), vid=2)]))
-    tracks, _ = load_results(str(p))
+    tracks, metas = load_results(str(p))
     assert [t.entries[0].mask.width for vid in (1, 2) for t in tracks[vid]] == [4, 5]
+    assert metas == {1: VideoMeta(length=2, height=4, width=4), 2: VideoMeta(length=2, height=4, width=5)}
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["shared-frame", "no-shared-frame"])

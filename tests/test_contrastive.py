@@ -2,7 +2,6 @@
 differences."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from vistrack import (
     DimensionMismatch,
-    Embedding,
     NonFiniteInput,
     embed_loss,
     embed_loss_grad,
@@ -26,28 +24,28 @@ from helpers import reference_embed_loss, reference_embed_loss_grad
 
 
 def test_loss_empty_sets():
-    v = Embedding((1.0, 0.0))
-    assert embed_loss(v, [], [Embedding((1.0, 0.0))]) == 0.0
-    assert embed_loss(v, [Embedding((1.0, 0.0))], []) == 0.0
+    v = (1.0, 0.0)
+    assert embed_loss(v, [], [(1.0, 0.0)]) == 0.0
+    assert embed_loss(v, [(1.0, 0.0)], []) == 0.0
 
 
 def test_loss_symmetric_pair_is_ln2():
-    v = Embedding((1.0, 0.0))
-    k = Embedding((0.3, 0.7))
+    v = (1.0, 0.0)
+    k = (0.3, 0.7)
     assert embed_loss(v, [k], [k]) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_loss_two_gap():
-    v = Embedding((2.0, 0.0))
-    kp = Embedding((1.0, 0.0))  # v.k+ = 2
-    kn = Embedding((0.0, 1.0))  # v.k- = 0
+    v = (2.0, 0.0)
+    kp = (1.0, 0.0)  # v.k+ = 2
+    kn = (0.0, 1.0)  # v.k- = 0
     assert embed_loss(v, [kp], [kn]) == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
 
 
 def test_loss_overflow_safe():
-    v = Embedding((30.0,))
-    kp = Embedding((-30.0,))
-    kn = Embedding((30.0,))
+    v = (30.0,)
+    kp = (-30.0,)
+    kn = (30.0,)
     expected = 1800.0  # log(1 + e^1800) ~= 1800 exactly at float64 precision
     assert embed_loss(v, [kp], [kn]) == pytest.approx(expected)
     assert math.isfinite(embed_loss(v, [kp] * 5, [kn] * 5))
@@ -62,9 +60,9 @@ def test_loss_overflow_safe():
 @settings(max_examples=80)
 def test_loss_nonnegative_and_permutation_invariant(dim, n_pos, n_neg, seed):
     rng = np.random.default_rng(seed)
-    v = Embedding(tuple(rng.uniform(-2, 2, dim)))
-    pos = [Embedding(tuple(rng.uniform(-2, 2, dim))) for _ in range(n_pos)]
-    neg = [Embedding(tuple(rng.uniform(-2, 2, dim))) for _ in range(n_neg)]
+    v = tuple(rng.uniform(-2, 2, dim))
+    pos = [tuple(rng.uniform(-2, 2, dim)) for _ in range(n_pos)]
+    neg = [tuple(rng.uniform(-2, 2, dim)) for _ in range(n_neg)]
     base = embed_loss(v, pos, neg)
     assert base >= 0.0
     assert embed_loss(v, pos[::-1], neg[::-1]) == pytest.approx(base, rel=1e-15)
@@ -80,13 +78,13 @@ def test_loss_monotone_in_dots(seed):
     v_vec = rng.uniform(-2, 2, dim)
     if np.linalg.norm(v_vec) < 1e-3:
         v_vec[0] = 1.0
-    v = Embedding(tuple(v_vec))
-    pos = [Embedding(tuple(rng.uniform(-2, 2, dim))) for _ in range(2)]
-    neg = [Embedding(tuple(rng.uniform(-2, 2, dim))) for _ in range(2)]
+    v = tuple(v_vec)
+    pos = [tuple(rng.uniform(-2, 2, dim)) for _ in range(2)]
+    neg = [tuple(rng.uniform(-2, 2, dim)) for _ in range(2)]
     base = embed_loss(v, pos, neg)
     bump = 0.1 * v_vec / float(v_vec @ v_vec)  # raises the dot by 0.1
-    pos_up = [Embedding(tuple(np.asarray(pos[0]) + bump)), pos[1]]
-    neg_up = [Embedding(tuple(np.asarray(neg[0]) + bump)), neg[1]]
+    pos_up = [tuple(np.asarray(pos[0]) + bump), pos[1]]
+    neg_up = [tuple(np.asarray(neg[0]) + bump), neg[1]]
     assert embed_loss(v, pos_up, neg) < base
     assert embed_loss(v, pos, neg_up) > base
 
@@ -96,9 +94,9 @@ def test_loss_monotone_in_dots(seed):
 
 
 def test_grad_fixture():
-    v = Embedding((1.0, 0.0))
-    kp = Embedding((1.0, 0.0))
-    kn = Embedding((0.0, 0.0))
+    v = (1.0, 0.0)
+    kp = (1.0, 0.0)
+    kn = (0.0, 0.0)
     w = math.exp(-1.0) / (1.0 + math.exp(-1.0))
     grad_v, grad_pos, grad_neg = embed_loss_grad(v, [kp], [kn])
     assert grad_v[0] == pytest.approx(-w, abs=1e-12)
@@ -108,22 +106,23 @@ def test_grad_fixture():
 
 
 def test_grad_empty_sets_zero():
-    v = Embedding((1.0, 2.0))
-    grad_v, grad_pos, grad_neg = embed_loss_grad(v, [], [Embedding((3.0, 4.0))])
+    v = (1.0, 2.0)
+    grad_v, grad_pos, grad_neg = embed_loss_grad(v, [], [(3.0, 4.0)])
     assert tuple(grad_v) == (0.0, 0.0)
     assert grad_pos.tolist() == []
     assert tuple(grad_neg[0]) == (0.0, 0.0)
 
 
 def _forms(v, rows_pos, rows_neg):
-    """The same anchor and sets as Embeddings, as lists and as float arrays."""
+    """The same anchor and sets as tuples (the form of a detection's
+    embedding), as lists and as float arrays."""
     dim = len(v)
 
     def array(rows):
         return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
     return [
-        (Embedding(tuple(v)), [Embedding(tuple(r)) for r in rows_pos], [Embedding(tuple(r)) for r in rows_neg]),
+        (tuple(v), [tuple(r) for r in rows_pos], [tuple(r) for r in rows_neg]),
         (list(v), [list(r) for r in rows_pos], [list(r) for r in rows_neg]),
         (np.array(v), array(rows_pos), array(rows_neg)),
     ]
@@ -162,8 +161,8 @@ def test_loss_and_grad_equal_reference(inputs):
 
 
 def test_loss_of_embedding_tuples_needs_no_conversion():
-    positives, negatives = (Embedding((1.0, 0.5)),), (Embedding((0.0, 1.0)),)
-    anchor = Embedding((1.0, 0.0))
+    positives, negatives = ((1.0, 0.5),), ((0.0, 1.0),)
+    anchor = (1.0, 0.0)
     expected = reference_embed_loss([1.0, 0.0], [[1.0, 0.5]], [[0.0, 1.0]])
     assert embed_loss(anchor, positives, negatives) == pytest.approx(expected, rel=1e-12)
     assert embed_loss_grad(anchor, positives, negatives)[1].shape == (1, 2)
@@ -201,7 +200,7 @@ _NON_FINITE_ROWS = [[[float("nan"), 0.0]], [[0.0, float("inf")]], np.array([[1.0
 
 
 @pytest.mark.parametrize("call", _SETS.values(), ids=_SETS)
-@pytest.mark.parametrize("rows", [[[1.0, 0.0], [1.0]], [(1.0,), Embedding((1.0, 0.0))]])
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [1.0]], [(1.0,), (1.0, 0.0)]])
 def test_ragged_rows_raise_dimension_mismatch(call, rows):
     with pytest.raises(DimensionMismatch, match="share one length"):
         call(rows)
@@ -221,7 +220,7 @@ def test_non_finite_rows_raise_non_finite_input(call, rows):
         call(rows)
 
 
-@pytest.mark.parametrize("v", [Embedding((1.0, 0.0)), [1.0, 0.0], np.array([1.0, 0.0])], ids=["Embedding", "list", "array"])
+@pytest.mark.parametrize("v", [(1.0, 0.0), [1.0, 0.0], np.array([1.0, 0.0])], ids=["tuple", "list", "array"])
 def test_empty_sets_give_zero_loss_and_zero_arrays(v):
     assert embed_loss(v, [], []) == 0.0
     assert embed_loss(v, np.empty((0, 2)), [[1.0, 0.0]]) == 0.0
@@ -229,26 +228,6 @@ def test_empty_sets_give_zero_loss_and_zero_arrays(v):
     assert grad_v.tolist() == [0.0, 0.0]
     assert grad_pos.shape == (0, 2)
     assert grad_neg.tolist() == [[0.0, 0.0]]
-
-
-def test_embedding_as_array_warns_nothing():
-    e = Embedding((1.0, 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        one = np.asarray(e)
-        rows = np.asarray([e, Embedding((3.0, 4.0))])
-        single = np.asarray(e, dtype=np.float32)
-        copied = np.array(e, copy=True)
-    assert one.dtype == np.float64 and one.tolist() == [1.0, 2.0]
-    assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert single.dtype == np.float32
-    assert copied.tolist() == [1.0, 2.0]
-
-
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="copy=False means 'copy if needed' before numpy 2")
-def test_embedding_refuses_an_array_without_copy():
-    with pytest.raises(ValueError, match="copying"):
-        np.asarray(Embedding((1.0,)), copy=False)
 
 
 def test_gradient_suite_bounds():

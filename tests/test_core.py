@@ -11,7 +11,6 @@ from vistrack import (
     ConfigError,
     CountsMismatch,
     Detection,
-    Embedding,
     FrameDetections,
     RleMask,
     Track,
@@ -181,7 +180,7 @@ def _detection(class_probs=(0.5,), **fields):
         "score": 0.5,
         "category_id": 0,
         "class_probs": class_probs,
-        "embedding": Embedding((1.0,)),
+        "embedding": (1.0,),
         **fields,
     })
 
@@ -189,21 +188,35 @@ def _detection(class_probs=(0.5,), **fields):
 @pytest.mark.parametrize("bad", ["1.5", True, np.bool_(True), None, 1j])
 def test_embedding_and_class_probs_reject_non_reals(bad):
     with pytest.raises(ValueError, match="embedding"):
-        Embedding((0.5, bad))
+        _detection(embedding=(0.5, bad))
     with pytest.raises(ValueError, match="class_probs"):
         _detection((0.5, bad))
 
 
 def test_embedding_and_class_probs_accept_real_scalars():
     mixed = (1, 0.5, np.float64(0.25), np.float32(0.125), np.int64(0))
-    emb = Embedding(mixed)
-    assert emb.values == (1.0, 0.5, 0.25, 0.125, 0.0)
-    assert all(type(v) is float for v in emb.values)
-    det = _detection(mixed[1:])
+    det = _detection(mixed[1:], embedding=mixed)
+    assert det.embedding == (1.0, 0.5, 0.25, 0.125, 0.0)
+    assert all(type(v) is float for v in det.embedding)
     assert det.class_probs == (0.5, 0.25, 0.125, 0.0)
     assert all(type(p) is float for p in det.class_probs)
-    ints = Embedding((1, 2))
-    assert ints.values == (1.0, 2.0) and all(type(v) is float for v in ints.values)
+    for embedding in ((1, 2), [1, 2], np.array([1.0, 2.0])):
+        emb = _detection(embedding=embedding).embedding
+        assert emb == (1.0, 2.0) and all(type(v) is float for v in emb)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ((), "embedding must be non-empty"),
+        ((0.5, float("nan")), "embedding: value must be finite"),
+        ((float("inf"),), "embedding: value must be finite"),
+    ],
+    ids=["empty", "nan", "inf"],
+)
+def test_detection_rejects_an_empty_or_non_finite_embedding(bad, message):
+    with pytest.raises(ValueError, match=message):
+        _detection(embedding=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +226,7 @@ _BOX = BBox(0.0, 0.0, 1.0, 1.0)
 
 
 def _track(**fields):
-    entries = {0: TrackEntry(bbox=_BOX, mask=None, score=1.0)}
+    entries = {0: TrackEntry(bbox=_BOX, mask=None)}
     return Track(**{"track_id": 1, "category_id": 1, "score": 0.5, "entries": entries, **fields})
 
 
@@ -236,7 +249,7 @@ _INTEGER_FIELDS = [
         (_track, ("track_id", "category_id")),
         (_detection, ("category_id",)),
         (_frame, ("frame_index",)),
-        (_meta, ("length", "height", "width", "video_id")),
+        (_meta, ("length", "height", "width")),
         (_ground_truth, ("video_id", "height", "width", "length")),
     ]
     for name in names
@@ -259,14 +272,14 @@ def test_integer_fields_store_python_ints(make, name):
 @pytest.mark.parametrize("bad", [True, 1.5], ids=repr)
 def test_frame_indices_and_category_set_reject_non_integers(bad):
     with pytest.raises(ValueError, match="frame indices: expected an integer"):
-        _track(entries={bad: TrackEntry(bbox=_BOX, mask=None, score=1.0)})
+        _track(entries={bad: TrackEntry(bbox=_BOX, mask=None)})
     with pytest.raises(ValueError, match="category_set: expected an integer"):
         _ground_truth(category_set=[1, bad])
 
 
 def test_video_meta_keeps_absent_sizes():
     meta = VideoMeta(length=np.int32(3))
-    assert (meta.length, meta.height, meta.width, meta.video_id) == (3, None, None, None)
+    assert (meta.length, meta.height, meta.width) == (3, None, None)
 
 
 @pytest.mark.parametrize("bad", [True, np.bool_(True), "0.5", None, 1j, float("nan")], ids=repr)

@@ -85,7 +85,7 @@ def test_st_iou_rejects_mismatched_dims():
 
 
 def maskless_track(frames, track_id=9, category_id=1):
-    entry = TrackEntry(bbox=BBox(0.0, 0.0, 1.0, 1.0), mask=None, score=0.5)
+    entry = TrackEntry(bbox=BBox(0.0, 0.0, 1.0, 1.0), mask=None)
     return Track(track_id=track_id, category_id=category_id, score=0.5, entries={f: entry for f in frames})
 
 

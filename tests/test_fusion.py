@@ -185,8 +185,8 @@ def same_fusion(got, want):
     assert [t.score for t in got] == pytest.approx([t.score for t in want], rel=1e-12, abs=0.0)
 
 
-def entry(mask, score=0.5):
-    return TrackEntry(bbox=BOX, mask=mask, score=score)
+def entry(mask):
+    return TrackEntry(bbox=BOX, mask=mask)
 
 
 @pytest.mark.parametrize("rule", list(ScoreRule))

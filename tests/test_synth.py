@@ -3,6 +3,7 @@ identity bookkeeping, and occlusion/clutter semantics."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vistrack import (
     SynthConfig,
     bbox_of_mask,
     core,
+    gradient_check_suite,
     rle_decode,
     rle_encode,
     generate,
@@ -127,7 +129,7 @@ def test_zero_sigma_embeddings_are_scaled_bases():
         for embs in per_track.values():
             # noise-free repeats are bit-identical, with norm == scale
             assert all(e == embs[0] for e in embs)
-            norm = float(np.linalg.norm(embs[0].values))
+            norm = float(np.linalg.norm(embs[0]))
             assert norm == pytest.approx(cfg.embedding_scale, rel=1e-12)
 
 
@@ -140,7 +142,7 @@ def test_distinct_objects_have_separated_directions():
             for d_idx, det in enumerate(fd.detections):
                 tid = corpus.identity_key[(vid, fd.frame_index, d_idx)]
                 if tid != CLUTTER:
-                    v = np.asarray(det.embedding.values)
+                    v = np.asarray(det.embedding)
                     directions[tid] = v / np.linalg.norm(v)
         dirs = list(directions.values())
         for i in range(len(dirs)):
@@ -236,6 +238,22 @@ def test_rng_rejects_a_seed_outside_64_bits(seed):
 
 def test_rng_takes_every_64_bit_seed():
     assert SplitMix64(0).next_u64() != SplitMix64(2**64 - 1).next_u64()
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.bool_(True), "1"], ids=repr)
+def test_rng_takes_only_integer_seeds(seed):
+    """A float would fail on the first draw and a bool would pass for 0
+    or 1; each is refused up front, with the seed named."""
+    with pytest.raises(ValueError, match=f"seed {re.escape(repr(seed))}: expected an integer"):
+        SplitMix64(seed)
+    with pytest.raises(ValueError, match="expected an integer"):
+        gradient_check_suite(samples=1, seed=seed)
+
+
+def test_rng_takes_a_numpy_integer_seed():
+    a, b = SplitMix64(np.int64(5)), SplitMix64(5)
+    assert type(a.state) is int
+    assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
 
 
 @pytest.mark.parametrize(
