@@ -7,22 +7,39 @@ verified against central finite differences by ``gradient_check_suite``.
 from __future__ import annotations
 
 from ._numpy import np
-from .core import embedding_rows
+from .core import embedding_rows, ints
 from .errors import DimensionMismatch
 
 # ---------------------------------------------------------------------------
 # Embedding loss
 
 
-def _gap_matrix(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The anchor as a (D,) array, the sets as (P, D) and (N, D) arrays,
-    and the (P, N) gaps ``v.k-[q] - v.k+[p]``."""
+def _rows(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor as a (D,) array and the sets as (P, D) and (N, D) arrays."""
     vec = embedding_rows([v])[0]
     pos = embedding_rows(positives)
     neg = embedding_rows(negatives)
     if pos.shape[1] != vec.size or neg.shape[1] != vec.size:
         raise DimensionMismatch("positive/negative embeddings must match the anchor length")
-    return vec, pos, neg, (neg @ vec)[None, :] - (pos @ vec)[:, None]
+    return vec, pos, neg
+
+
+def _gaps(vecs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The (B, P, N) gaps ``v.k-[q] - v.k+[p]`` of B anchors (B, D) against
+    sets (B, P, D) and (B, N, D); the batch axes broadcast. The dots are
+    stacked matrix-vector products, which round as one ``pos @ v`` does."""
+    col = vecs[:, :, None]
+    return np.matmul(neg, col)[:, None, :, 0] - np.matmul(pos, col)
+
+
+def _losses(vecs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """``embed_loss`` of each of B anchors against its sets, as a (B,)
+    array; takes the arrays of ``_gaps``. Row b is computed with the same
+    float steps as a call on row b alone."""
+    gaps = _gaps(vecs, pos, neg)
+    gaps = gaps.reshape(len(gaps), -1)
+    shift = np.maximum(gaps.max(axis=1), 0.0)
+    return shift + np.log(np.exp(-shift) + np.exp(gaps - shift[:, None]).sum(axis=1))
 
 
 def embed_loss(v, positives, negatives) -> float:
@@ -35,9 +52,8 @@ def embed_loss(v, positives, negatives) -> float:
     """
     if not len(positives) or not len(negatives):
         return 0.0
-    *_, gaps = _gap_matrix(v, positives, negatives)
-    shift = max(0.0, float(gaps.max()))
-    return float(shift + np.log(np.exp(-shift) + np.exp(gaps - shift).sum()))
+    vec, pos, neg = _rows(v, positives, negatives)
+    return float(_losses(vec[None], pos, neg)[0])
 
 
 def embed_loss_grad(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,7 +69,8 @@ def embed_loss_grad(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np
     if not len(positives) or not len(negatives):
         dim = len(v)
         return np.zeros(dim), np.zeros((len(positives), dim)), np.zeros((len(negatives), dim))
-    vec, pos, neg, gaps = _gap_matrix(v, positives, negatives)
+    vec, pos, neg = _rows(v, positives, negatives)
+    gaps = _gaps(vec[None], pos, neg)[0]
     shift = max(0.0, float(gaps.max()))
     scaled = np.exp(gaps - shift)
     w = scaled / (np.exp(-shift) + scaled.sum())
@@ -65,18 +82,19 @@ def embed_loss_grad(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np
 # Gradient verification
 
 
-def _numeric_grad(fn, values: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of ``fn`` in each element of ``values`` (any shape), bumped on one copy."""
-    bumped = values.copy()
-    grad = np.zeros_like(values)
-    for i in np.ndindex(values.shape):
-        bumped[i] += h
-        hi = fn(bumped)
-        bumped[i] -= 2.0 * h
-        lo = fn(bumped)
-        bumped[i] = values[i]
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
+def _numeric_grad(losses, values: np.ndarray, h: float) -> np.ndarray:
+    """Central differences in each element of ``values`` (any shape, K
+    elements). ``losses`` maps K copies of ``values``, stacked on a new
+    first axis with copy i bumped in element i, to their K losses. The
+    "-h" copies are the "+h" ones stepped back by 2h, so each bumped
+    element rounds as it would on one copy bumped in place."""
+    k = values.size
+    bumped = np.repeat(values[None], k, axis=0)
+    diagonal = bumped.reshape(-1)[:: k + 1]  # element i of copy i
+    diagonal += h
+    hi = losses(bumped)
+    diagonal -= 2.0 * h
+    return ((hi - losses(bumped)) / (2.0 * h)).reshape(values.shape)
 
 
 def _compare(analytic: np.ndarray, numeric: np.ndarray, near_zero: float = 1e-3) -> tuple[float, float]:
@@ -95,15 +113,17 @@ def gradient_check_suite(
     max_set: int = 5,
 ) -> tuple[float, float]:
     """Compare analytic gradients against central finite differences on
-    random instances (embedding length <= max_dim, set sizes <= max_set,
-    entries in [-2, 2]). Returns the worst relative error and the worst
-    absolute error among near-zero components.
+    ``samples`` >= 1 random instances (embedding length <= max_dim, set
+    sizes <= max_set, entries in [-2, 2]). Returns the worst relative
+    error and the worst absolute error among near-zero components.
     """
     from .rng import SplitMix64
 
+    (samples,) = ints((samples,), f"samples {samples!r}")
+    if samples < 1:  # a check of no instances would pass
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = SplitMix64(seed)
-    analytic = [np.empty(0)]  # so that samples=0 gives (0.0, 0.0)
-    numeric = [np.empty(0)]
+    analytic, numeric = [], []
 
     def draw(count: int) -> np.ndarray:
         return np.array([rng.next_float() * 4.0 - 2.0 for _ in range(count)])
@@ -116,7 +136,7 @@ def gradient_check_suite(
         pos = np.array([draw(dim) for _ in range(n_pos)])
         neg = np.array([draw(dim) for _ in range(n_neg)])
         analytic += embed_loss_grad(v, pos, neg)
-        numeric.append(_numeric_grad(lambda x: embed_loss(x, pos, neg), v, h))
-        numeric.append(_numeric_grad(lambda x: embed_loss(v, x, neg), pos, h))
-        numeric.append(_numeric_grad(lambda x: embed_loss(v, pos, x), neg, h))
+        numeric.append(_numeric_grad(lambda x: _losses(x, pos, neg), v, h))
+        numeric.append(_numeric_grad(lambda x: _losses(v[None], x, neg), pos, h))
+        numeric.append(_numeric_grad(lambda x: _losses(v[None], pos, x), neg, h))
     return _compare(*(np.concatenate([g.ravel() for g in grads]) for grads in (analytic, numeric)))

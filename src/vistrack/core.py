@@ -279,8 +279,8 @@ class VideoMeta:
         names = ["length"] + [n for n in ("height", "width") if getattr(self, n) is not None]
         for name, value in zip(names, ints([getattr(self, n) for n in names], "length, height and width")):
             object.__setattr__(self, name, value)
-        if self.length <= 0:
-            raise ValueError("video length must be positive")
+            if value <= 0:
+                raise ValueError(f"video {name} must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -547,3 +547,37 @@ def reference_embed_loss_grad(v, positives, negatives):
     grad_pos = [[-math.fsum(w[p]) * x for x in v] for p in range(len(positives))]
     grad_neg = [[math.fsum(row[q] for row in w) * x for x in v] for q in range(len(negatives))]
     return grad_v, grad_pos, grad_neg
+
+
+# ---------------------------------------------------------------------------
+# The loss and its finite differences one anchor and one element at a time,
+# the oracles of the batched ``contrastive._losses`` and ``_numeric_grad``
+
+
+def gap_matrix(vec: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The (P, N) gaps ``v.k-[q] - v.k+[p]`` of one (D,) anchor against (P, D) and (N, D) sets."""
+    return (neg @ vec)[None, :] - (pos @ vec)[:, None]
+
+
+def scalar_embed_loss(v, positives, negatives) -> float:
+    """``embed_loss`` of one anchor: the shifted log-sum-exp over its (P, N) gap matrix."""
+    if not len(positives) or not len(negatives):
+        return 0.0
+    vec, pos, neg = (np.asarray(x, dtype=np.float64) for x in (v, positives, negatives))
+    gaps = gap_matrix(vec, pos, neg)
+    shift = max(0.0, float(gaps.max()))
+    return float(shift + np.log(np.exp(-shift) + np.exp(gaps - shift).sum()))
+
+
+def loop_numeric_grad(fn, values: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``fn`` in each element of ``values`` (any shape), bumped on one copy."""
+    bumped = values.copy()
+    grad = np.zeros_like(values)
+    for i in np.ndindex(values.shape):
+        bumped[i] += h
+        hi = fn(bumped)
+        bumped[i] -= 2.0 * h
+        lo = fn(bumped)
+        bumped[i] = values[i]
+        grad[i] = (hi - lo) / (2.0 * h)
+    return grad

@@ -1036,6 +1036,17 @@ def test_losscheck_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_losscheck_prints_the_recorded_errors(capsys):
+    """The default seed's report, recorded while the finite differences
+    still ran one element at a time."""
+    assert entrypoint(["losscheck", "--samples", "100"]) == 0
+    assert capsys.readouterr().out == (
+        "max relative error: 7.588e-08 (bound 1e-04)\n"
+        "max absolute error near zero: 1.781e-10 (bound 1e-07)\n"
+        "PASS\n"
+    )
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_losscheck_without_samples_exits_3(capsys, samples):
     """A check of no instances proves nothing, so it must not print PASS."""

@@ -2,6 +2,7 @@
 differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,19 @@ from vistrack import (
     gradient_check_suite,
     similarity,
 )
-from helpers import reference_embed_loss, reference_embed_loss_grad
+from vistrack.contrastive import _gaps, _losses, _numeric_grad
+from helpers import (
+    gap_matrix,
+    loop_numeric_grad,
+    reference_embed_loss,
+    reference_embed_loss_grad,
+    scalar_embed_loss,
+)
+
+
+def bits(x) -> np.ndarray:
+    """The float64 values of ``x`` as raw 64-bit patterns, so that == compares bit for bit."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -234,4 +247,85 @@ def test_gradient_suite_bounds():
     worst_rel, worst_abs = gradient_check_suite(samples=30, seed=12)
     assert worst_rel <= 1e-4
     assert worst_abs <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the batched loss and finite differences against the one-at-a-time oracles
+
+
+@st.composite
+def wide_loss_inputs(draw):
+    dim = draw(st.integers(1, 32))
+    row = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=dim, max_size=dim)
+    return draw(row), draw(st.lists(row, max_size=8)), draw(st.lists(row, max_size=8))
+
+
+@given(wide_loss_inputs())
+@settings(max_examples=300, deadline=None)
+def test_loss_equals_scalar_oracle_bit_for_bit(inputs):
+    """Entries up to 1e3 in up to 32 dimensions, so gaps reach ~6e7 and
+    the log-sum-exp shift is taken far from zero as well as at zero."""
+    v, pos, neg = inputs
+    assert bits(embed_loss(v, pos, neg)) == bits(scalar_embed_loss(v, pos, neg))
+
+
+_SIZES = [(2, 1, 1), (5, 3, 2), (16, 5, 5), (7, 1, 20), (32, 20, 3), (128, 20, 20)]
+
+
+@pytest.mark.parametrize("dim,n_pos,n_neg", _SIZES, ids=map(str, _SIZES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_numeric_gradients_equal_the_loop_bit_for_bit(seed, dim, n_pos, n_neg):
+    """Every bumped copy in one batched call gives the same bytes as a
+    loop that bumps one element of one copy and calls the loss twice."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-2, 2, dim)
+    pos = rng.uniform(-2, 2, (n_pos, dim))
+    neg = rng.uniform(-2, 2, (n_neg, dim))
+    h = 1e-5
+    assert (bits(_gaps(v[None], pos, neg)[0]) == bits(gap_matrix(v, pos, neg))).all()  # embed_loss_grad's gaps
+    batched = [
+        _numeric_grad(lambda x: _losses(x, pos, neg), v, h),
+        _numeric_grad(lambda x: _losses(v[None], x, neg), pos, h),
+        _numeric_grad(lambda x: _losses(v[None], pos, x), neg, h),
+    ]
+    loop = [
+        loop_numeric_grad(lambda x: scalar_embed_loss(x, pos, neg), v, h),
+        loop_numeric_grad(lambda x: scalar_embed_loss(v, x, neg), pos, h),
+        loop_numeric_grad(lambda x: scalar_embed_loss(v, pos, x), neg, h),
+    ]
+    for got, want in zip(batched, loop):
+        assert got.shape == want.shape
+        assert (bits(got) == bits(want)).all()
+
+
+@pytest.mark.parametrize(
+    "seed,expected",
+    [
+        (7, (7.58824920621058e-08, 1.7814673600698226e-10)),
+        (0, (6.826158178397618e-08, 1.6841401412554316e-10)),
+        (1, (1.1724629443717e-07, 1.692203908398057e-10)),
+        (42, (1.0395290857649437e-07, 1.7230645835380858e-10)),
+    ],
+)
+def test_gradient_suite_golden_values(seed, expected):
+    """The worst errors of the one-at-a-time loop, recorded before the
+    finite differences were batched: any change of rounding shows here,
+    since a one-ulp change of the loss moves a difference by 5e4 ulp."""
+    assert gradient_check_suite(100, seed) == expected
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_gradient_suite_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        gradient_check_suite(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [True, np.bool_(True), 2.5, 2.0, "2", None], ids=repr)
+def test_gradient_suite_takes_only_integer_samples(samples):
+    with pytest.raises(ValueError, match=f"samples {re.escape(repr(samples))}: expected an integer"):
+        gradient_check_suite(samples=samples)
+
+
+def test_gradient_suite_takes_numpy_integer_samples():
+    assert gradient_check_suite(samples=np.int64(3), seed=5) == gradient_check_suite(samples=3, seed=5)
 

@@ -282,6 +282,14 @@ def test_video_meta_keeps_absent_sizes():
     assert (meta.length, meta.height, meta.width) == (3, None, None)
 
 
+@pytest.mark.parametrize("name", ["length", "height", "width"])
+@pytest.mark.parametrize("bad", [0, -3])
+def test_video_meta_sizes_must_be_positive(name, bad):
+    with pytest.raises(ValueError, match=f"video {name} must be positive"):
+        _meta(**{name: bad})
+    assert getattr(_meta(**{name: 1}), name) == 1
+
+
 @pytest.mark.parametrize("bad", [True, np.bool_(True), "0.5", None, 1j, float("nan")], ids=repr)
 def test_scores_reject_non_reals(bad):
     with pytest.raises(ValueError, match="score"):
