@@ -50,7 +50,7 @@ from .errors import (
     UnknownVideoId,
     VideoMismatch,
 )
-from .evaluation import EvalReport, Metrics, evaluate, id_switches, match_tracks, st_iou
+from .evaluation import EvalReport, Metrics, evaluate, id_switches, st_iou
 from .fusion import FusionConfig, ScoreRule, fuse_tracks
 from .pseudo_pair import (
     CropConfig,

@@ -10,6 +10,11 @@ from ._numpy import np
 from .core import embedding_rows, ints
 from .errors import DimensionMismatch
 
+# The fixed instance sizes and finite-difference step of gradient_check_suite.
+MAX_DIM = 16
+MAX_SET = 5
+STEP = 1e-5
+
 # ---------------------------------------------------------------------------
 # Embedding loss
 
@@ -105,17 +110,12 @@ def _compare(analytic: np.ndarray, numeric: np.ndarray, near_zero: float = 1e-3)
     return float(np.max(err[~near] / scale[~near], initial=0.0)), float(np.max(err[near], initial=0.0))
 
 
-def gradient_check_suite(
-    samples: int = 100,
-    seed: int = 7,
-    h: float = 1e-5,
-    max_dim: int = 16,
-    max_set: int = 5,
-) -> tuple[float, float]:
-    """Compare analytic gradients against central finite differences on
-    ``samples`` >= 1 random instances (embedding length <= max_dim, set
-    sizes <= max_set, entries in [-2, 2]). Returns the worst relative
-    error and the worst absolute error among near-zero components.
+def gradient_check_suite(samples: int = 100, seed: int = 7) -> tuple[float, float]:
+    """Compare analytic gradients against central finite differences of
+    step ``STEP`` (1e-5) on ``samples`` >= 1 random instances: embedding
+    length 2 to ``MAX_DIM`` (16), positive and negative set sizes 1 to
+    ``MAX_SET`` (5), entries in [-2, 2]. Returns the worst relative error
+    and the worst absolute error among near-zero components.
     """
     from .rng import SplitMix64
 
@@ -129,14 +129,14 @@ def gradient_check_suite(
         return np.array([rng.next_float() * 4.0 - 2.0 for _ in range(count)])
 
     for _ in range(samples):
-        dim = rng.randint(2, max_dim)
-        n_pos = rng.randint(1, max_set)
-        n_neg = rng.randint(1, max_set)
+        dim = rng.randint(2, MAX_DIM)
+        n_pos = rng.randint(1, MAX_SET)
+        n_neg = rng.randint(1, MAX_SET)
         v = draw(dim)
         pos = np.array([draw(dim) for _ in range(n_pos)])
         neg = np.array([draw(dim) for _ in range(n_neg)])
         analytic += embed_loss_grad(v, pos, neg)
-        numeric.append(_numeric_grad(lambda x: _losses(x, pos, neg), v, h))
-        numeric.append(_numeric_grad(lambda x: _losses(v[None], x, neg), pos, h))
-        numeric.append(_numeric_grad(lambda x: _losses(v[None], pos, x), neg, h))
+        numeric.append(_numeric_grad(lambda x: _losses(x, pos, neg), v, STEP))
+        numeric.append(_numeric_grad(lambda x: _losses(v[None], x, neg), pos, STEP))
+        numeric.append(_numeric_grad(lambda x: _losses(v[None], pos, x), neg, STEP))
     return _compare(*(np.concatenate([g.ravel() for g in grads]) for grads in (analytic, numeric)))

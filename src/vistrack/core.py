@@ -84,9 +84,11 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        _, _, w, h = reals((self.x, self.y, self.w, self.h), "bbox")
-        if w < 0.0 or h < 0.0:
-            raise ValueError("box sides must be non-negative")
+        box = reals((self.x, self.y, self.w, self.h), "bbox")
+        for name, value in zip(("x", "y", "w", "h"), box):
+            object.__setattr__(self, name, value)
+        if box[2] < 0.0 or box[3] < 0.0:
+            raise ValueError("bbox: sides must be non-negative")
 
     @property
     def x1(self) -> float:
@@ -310,8 +312,6 @@ def rle_decode(mask: RleMask) -> np.ndarray:
 
     A public helper and the test oracle of the run-based mask code;
     no command calls it."""
-    if sum(mask.counts) != mask.height * mask.width:
-        raise CountsMismatch("counts must sum to height*width")
     ones = (np.arange(len(mask.counts)) & 1).astype(bool)  # the odd runs are ones
     return np.repeat(ones, mask.counts).reshape((mask.height, mask.width), order="F")
 

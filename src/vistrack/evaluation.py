@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._numpy import np
 from .core import FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
@@ -162,30 +162,6 @@ def _greedy_match(iou: np.ndarray, threshold: float) -> list[int]:
     return out
 
 
-def match_tracks(
-    pred_tracks: Sequence[Track],
-    gt_tracks: Sequence[Track],
-    iou_threshold: float,
-    video_length: int,
-    video_dims: tuple[int, int] | None = None,
-    category: int | None = None,
-) -> list[tuple[Track, Track | None]]:
-    """Greedy score-ordered matching for one video.
-
-    Returns (prediction, matched ground truth or None) pairs in
-    descending prediction score. When ``category`` is given both lists
-    are filtered to it first.
-    """
-    preds = list(pred_tracks)
-    gts = list(gt_tracks)
-    if category is not None:
-        preds = [t for t in preds if t.category_id == category]
-        gts = [t for t in gts if t.category_id == category]
-    ranked = [preds[i] for i in _score_order(preds)]
-    cols = _greedy_match(_st_iou_matrix(ranked, gts, video_length, video_dims), iou_threshold)
-    return [(p, gts[j] if j >= 0 else None) for p, j in zip(ranked, cols)]
-
-
 def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
     """Envelope average precision sampled at evenly spaced recall points."""
     if n_gt <= 0:
@@ -203,19 +179,6 @@ def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
     idx = np.searchsorted(recall, grid, side="left")
     sampled = [precision[i] if i < precision.size else 0.0 for i in idx]
     return float(np.mean(sampled))
-
-
-def average_precision(matches: Iterable[tuple[float, bool]], n_gt: int) -> float | None:
-    """AP from pooled (score, is_true_positive) rows of one category.
-
-    Rows are sorted by descending score (stable in the given order);
-    returns None when there is no ground truth to recall.
-    """
-    rows = list(matches)
-    if n_gt <= 0:
-        return None
-    order = sorted(range(len(rows)), key=lambda i: (-rows[i][0], i))
-    return _ap_from_flags([rows[i][1] for i in order], n_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +218,6 @@ def evaluate(
 
     categories = sorted({c for g in ground_truth for c in g.category_set})
     known = set(categories)
-    for g in ground_truth:
-        for t in g.gt_tracks:
-            if t.category_id not in known:
-                raise UnknownCategory(f"ground-truth category {t.category_id} not in category set")
     for vid, tracks in predictions.items():
         for t in tracks:
             if t.category_id not in known:

@@ -12,10 +12,15 @@ indent runs the pure-Python encoder, one generator step per value.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
-raises ParseError carrying the line and column. Every number, alone or
-in an array (RLE counts, embeddings, boxes), is checked by ``core.ints``
-or ``core.reals``, the same two checks that the config dataclasses and
-the domain types use.
+raises ParseError carrying the line and column. A loader checks the
+JSON shape (objects, arrays, fields and array lengths) and hands each
+number as parsed to the domain type that holds it (``BBox``,
+``RleMask``, ``Detection``, ``Track``), which checks it; the loader
+adds the JSON path, so a bad value reads
+``<JSON path>: <field>: <invariant>``. The loader checks a number with
+``core.ints`` itself only where it uses the number before a domain type
+sees it (ids, declared sizes) or where the domain type's message would
+not name the field.
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -33,6 +38,8 @@ from typing import Any, Mapping, Sequence
 
 from .association import AssociationConfig
 from .core import (
+    _FLOAT,
+    _INT,
     BBox,
     Detection,
     FrameDetections,
@@ -43,7 +50,6 @@ from .core import (
     VideoMeta,
     bbox_of_mask,
     ints,
-    reals,
 )
 from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
 from .evaluation import EvalReport
@@ -63,8 +69,6 @@ def _q(x: float) -> float:
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_INT = frozenset((int,))
-_FLOAT = frozenset((float,))
 
 
 def dumps_json(obj: Any) -> str:
@@ -183,8 +187,8 @@ def _expect_list(value: Any, where: str) -> list:
 
 
 def _get(obj: dict, key: str, where: str, check=None) -> Any:
-    """``obj[key]``; with ``check`` (``ints`` or ``reals``), that one
-    number, checked under the name ``{where}.{key}``."""
+    """``obj[key]``; with ``check`` (``core.ints``), that one number,
+    checked under the name ``{where}.{key}``."""
     if key not in obj:
         raise SchemaError(f"{where}: missing required field '{key}'")
     if check is None:
@@ -197,12 +201,11 @@ def _bbox_json(b: BBox) -> list[float]:
 
 
 def _bbox_from(value: Any, where: str) -> BBox:
-    arr = _expect_list(value, where)
-    if len(arr) != 4:
+    """The box ``value``, with its errors reported under ``where``."""
+    if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-    x, y, w, h = reals(arr, where, SchemaError)
     try:
-        return BBox(x, y, w, h)
+        return BBox(*value)
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
 
@@ -220,10 +223,8 @@ def _rle_from(value: Any, where: str) -> RleMask:
     if isinstance(counts, str):
         raise SchemaError(f"{where}.counts: compressed string counts are not supported; use an integer array")
     counts = _expect_list(counts, f"{where}.counts")
-    h, w = ints(size, f"{where}.size", SchemaError)
-    vals = ints(counts, f"{where}.counts", SchemaError)
     try:
-        return RleMask(height=h, width=w, counts=vals)
+        return RleMask(height=size[0], width=size[1], counts=counts)
     except CountsMismatch as e:
         raise CountsMismatch(f"{where}: {e}") from e
 
@@ -436,19 +437,18 @@ def load_detections(path: str) -> DetectionsFile:
         for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
             fwhere = f"{where}.frames[{j}]"
             fobj = _expect_object(fr, fwhere)
-            fidx = _get(fobj, "frame_index", fwhere, ints)
-            if fidx < 0:
-                raise SchemaError(f"{fwhere}: frame_index must be non-negative")
-            if fidx <= last_frame:
-                raise SchemaError(f"{fwhere}: frame_index must be strictly increasing within a video")
-            last_frame = fidx
+            fidx = _get(fobj, "frame_index", fwhere)
             dets = []
             for k, d in enumerate(_expect_list(_get(fobj, "detections", fwhere), f"{fwhere}.detections")):
                 dets.append(_detection_from(d, f"{fwhere}.detections[{k}]", dim, height, width))
             try:
-                frames.append(FrameDetections(frame_index=fidx, detections=dets))
+                frame = FrameDetections(frame_index=fidx, detections=dets)
             except ValueError as e:
                 raise SchemaError(f"{fwhere}: {e}") from e
+            if frame.frame_index <= last_frame:
+                raise SchemaError(f"{fwhere}: frame_index must be strictly increasing within a video")
+            last_frame = frame.frame_index
+            frames.append(frame)
         length = _positive_int(obj, "length", where)
         if length is None:
             length = max(last_frame + 1, 1)  # no frames and no declared length: one empty frame
@@ -471,15 +471,14 @@ def _positive_int(obj: dict, key: str, where: str) -> int | None:
 
 def _detection_from(value: Any, where: str, dim: int, height: int | None, width: int | None) -> Detection:
     obj = _expect_object(value, where)
-    bbox = _bbox_from(_get(obj, "bbox", where), f"{where}.bbox")
-    score = _get(obj, "score", where, reals)
-    cid = _get(obj, "category_id", where, ints)
-    probs_where, emb_where = f"{where}.class_probs", f"{where}.embedding"
-    probs = reals(_expect_list(_get(obj, "class_probs", where), probs_where), probs_where, SchemaError)
-    emb_vals = reals(_expect_list(_get(obj, "embedding", where), emb_where), emb_where, SchemaError)
-    if len(emb_vals) != dim:
+    bbox = _bbox_from(_get(obj, "bbox", where), where)
+    score = _get(obj, "score", where)
+    cid = _get(obj, "category_id", where)
+    probs = _expect_list(_get(obj, "class_probs", where), f"{where}.class_probs")
+    emb = _expect_list(_get(obj, "embedding", where), f"{where}.embedding")
+    if len(emb) != dim:
         raise SchemaError(
-            f"{where}.embedding: length {len(emb_vals)} violates the declared "
+            f"{where}.embedding: length {len(emb)} violates the declared "
             f"embedding_dim {dim} (dimension must be constant per file)"
         )
     seg = obj.get("segmentation")
@@ -492,7 +491,7 @@ def _detection_from(value: Any, where: str, dim: int, height: int | None, width:
             score=score,
             category_id=cid,
             class_probs=probs,
-            embedding=emb_vals,
+            embedding=emb,
             mask=mask,
         )
     except ValueError as e:
@@ -546,8 +545,8 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta
         if (vid, tid) in seen:
             raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
         seen.add((vid, tid))
-        cid = _get(obj, "category_id", where, ints)
-        score = _get(obj, "score", where, reals)
+        cid = _get(obj, "category_id", where, ints)  # Track's message would not name the field
+        score = _get(obj, "score", where)
         segs = _expect_list(_get(obj, "segmentations", where), f"{where}.segmentations")
         boxes = _expect_list(_get(obj, "bboxes", where), f"{where}.bboxes")
         if len(boxes) != len(segs):

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .core import Track, config_numbers, ints, reals
-from .errors import ConfigError, VideoMismatch
+from .errors import ConfigError
 from .evaluation import _pixel_iou, _track_pixels
 
 
@@ -49,12 +49,7 @@ class FusionConfig:
                 raise ConfigError("source_weights must be non-negative with positive sum")
 
 
-def fuse_tracks(
-    track_sets: Sequence[Sequence[Track]],
-    video_length: int,
-    cfg: FusionConfig,
-    video_dims: tuple[int, int] | None = None,
-) -> list[Track]:
+def fuse_tracks(track_sets: Sequence[Sequence[Track]], video_length: int, cfg: FusionConfig) -> list[Track]:
     """Fuse per-source track lists for one video into a single ranking.
 
     Sources are weighted uniformly unless ``cfg.source_weights`` gives
@@ -66,12 +61,6 @@ def fuse_tracks(
         raise ConfigError("source_weights must match the number of track sets")
     weights = cfg.source_weights or tuple(1.0 for _ in track_sets)
 
-    for ts in track_sets:
-        for t in ts:
-            for f in t.entries:
-                if f >= video_length:
-                    raise VideoMismatch("track entry beyond the stated video length")
-
     # Pool in descending score; ties keep (source, position) order.
     pool = [
         (t, weights[s], s, p)
@@ -79,7 +68,7 @@ def fuse_tracks(
         for p, t in enumerate(ts)
     ]
     pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
-    pixels = [_track_pixels(t, video_length, video_dims) for t, _, _, _ in pool]
+    pixels = [_track_pixels(t, video_length, None) for t, _, _, _ in pool]
 
     # Each track's keys: (category, frame) for every frame where it has a
     # mask, and (category, None) when its total area is zero. Two tracks

@@ -1081,6 +1081,9 @@ def test_exit_code_bad_rle(corpus_dir, tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+_DETECTION = "videos[0].frames[0].detections[0]"
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [
@@ -1099,7 +1102,8 @@ def test_exit_code_bad_array_element(corpus_dir, tmp_path, capsys, key, value, m
     p.write_text(json.dumps(doc))
     code = entrypoint(["track", "--detections", str(p), "--out", str(tmp_path / "o.json")])
     assert code == 2
-    assert f".{key}: {message}" in capsys.readouterr().err
+    where = f"{_DETECTION}.segmentation" if key == "counts" else _DETECTION
+    assert capsys.readouterr().err == f"error: {where}: {key}: {message}\n"
 
 
 def test_exit_code_embedding_beyond_float_range(corpus_dir, tmp_path, capsys):
@@ -1109,7 +1113,46 @@ def test_exit_code_embedding_beyond_float_range(corpus_dir, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     code = entrypoint(["track", "--detections", str(p), "--out", str(tmp_path / "o.json")])
     assert code == 2
-    assert ".embedding: value must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {_DETECTION}: embedding: value must be finite\n"
+
+
+_IN_DETECTION = ["videos", 0, "frames", 0, "detections", 0]
+
+
+@pytest.mark.parametrize(
+    "command,keys,value,message",
+    [
+        ("track", [*_IN_DETECTION, "bbox", 1], "2", f"{_DETECTION}: bbox: expected a number"),
+        ("track", [*_IN_DETECTION, "bbox", 2], -1.0, f"{_DETECTION}: bbox: sides must be non-negative"),
+        ("track", [*_IN_DETECTION, "segmentation", "size", 0], 4.5,
+         f"{_DETECTION}.segmentation: size: expected an integer"),
+        ("track", [*_IN_DETECTION, "segmentation", "counts", 1], "3",
+         f"{_DETECTION}.segmentation: counts: expected an integer"),
+        ("track", [*_IN_DETECTION, "score"], "0.9", f"{_DETECTION}: score: expected a number"),
+        ("track", [*_IN_DETECTION, "category_id"], 1.0, f"{_DETECTION}: category_id: expected an integer"),
+        ("track", [*_IN_DETECTION, "class_probs", 0], None, f"{_DETECTION}: class_probs: expected a number"),
+        ("track", [*_IN_DETECTION, "embedding", 0], [0.5], f"{_DETECTION}: embedding: expected a number"),
+        ("track", ["videos", 0, "frames", 0, "frame_index"], 0.0, "videos[0].frames[0]: frame_index: expected an integer"),
+        ("fuse", [0, "score"], float("inf"), "results[0]: track score: value must be finite"),
+    ],
+    ids=["bbox", "bbox-sides", "size", "counts", "score", "category_id", "class_probs", "embedding", "frame_index", "results-score"],
+)
+def test_bad_value_names_path_field_and_invariant(corpus_dir, results_file, tmp_path, capsys, command, keys, value, message):
+    """A malformed number, checked by the domain type that holds it,
+    exits 2 with ``error: <JSON path>: <field>: <invariant>``."""
+    flag, source = ("--detections", corpus_dir / "detections.json") if command == "track" else ("--inputs", results_file)
+    doc = json.loads(source.read_text())
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert entrypoint([command, flag, str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _loaded_after(code: str, package: str) -> bool:

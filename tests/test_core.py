@@ -478,6 +478,12 @@ def test_bbox_validation():
     assert (b.x1, b.y1, b.area) == (4.0, 6.0, 12.0)
 
 
+def test_bbox_stores_python_floats():
+    b = BBox(1, np.int64(2), np.float32(0.5), 4)
+    assert (b.x, b.y, b.w, b.h) == (1.0, 2.0, 0.5, 4.0)
+    assert all(type(v) is float for v in (b.x, b.y, b.w, b.h))
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [(True, "expected a number"), ("1", "expected a number"), (None, "expected a number"),

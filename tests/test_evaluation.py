@@ -28,10 +28,17 @@ from vistrack import (
     evaluate,
     generate,
     id_switches,
-    match_tracks,
     st_iou,
 )
-from vistrack.evaluation import IOU_THRESHOLDS, MAX_DETECTIONS, RECALL_POINTS, average_precision
+from vistrack.evaluation import (
+    IOU_THRESHOLDS,
+    MAX_DETECTIONS,
+    RECALL_POINTS,
+    _ap_from_flags,
+    _greedy_match,
+    _score_order,
+    _st_iou_matrix,
+)
 
 
 def square(h, w, y, x, side):
@@ -148,37 +155,31 @@ def test_st_iou_identical_added_entry_never_decreases(seed):
 
 
 # ---------------------------------------------------------------------------
-# match_tracks
+# Greedy matching
 
 
 def test_match_identical_at_every_threshold():
     t = track_from_grids(1, 1, 0.9, {0: square(8, 8, 1, 1, 4)})
     g = track_from_grids(7, 1, 1.0, {0: square(8, 8, 1, 1, 4)})
+    iou = _st_iou_matrix([t], [g], 2, None)
     for thr in (0.5, 0.75, 0.95, 1.0):
-        out = match_tracks([t], [g], thr, video_length=2)
-        assert out == [(t, g)]
+        assert _greedy_match(iou, thr) == [0]
 
 
 def test_match_no_predictions():
     g = track_from_grids(7, 1, 1.0, {0: square(8, 8, 1, 1, 4)})
-    assert match_tracks([], [g], 0.5, video_length=2) == []
+    assert _greedy_match(_st_iou_matrix([], [g], 2, None), 0.5) == []
 
 
 def test_match_higher_score_wins():
     g = track_from_grids(7, 1, 1.0, {0: square(8, 8, 0, 0, 6)})
     lo = track_from_grids(1, 1, 0.8, {0: square(8, 8, 0, 0, 6)})
     hi = track_from_grids(2, 1, 0.9, {0: square(8, 8, 0, 0, 5)})
-    out = match_tracks([lo, hi], [g], 0.5, video_length=2)
-    assert out[0][0] is hi and out[0][1] is g
-    assert out[1][0] is lo and out[1][1] is None
-
-
-def test_match_category_filter():
-    g1 = track_from_grids(7, 1, 1.0, {0: square(8, 8, 0, 0, 4)})
-    g2 = track_from_grids(8, 2, 1.0, {0: square(8, 8, 4, 4, 4)})
-    p = track_from_grids(1, 2, 0.9, {0: square(8, 8, 4, 4, 4)})
-    out = match_tracks([p], [g1, g2], 0.5, video_length=2, category=2)
-    assert out == [(p, g2)]
+    preds = [lo, hi]
+    ranked = [preds[i] for i in _score_order(preds)]
+    assert ranked == [hi, lo]
+    # lo overlaps g better, but hi is matched first and takes it
+    assert _greedy_match(_st_iou_matrix(ranked, [g], 2, None), 0.5) == [0, -1]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -195,55 +196,50 @@ def test_match_count_monotone_in_threshold(seed):
         track_from_grids(k + 1, 1, float(rng.uniform(0.1, 1.0)), {f: rng.random((h, w)) < 0.5 for f in range(length)})
         for k in range(int(rng.integers(1, 4)))
     ]
+    ranked = [preds[i] for i in _score_order(preds)]
+    iou = _st_iou_matrix(ranked, gts, length, None)
     last = None
     for thr in (0.1, 0.3, 0.5, 0.7, 0.9):
-        matched = sum(1 for _, g in match_tracks(preds, gts, thr, length) if g is not None)
+        matched = sum(j >= 0 for j in _greedy_match(iou, thr))
         if last is not None:
             assert matched <= last
         last = matched
 
 
 # ---------------------------------------------------------------------------
-# average_precision
+# Average precision of score-ordered true-positive flags
 
 
 def test_ap_perfect():
-    assert average_precision([(0.9, True), (0.8, True)], n_gt=2) == pytest.approx(1.0)
+    assert _ap_from_flags([True, True], n_gt=2) == pytest.approx(1.0)
 
 
 def test_ap_no_tp():
-    assert average_precision([(0.9, False)], n_gt=3) == pytest.approx(0.0)
-
-
-def test_ap_no_gt_is_absent():
-    assert average_precision([(0.9, True)], n_gt=0) is None
+    assert _ap_from_flags([False], n_gt=3) == pytest.approx(0.0)
 
 
 def test_ap_interpolation_fixture():
-    rows = [(0.9, True), (0.8, False), (0.7, True)]
-    assert average_precision(rows, n_gt=2) == pytest.approx(253 / 303, abs=1e-12)
+    assert _ap_from_flags([True, False, True], n_gt=2) == pytest.approx(253 / 303, abs=1e-12)
 
 
 def test_ap_unreached_recall_counts_zero():
     # one of two GT found: precision 1 up to recall 0.5, zero beyond
-    assert average_precision([(0.9, True)], n_gt=2) == pytest.approx(51 / 101, abs=1e-12)
+    assert _ap_from_flags([True], n_gt=2) == pytest.approx(51 / 101, abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "rows,n_gt,expected",
+    "flags,n_gt,expected",
     [
-        ([(0.9, False), (0.8, True)], 1, 0.5),
-        ([(0.8, True), (0.9, False)], 1, 0.5),
-        ([(0.9, False), (0.9, True)], 1, 0.5),
-        ([(0.9, True), (0.9, False)], 1, 1.0),
-        ([(0.9, True), (0.8, True)], 4, 51 / 101),
-        ([(0.9, True), (0.8, False), (0.7, False), (0.6, True)], 2, 76 / 101),
+        ([False, True], 1, 0.5),
+        ([True, False], 1, 1.0),
+        ([True, True], 4, 51 / 101),
+        ([True, False, False, True], 2, 76 / 101),
         ([], 2, 0.0),
     ],
-    ids=["fp-first", "sorted-by-score", "tie-keeps-order-fp", "tie-keeps-order-tp", "half-recall", "envelope", "empty"],
+    ids=["fp-first", "tp-first", "half-recall", "envelope", "empty"],
 )
-def test_ap_at_101_recall_points_by_hand(rows, n_gt, expected):
-    assert average_precision(rows, n_gt) == pytest.approx(expected, abs=1e-12)
+def test_ap_at_101_recall_points_by_hand(flags, n_gt, expected):
+    assert _ap_from_flags(flags, n_gt) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from vistrack import (
     ScoreRule,
     Track,
     TrackEntry,
-    VideoMismatch,
     fuse_tracks,
     rle_encode,
     st_iou,
@@ -131,7 +130,7 @@ def test_distinct_ids_survive():
 
 def test_entry_beyond_length_rejected():
     a = track_from_grids(1, 1, 0.9, {3: square(0, 0, 3)})
-    with pytest.raises(VideoMismatch):
+    with pytest.raises(DimensionMismatch, match="track entry frame index must be below the video length"):
         fuse_tracks([[a]], 2, FusionConfig())
 
 
@@ -161,13 +160,6 @@ def test_chain_merge_uses_seed_not_transitivity():
     out = fuse_tracks([[seed, near, far]], 1, FusionConfig(merge_iou=0.5))
     assert len(out) == 2
     assert out[0].entries == seed.entries
-
-
-def test_mask_dims_are_checked_on_every_track():
-    a = track_from_grids(1, 1, 0.9, {0: square(0, 0, 2)})
-    lone = track_from_grids(2, 2, 0.5, {0: square(0, 0, 2, h=4, w=4)})
-    with pytest.raises(DimensionMismatch):
-        fuse_tracks([[a, lone]], 2, FusionConfig(), video_dims=(8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +198,7 @@ def test_edge_cases_match_reference(rule):
         ],
     ]
     cfg = FusionConfig(score_rule=rule)
-    got = fuse_tracks(sets, LENGTH, cfg, video_dims=(H, W))
+    got = fuse_tracks(sets, LENGTH, cfg)
     assert [t.track_id for t in got] == [1, 3, 5, 6]
     same_fusion(got, reference_fuse(sets, LENGTH, H, W, cfg))
 
@@ -277,9 +269,9 @@ def fusion_cases(draw):
     return sets, cfg
 
 
-@given(fusion_cases(), st.booleans())
+@given(fusion_cases())
 @settings(max_examples=200, deadline=None)
-def test_fuse_tracks_matches_reference_nms(case, with_dims):
+def test_fuse_tracks_matches_reference_nms(case):
     sets, cfg = case
-    got = fuse_tracks(sets, LENGTH, cfg, video_dims=(H, W) if with_dims else None)
+    got = fuse_tracks(sets, LENGTH, cfg)
     same_fusion(got, reference_fuse(sets, LENGTH, H, W, cfg))
