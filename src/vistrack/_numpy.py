@@ -1,6 +1,6 @@
 """numpy, imported at its first use rather than with vistrack, so that
-commands that do no array work (``fuse``, ``pseudopair``, ``--help``)
-start without it."""
+commands that do no array work (``eval``, ``fuse``, ``pseudopair``,
+``--help``) start without it."""
 
 
 class _LazyNumpy:

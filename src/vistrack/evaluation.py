@@ -11,15 +11,22 @@ category in descending score order; precision/recall curves follow the
 standard envelope construction sampled at evenly spaced recall points.
 Ties between equal scores break on the stable key (video id, track
 emission order).
+
+AP and the means are computed in plain Python, without numpy: the
+running counts of the precision/recall curve are exact integer ratios,
+and ``_mean`` repeats numpy's pairwise summation, so every figure equals
+the ``np.cumsum``/``np.searchsorted``/``np.mean`` one bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
-from ._numpy import np
 from .core import FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
 from .errors import DimensionMismatch, UnknownCategory, UnknownVideoId
 from .synth import CLUTTER
@@ -28,6 +35,8 @@ from .synth import CLUTTER
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
 MAX_DETECTIONS = (1, 10)
+# The recall points, equal to np.linspace(0.0, 1.0, RECALL_POINTS).tolist().
+_RECALL_GRID = [i * (1.0 / (RECALL_POINTS - 1)) for i in range(RECALL_POINTS - 1)] + [1.0]
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,32 @@ def _pixel_iou(pa: _Pixels, pb: _Pixels) -> float:
     return inter / union
 
 
+# (category, frame) of a frame with a mask, or (category, None) of a zero-area track.
+_OverlapKey = tuple[int, int | None]
+
+
+def _overlap_index(
+    tracks: Sequence[Track], pixels: Sequence[_Pixels]
+) -> tuple[list[list[_OverlapKey]], dict[_OverlapKey, list[int]]]:
+    """Each track's overlap keys, and the indices of the tracks that hold
+    each key in ascending order.
+
+    A track's keys are (category, frame) for every frame where it has a
+    mask, and (category, None) when its total area is zero. Two tracks of
+    one category that share no key have ST-IoU 0.0; two zero-area tracks
+    have ST-IoU 1.0.
+    """
+    keys = [
+        [(t.category_id, f) for f in masks] + ([] if area else [(t.category_id, None)])
+        for t, (masks, area) in zip(tracks, pixels)
+    ]
+    holders: dict[_OverlapKey, list[int]] = {}
+    for j, track_keys in enumerate(keys):
+        for key in track_keys:
+            holders.setdefault(key, []).append(j)
+    return keys, holders
+
+
 # ---------------------------------------------------------------------------
 # Matching and average precision
 
@@ -126,20 +161,29 @@ def _st_iou_matrix(
     gts: Sequence[Track],
     video_length: int,
     video_dims: tuple[int, int] | None,
-) -> np.ndarray:
-    """ST-IoU of every (prediction, ground truth) pair, rows in the given order."""
-    iou = np.zeros((len(preds), len(gts)))
+) -> list[list[float]]:
+    """ST-IoU of every (prediction, ground truth) pair of one category,
+    one row per prediction in the given order.
+
+    Only pairs that share an ``_overlap_index`` key are measured; every
+    other pair is 0.0, which is what ``_pixel_iou`` gives them.
+    """
     if not preds or not gts:  # a track is checked only when it is compared
-        return iou
+        return [[0.0] * len(gts) for _ in preds]
     gt_pixels = [_track_pixels(g, video_length, video_dims) for g in gts]
-    for r, p in enumerate(preds):
-        pp = _track_pixels(p, video_length, video_dims)
-        for j, pg in enumerate(gt_pixels):
-            iou[r, j] = _pixel_iou(pp, pg)
-    return iou
+    _, holders = _overlap_index(gts, gt_pixels)
+    pred_pixels = [_track_pixels(p, video_length, video_dims) for p in preds]
+    pred_keys, _ = _overlap_index(preds, pred_pixels)
+    rows = []
+    for pp, keys in zip(pred_pixels, pred_keys):
+        row = [0.0] * len(gts)
+        for j in set().union(*(holders.get(key, ()) for key in keys)):
+            row[j] = _pixel_iou(pp, gt_pixels[j])
+        rows.append(row)
+    return rows
 
 
-def _greedy_match(iou: np.ndarray, threshold: float) -> list[int]:
+def _greedy_match(iou: Sequence[Sequence[float]], threshold: float) -> list[int]:
     """Row-by-row greedy matching of score-sorted predictions.
 
     Each row takes the unmatched column with the highest IoU at or above
@@ -149,7 +193,7 @@ def _greedy_match(iou: np.ndarray, threshold: float) -> list[int]:
     """
     matched_cols: set[int] = set()
     out = []
-    for row in iou.tolist():
+    for row in iou:
         best_j = -1
         best_v = -1.0
         for j, v in enumerate(row):
@@ -168,17 +212,51 @@ def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
         raise ValueError("n_gt must be positive")
     if not flags:
         return 0.0
-    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
-    fp = np.cumsum(1.0 - np.asarray(flags, dtype=np.float64))
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    for i in range(precision.size - 1, 0, -1):
+    recall = []
+    precision = []
+    tp = 0
+    for n, hit in enumerate(flags, 1):
+        if hit:
+            tp += 1
+        recall.append(tp / n_gt)
+        precision.append(tp / n)
+    for i in range(len(precision) - 1, 0, -1):
         if precision[i] > precision[i - 1]:
             precision[i - 1] = precision[i]
-    grid = np.linspace(0.0, 1.0, RECALL_POINTS)
-    idx = np.searchsorted(recall, grid, side="left")
-    sampled = [precision[i] if i < precision.size else 0.0 for i in idx]
-    return float(np.mean(sampled))
+    size = len(precision)
+    sampled = []
+    for r in _RECALL_GRID:
+        i = bisect_left(recall, r)
+        sampled.append(precision[i] if i < size else 0.0)
+    return _mean(sampled)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` of a non-empty list of floats, bit for
+    bit: numpy's pairwise sum, divided by the count."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int, hi: int) -> float:
+    """numpy's pairwise summation of ``xs[lo:hi]``: a plain loop below 8
+    values, 8 interleaved accumulators up to 128, and above that the two
+    halves, split at a multiple of 8, summed the same way."""
+    n = hi - lo
+    if n < 8:
+        res = 0.0
+        for i in range(lo, hi):
+            res += xs[i]
+        return res
+    if n <= 128:
+        end = hi - n % 8
+        r = [reduce(add, xs[lo + k : end : 8]) for k in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, hi):
+            res += xs[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, lo + half) + _pairwise_sum(xs, lo + half, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +335,11 @@ def evaluate(
             t: _ap_from_flags([pool.rows[i][3][t] for i in order], pool.n_gt) for t in IOU_THRESHOLDS
         }
         ar = {
-            k: float(np.mean([pool.recalled[(t, k)] / pool.n_gt for t in IOU_THRESHOLDS]))
+            k: _mean([pool.recalled[(t, k)] / pool.n_gt for t in IOU_THRESHOLDS])
             for k in MAX_DETECTIONS
         }
         per_category[c] = Metrics(
-            ap=float(np.mean([ap_by_thr[t] for t in IOU_THRESHOLDS])),
+            ap=_mean([ap_by_thr[t] for t in IOU_THRESHOLDS]),
             ap50=ap_by_thr[0.5],
             ap75=ap_by_thr[0.75],
             ar=ar,
@@ -271,10 +349,10 @@ def evaluate(
     overall = None
     if scored:
         overall = Metrics(
-            ap=float(np.mean([m.ap for m in scored])),
-            ap50=float(np.mean([m.ap50 for m in scored])),
-            ap75=float(np.mean([m.ap75 for m in scored])),
-            ar={k: float(np.mean([m.ar[k] for m in scored])) for k in MAX_DETECTIONS},
+            ap=_mean([m.ap for m in scored]),
+            ap50=_mean([m.ap50 for m in scored]),
+            ap75=_mean([m.ap75 for m in scored]),
+            ar={k: _mean([m.ar[k] for m in scored]) for k in MAX_DETECTIONS},
         )
     return EvalReport(per_category=per_category, overall=overall)
 

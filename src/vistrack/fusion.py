@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import Track, config_numbers, ints, reals
 from .errors import ConfigError
-from .evaluation import _pixel_iou, _track_pixels
+from .evaluation import _overlap_index, _pixel_iou, _track_pixels
 
 
 class ScoreRule(str, Enum):
@@ -69,19 +69,8 @@ def fuse_tracks(track_sets: Sequence[Sequence[Track]], video_length: int, cfg: F
     ]
     pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
     pixels = [_track_pixels(t, video_length, None) for t, _, _, _ in pool]
-
-    # Each track's keys: (category, frame) for every frame where it has a
-    # mask, and (category, None) when its total area is zero. Two tracks
-    # that share no key have ST-IoU 0, which never reaches merge_iou > 0;
-    # two zero-area tracks have ST-IoU 1.0.
-    keys = [
-        [(t.category_id, f) for f in masks] + ([] if area else [(t.category_id, None)])
-        for (t, _, _, _), (masks, area) in zip(pool, pixels)
-    ]
-    holders: dict[tuple[int, int | None], list[int]] = {}
-    for j, track_keys in enumerate(keys):
-        for key in track_keys:
-            holders.setdefault(key, []).append(j)
+    # A pair that shares no overlap key has ST-IoU 0, below merge_iou > 0.
+    keys, holders = _overlap_index([t for t, _, _, _ in pool], pixels)
 
     claimed = [False] * len(pool)
     fused: list[Track] = []

@@ -154,6 +154,31 @@ def reference_fuse(track_sets, length: int, h: int, w: int, cfg) -> list[Track]:
 
 
 # ---------------------------------------------------------------------------
+# numpy average precision
+
+
+def numpy_ap_from_flags(flags, n_gt: int) -> float:
+    """``evaluation._ap_from_flags`` on numpy arrays (``cumsum``,
+    ``searchsorted`` over ``linspace``, ``np.mean``): the bit-exact
+    oracle of the plain-Python version."""
+    if n_gt <= 0:
+        raise ValueError("n_gt must be positive")
+    if not flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
+    fp = np.cumsum(1.0 - np.asarray(flags, dtype=np.float64))
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    for i in range(precision.size - 1, 0, -1):
+        if precision[i] > precision[i - 1]:
+            precision[i - 1] = precision[i]
+    grid = np.linspace(0.0, 1.0, 101)
+    idx = np.searchsorted(recall, grid, side="left")
+    sampled = [precision[i] if i < precision.size else 0.0 for i in idx]
+    return float(np.mean(sampled))
+
+
+# ---------------------------------------------------------------------------
 # Definition-level corpus evaluator
 
 

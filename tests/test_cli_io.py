@@ -1189,10 +1189,13 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert _loaded_after(code, "scipy")  # the blocking None entry, never replaced by the package
 
 
-@pytest.mark.parametrize("case", ["import vistrack", "import vistrack.cli", "--help", "fuse", "pseudopair", "eval"])
+@pytest.mark.parametrize(
+    "case", ["import vistrack", "import vistrack.cli", "--help", "fuse", "pseudopair", "eval", "track"]
+)
 def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, tmp_path, case):
-    """fuse and pseudopair work on the runs and never load numpy; eval,
-    whose AP math is on arrays, shows that the probe can see it."""
+    """fuse, pseudopair and eval work on the runs and plain floats and
+    never load numpy; track, whose embedding math is on arrays, shows
+    that the probe can see it."""
     ann = str(corpus_dir / "annotations.json")
     out = str(tmp_path / "out.json")
     code = {
@@ -1203,8 +1206,9 @@ def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, 
         "fuse": _run_cli(["fuse", "--inputs", str(results_file), str(results_file), "--out", out]),
         "pseudopair": _run_cli(["pseudopair", "--annotations", ann, "--out", out]),
         "eval": _run_cli(["eval", "--gt", ann, "--results", str(results_file), "--out", out]),
+        "track": _run_cli(["track", "--detections", str(corpus_dir / "detections.json"), "--out", out]),
     }[case]
-    assert _loaded_after(code, "numpy") == (case == "eval")
+    assert _loaded_after(code, "numpy") == (case == "track")
 
 
 def test_exit_code_bad_config(corpus_dir, tmp_path, capsys):

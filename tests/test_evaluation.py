@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     evaluate_brute,
     grid_st_iou,
+    numpy_ap_from_flags,
     random_micro_corpus,
     reference_id_switches,
     traced_videos,
@@ -34,8 +35,10 @@ from vistrack.evaluation import (
     IOU_THRESHOLDS,
     MAX_DETECTIONS,
     RECALL_POINTS,
+    _RECALL_GRID,
     _ap_from_flags,
     _greedy_match,
+    _mean,
     _score_order,
     _st_iou_matrix,
 )
@@ -206,6 +209,33 @@ def test_match_count_monotone_in_threshold(seed):
         last = matched
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_iou_matrix_equals_st_iou_of_every_pair(seed):
+    """Pairs without a shared overlap key are not measured, and still
+    read what st_iou gives them: frames missing or maskless, empty masks
+    and zero-area tracks included."""
+    rng = np.random.default_rng(seed)
+    h = w = 6
+    length = 4
+
+    def random_track(track_id):
+        entries = {}
+        while not entries:  # a track has at least one entry
+            for f in range(length):
+                kind = rng.integers(0, 4)  # absent, maskless, empty, random
+                if kind == 1:
+                    entries[f] = TrackEntry(bbox=BBox(0.0, 0.0, 1.0, 1.0), mask=None)
+                elif kind >= 2:
+                    grid = rng.random((h, w)) < (0.0 if kind == 2 else 0.3)
+                    entries[f] = track_from_grids(0, 1, 1.0, {f: grid}).entries[f]
+        return Track(track_id=track_id, category_id=1, score=float(rng.random()), entries=entries)
+
+    preds = [random_track(k) for k in range(int(rng.integers(0, 5)))]
+    gts = [random_track(10 + k) for k in range(int(rng.integers(0, 5)))]
+    assert _st_iou_matrix(preds, gts, length, (h, w)) == [[st_iou(p, g, length) for g in gts] for p in preds]
+
+
 # ---------------------------------------------------------------------------
 # Average precision of score-ordered true-positive flags
 
@@ -240,6 +270,37 @@ def test_ap_unreached_recall_counts_zero():
 )
 def test_ap_at_101_recall_points_by_hand(flags, n_gt, expected):
     assert _ap_from_flags(flags, n_gt) == pytest.approx(expected, abs=1e-12)
+
+
+def test_recall_grid_is_numpy_linspace():
+    assert _RECALL_GRID == np.linspace(0.0, 1.0, RECALL_POINTS).tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ap_equals_numpy_bit_for_bit(seed):
+    """Random flag lists (empty to 300 long, sparse to dense, n_gt below
+    and above the true-positive count) give numpy's AP exactly."""
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        flags = (rng.random(int(rng.integers(0, 301))) < rng.random()).tolist()
+        n_gt = max(1, sum(flags) + int(rng.integers(-2, 20)))
+        assert _ap_from_flags(flags, n_gt) == numpy_ap_from_flags(flags, n_gt)
+
+
+@pytest.mark.parametrize("lengths", [(1, 7), (8, 128), (129, 2000)], ids=["loop", "unrolled", "halved"])
+@pytest.mark.parametrize("scale", ["unit", "mixed"])
+def test_mean_equals_numpy_bit_for_bit(lengths, scale):
+    """``_mean`` is numpy's pairwise mean in every branch of its sum:
+    unit-interval values like the metrics, and signed values whose
+    magnitudes span 1e-12 to 1e12, where the summation order shows."""
+    rng = np.random.default_rng(lengths[0])
+    for _ in range(300):
+        n = int(rng.integers(lengths[0], lengths[1] + 1))
+        if scale == "unit":
+            values = rng.random(n).tolist()
+        else:
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)).tolist()
+        assert _mean(values) == float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------
