@@ -5,10 +5,18 @@ All writers quantize floats to 6 significant digits and serialize with
 sorted keys and 2-space indentation, so repeated runs produce
 byte-identical files. The byte contract of the writer, ``dumps_json``,
 is ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
-exactly: ASCII-escaped strings, ``int.__repr__`` and ``float.__repr__``
-for numbers, ValueError for NaN and infinities and TypeError for any
-other type. It is a specialized writer because ``json.dumps`` with an
-indent runs the pure-Python encoder, one generator step per value.
+exactly, where a generator (``types.GeneratorType``) stands for the list
+of its items: ASCII-escaped strings, ``int.__repr__`` and
+``float.__repr__`` for numbers, ValueError for NaN and infinities and
+TypeError for any other type, sets and other iterators included. It is
+a specialized writer because ``json.dumps`` with an indent runs the
+pure-Python encoder, one generator step per value.
+
+Writers stream record by record: each passes its arrays of records as
+generators, and ``_write`` hands the text to the file between records,
+so neither the records nor the text of a whole file exist at once. The
+text goes to a sibling file that replaces the path only once it is
+complete, so a write that fails leaves the path as it was.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
@@ -30,11 +38,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not
-from typing import Any, Mapping, Sequence
+from types import GeneratorType
+from typing import Any, Callable, Mapping, Sequence
 
 from .association import AssociationConfig
 from .core import (
@@ -70,20 +80,27 @@ def _q(x: float) -> float:
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
+# A streamed write hands its pieces to the file between the elements of a
+# generator once it holds more than this many. A results record of a
+# one-entry track is ~25 pieces, most of its bytes in two runs of nulls.
+_FLUSH_PIECES = 256
+
 
 def dumps_json(obj: Any) -> str:
     """``obj`` as sorted-key, 2-space-indented JSON plus a final newline;
     the same bytes as ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``."""
+    allow_nan=False) + "\\n"``, a generator written as the list of its
+    items."""
     out: list[str] = []
     _emit(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, nl: str, out: list[str]) -> None:
+def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None] | None = None) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
-    plus the indentation of the line ``obj`` starts on."""
+    plus the indentation of the line ``obj`` starts on. ``flush``, if
+    given, takes and empties ``out`` between the items of a generator."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -92,7 +109,7 @@ def _emit(obj: Any, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             out.append(f"{sep}{_key(key)}: ")
-            _emit(value, inner, out)
+            _emit(value, inner, out, flush)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
@@ -123,12 +140,24 @@ def _emit(obj: Any, nl: str, out: list[str]) -> None:
                 out.append(lead + "null" + nulls * (k - end - 2))
                 lead = sep
             out.append(lead)
-            _emit(obj[k], inner, out)
+            _emit(obj[k], inner, out, flush)
             lead = sep
             end = k
         if len(obj) > end + 1:
             out.append(lead + "null" + nulls * (len(obj) - end - 2))
         out.append(nl + "]")
+    elif isinstance(obj, GeneratorType):
+        inner = nl + "  "
+        lead = "[" + inner
+        empty = True
+        for item in obj:
+            out.append(lead)
+            _emit(item, inner, out, flush)
+            lead = "," + inner
+            empty = False
+            if flush is not None and len(out) > _FLUSH_PIECES:
+                flush(out)
+        out.append("[]" if empty else nl + "]")
     else:
         out.append(_scalar(obj))
 
@@ -160,8 +189,41 @@ def _key(key: Any) -> str:
 
 
 def _write(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+    """Write ``dumps_json(obj)`` to ``path``, streaming the items of each
+    generator in ``obj``. The text goes to a sibling file that replaces
+    ``path`` only once it is complete, so a write that fails leaves
+    ``path`` as it was. A symlink is written through; a path that is not
+    a regular file (a pipe, ``/dev/stdout``) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            _stream(obj, fh)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except (FileNotFoundError, PermissionError) as e:  # the directory is missing or read-only
+        raise type(e)(e.errno, e.strerror, path) from None
+    try:
+        with fh:
+            _stream(obj, fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _stream(obj: Any, fh) -> None:
+    """Write ``dumps_json(obj)`` to ``fh``, a few records at a time."""
+
+    def flush(out: list[str]) -> None:
+        fh.write("".join(out))
+        out.clear()
+
+    out: list[str] = []
+    _emit(obj, "\n", out, flush)
+    out.append("\n")
+    flush(out)
 
 
 def _read_json(path: str) -> Any:
@@ -229,7 +291,7 @@ def _rle_from(value: Any, where: str) -> RleMask:
         raise CountsMismatch(f"{where}: {e}") from e
 
 
-def _entries_json(t: Track, length: int) -> tuple[list[Any], list[Any]]:
+def _entries_json(t: Track, length: int) -> dict[str, list[Any]]:
     """A track's per-frame ``segmentations`` and ``bboxes`` arrays, null
     where the track has no entry."""
     segs: list[Any] = [None] * length
@@ -239,7 +301,7 @@ def _entries_json(t: Track, length: int) -> tuple[list[Any], list[Any]]:
             raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
         segs[f] = _rle_json(e.mask) if e.mask is not None else None
         boxes[f] = _bbox_json(e.bbox)
-    return segs, boxes
+    return {"segmentations": segs, "bboxes": boxes}
 
 
 def _entries_from(segs: list, boxes: list, where: str) -> dict[int, TrackEntry]:
@@ -275,19 +337,11 @@ def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> Non
         for c in g.category_set:
             cat_names.setdefault(c, g.category_names.get(c, f"category_{c}"))
     categories = [{"id": c, "name": cat_names[c]} for c in sorted(cat_names)]
-    annotations = []
-    for g in sorted(ground_truth, key=lambda g: g.video_id):
-        for t in sorted(g.gt_tracks, key=lambda t: t.track_id):
-            segs, boxes = _entries_json(t, g.length)
-            annotations.append(
-                {
-                    "id": t.track_id,
-                    "video_id": g.video_id,
-                    "category_id": t.category_id,
-                    "segmentations": segs,
-                    "bboxes": boxes,
-                }
-            )
+    annotations = (
+        {"id": t.track_id, "video_id": g.video_id, "category_id": t.category_id, **_entries_json(t, g.length)}
+        for g in sorted(ground_truth, key=lambda g: g.video_id)
+        for t in sorted(g.gt_tracks, key=lambda t: t.track_id)
+    )
     _write({"videos": videos, "annotations": annotations, "categories": categories}, path)
 
 
@@ -398,25 +452,23 @@ def save_detections(
         if len(dims) > 1:
             raise SchemaError("detections mix embedding dimensions; they must be constant per file")
         embedding_dim = dims.pop() if dims else 0
-    rows = []
-    for vid in sorted(videos):
-        row: dict[str, Any] = {"video_id": vid}
-        meta = (metas or {}).get(vid)
-        if meta is not None:
-            row["length"] = meta.length
-            if meta.height is not None:
-                row["height"] = meta.height
-            if meta.width is not None:
-                row["width"] = meta.width
-        row["frames"] = [
-            {
-                "frame_index": fr.frame_index,
-                "detections": [_detection_json(d) for d in fr.detections],
-            }
-            for fr in videos[vid]
-        ]
-        rows.append(row)
+    rows = (_video_json(vid, videos[vid], (metas or {}).get(vid)) for vid in sorted(videos))
     _write({"embedding_dim": embedding_dim, "videos": rows}, path)
+
+
+def _video_json(vid: int, frames: Sequence[FrameDetections], meta: VideoMeta | None) -> dict:
+    row: dict[str, Any] = {"video_id": vid}
+    if meta is not None:
+        row["length"] = meta.length
+        if meta.height is not None:
+            row["height"] = meta.height
+        if meta.width is not None:
+            row["width"] = meta.width
+    row["frames"] = (
+        {"frame_index": fr.frame_index, "detections": [_detection_json(d) for d in fr.detections]}
+        for fr in frames
+    )
+    return row
 
 
 def load_detections(path: str) -> DetectionsFile:
@@ -508,23 +560,20 @@ def save_results(
     video_lengths: Mapping[int, int],
 ) -> None:
     """One record per track, sorted by (video, descending score, id)."""
-    records = []
     for vid in sorted(tracks):
         if vid not in video_lengths:
             raise SchemaError(f"no video length provided for video {vid}")
-        length = video_lengths[vid]
-        for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id)):
-            segs, boxes = _entries_json(t, length)
-            records.append(
-                {
-                    "video_id": vid,
-                    "id": t.track_id,
-                    "category_id": t.category_id,
-                    "score": _q(t.score),
-                    "segmentations": segs,
-                    "bboxes": boxes,
-                }
-            )
+    records = (
+        {
+            "video_id": vid,
+            "id": t.track_id,
+            "category_id": t.category_id,
+            "score": _q(t.score),
+            **_entries_json(t, video_lengths[vid]),
+        }
+        for vid in sorted(tracks)
+        for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id))
+    )
     _write(records, path)
 
 
@@ -614,7 +663,7 @@ def _view_json(view) -> dict:
 
 def save_pairs(samples: Sequence[CropPairSample], path: str) -> None:
     _write(
-        [
+        (
             {
                 "source_image_id": s.source_image_id,
                 "view_a": _view_json(s.view_a),
@@ -622,14 +671,13 @@ def save_pairs(samples: Sequence[CropPairSample], path: str) -> None:
                 "correspondence": [[a, b] for a, b in s.correspondence],
             }
             for s in samples
-        ],
+        ),
         path,
     )
 
 
 def save_identity(identity_key: Mapping[tuple[int, int, int], int], path: str) -> None:
-    rows = [[v, f, d, t] for (v, f, d), t in sorted(identity_key.items())]
-    _write(rows, path)
+    _write(([v, f, d, t] for (v, f, d), t in sorted(identity_key.items())), path)
 
 
 def load_identity(path: str) -> dict[tuple[int, int, int], int]:

@@ -6,8 +6,11 @@ import filecmp
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +38,7 @@ from vistrack import (
     bbox_of_mask,
     rle_encode,
 )
-from vistrack import core, pseudo_pair
+from vistrack import core, formats, pseudo_pair
 from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
@@ -343,12 +346,141 @@ def test_dumps_json_rejects_non_finite_floats(obj):
         dumps_json(obj)
 
 
-@pytest.mark.parametrize("obj", [{1, 2}, [0, {1}], {"a": frozenset()}, {(1, 2): 0}, np.int64(3)])
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, [0, {1}], {"a": frozenset()}, {(1, 2): 0}, np.int64(3), map(int, "12"), iter([1, 2])]
+)
 def test_dumps_json_rejects_other_types(obj):
     with pytest.raises(TypeError):
         reference_dumps(obj)
     with pytest.raises(TypeError):
         dumps_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# the streamed writer
+
+
+def _as_generators(obj, pick):
+    """``obj`` with each array for which ``pick()`` is true turned into a
+    generator of its items, recursively."""
+    if isinstance(obj, dict):
+        return {k: _as_generators(v, pick) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        items = [_as_generators(v, pick) for v in obj]
+        return (v for v in items) if pick() else items
+    return obj
+
+
+def _written(obj, tmp_path) -> str:
+    path = tmp_path / "out.json"
+    formats._write(obj, str(path))
+    return path.read_bytes().decode("utf-8")
+
+
+@given(json_values, st.randoms(use_true_random=False))
+def test_streamed_write_matches_reference(tmp_path_factory, obj, rnd):
+    tmp_path = tmp_path_factory.mktemp("w")
+    expected = reference_dumps(obj)
+    assert _written(_as_generators(obj, lambda: rnd.random() < 0.5), tmp_path) == expected
+    assert _written(_as_generators(obj, lambda: True), tmp_path) == expected
+    assert dumps_json(_as_generators(obj, lambda: True)) == expected
+
+
+BIG = formats._FLUSH_PIECES * 3
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        [[]],
+        {"a": [], "b": [[], {}]},
+        {"a": list(range(5)), "b": [1], "c": {"d": [None, [2.5], None]}},
+        [{"k": i, "v": [None] * (i % 7) + [[i]], "s": "x" * (i % 3)} for i in range(BIG)],
+        {"rows": [{"frames": [{"i": j, "d": [[0.5, j]]} for j in range(40)]} for i in range(BIG // 40)]},
+        [[None, None, {"a": [i]}] for i in range(BIG)],
+        list(range(BIG)),
+    ],
+    ids=["empty", "nested-empty", "in-dict-empty", "in-dict", "records", "nested-records", "null-runs", "ints"],
+)
+def test_streamed_write_matches_reference_on_edge_cases(tmp_path, obj):
+    assert _written(_as_generators(obj, lambda: True), tmp_path) == reference_dumps(obj)
+
+
+def _past_the_end():
+    """Tracks of video 1 whose second track has an entry at frame 5, past
+    a length of 2, so that ``save_results`` fails after its first record."""
+    good = tiny_gt()[0].gt_tracks[0]
+    bad = Track(track_id=2, category_id=1, score=0.5, entries={5: good.entries[0]})
+    return {1: [good, bad]}
+
+
+def test_failed_write_leaves_a_missing_path_missing(tmp_path):
+    p = tmp_path / "res.json"
+    with pytest.raises(SchemaError, match="entry frame 5 outside video length 2"):
+        save_results(_past_the_end(), str(p), video_lengths={1: 2})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_an_existing_file_as_it_was(tmp_path):
+    p = tmp_path / "res.json"
+    p.write_bytes(b"earlier bytes\n")
+    with pytest.raises(SchemaError, match="entry frame 5 outside video length 2"):
+        save_results(_past_the_end(), str(p), video_lengths={1: 2})
+    assert p.read_bytes() == b"earlier bytes\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_save_results_checks_every_length_before_opening_the_file(tmp_path):
+    p = tmp_path / "res.json"
+    with pytest.raises(SchemaError, match="no video length provided for video 2"):
+        save_results({1: tiny_gt()[0].gt_tracks, 2: []}, str(p), video_lengths={1: 2})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    save_results({1: tiny_gt()[0].gt_tracks}, str(link), video_lengths={1: 2})
+    assert link.is_symlink()
+    assert target.read_text() == GOLDEN_RESULTS
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_to_a_pipe_streams_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    save_results({1: tiny_gt()[0].gt_tracks}, str(fifo), video_lengths={1: 2})
+    reader.join(timeout=10)
+    assert received == [GOLDEN_RESULTS]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_save_results_memory_is_bounded_by_a_record(tmp_path):
+    """A sparse 2,000-frame video of 300 one-entry tracks: the file is
+    ~14 MB, nearly all nulls, and the writer holds only a few records."""
+    length = 2000
+    m = tiny_mask()
+    tracks = [
+        Track(track_id=i, category_id=1, score=0.5, entries={(7 * i) % length: TrackEntry(bbox_of_mask(m), m)})
+        for i in range(1, 301)
+    ]
+    p = tmp_path / "res.json"
+    tracemalloc.start()
+    try:
+        save_results({1: tracks}, str(p), video_lengths={1: length})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = p.stat().st_size
+    assert size > 10_000_000
+    assert peak < size / 4, (peak, size)
 
 
 def test_annotations_round_trip(tmp_path):
@@ -1060,6 +1192,14 @@ def test_exit_code_missing_file(tmp_path, capsys):
     code = entrypoint(["track", "--detections", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_output_in_a_missing_directory_exits_1_naming_the_path(tmp_path, capsys):
+    synth = tmp_path / "corpus"
+    assert entrypoint(["synth", "--seed", "1", "--out-dir", str(synth)]) == 0
+    out = tmp_path / "missing" / "o.json"
+    assert entrypoint(["track", "--detections", str(synth / "detections.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(f"No such file or directory: '{out}'\n")
 
 
 def test_exit_code_malformed_json(tmp_path, capsys):
