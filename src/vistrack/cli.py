@@ -223,6 +223,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint(argv=None) -> int:
+    # Every array here is small: OpenBLAS's pool of worker threads takes
+    # longer to start than it saves. numpy is first imported after this
+    # (see _numpy), and a value the user has set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return main(argv)
     except SchemaError as e:  # ParseError included

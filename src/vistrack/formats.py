@@ -6,7 +6,8 @@ sorted keys and 2-space indentation, so repeated runs produce
 byte-identical files. The byte contract of the writer, ``dumps_json``,
 is ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
 exactly, where a generator (``types.GeneratorType``) stands for the list
-of its items: ASCII-escaped strings, ``int.__repr__`` and
+of its items and a ``_Quantized`` tuple for the list of its items'
+``_q`` values: ASCII-escaped strings, ``int.__repr__`` and
 ``float.__repr__`` for numbers, ValueError for NaN and infinities and
 TypeError for any other type, sets and other iterators included. It is
 a specialized writer because ``json.dumps`` with an indent runs the
@@ -78,6 +79,26 @@ def _q(x: float) -> float:
     return float(f"{float(x):.6g}")
 
 
+class _Quantized(tuple):
+    """Floats that ``_emit`` writes as the array of their ``_q`` values,
+    each formatted once (``_qtext``)."""
+
+    __slots__ = ()
+
+
+def _qtext(x: float) -> str:
+    """``_scalar(_q(x))`` from one format call. A decimal of at most 6
+    significant digits round-trips through a normal float, so repr prints
+    the digits that ``.6g`` prints; only the notation can differ. Where
+    ``.6g`` writes plain decimals (magnitudes 1e-4 to 1e6), repr does too
+    and adds ``.0`` to an integer; text with an exponent, NaN or an
+    infinity takes the two-step path, which raises for the last two."""
+    text = f"{x:.6g}"
+    if "e" in text or "n" in text:
+        return _scalar(_q(x))
+    return text if "." in text else text + ".0"
+
+
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 # A streamed write hands its pieces to the file between the elements of a
@@ -90,7 +111,7 @@ def dumps_json(obj: Any) -> str:
     """``obj`` as sorted-key, 2-space-indented JSON plus a final newline;
     the same bytes as ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``, a generator written as the list of its
-    items."""
+    items and a ``_Quantized`` tuple as the list of its ``_q`` values."""
     out: list[str] = []
     _emit(obj, "\n", out)
     out.append("\n")
@@ -118,6 +139,9 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None] 
             return
         inner = nl + "  "
         sep = "," + inner
+        if type(obj) is _Quantized:
+            out.append("[" + inner + sep.join(map(_qtext, obj)) + nl + "]")
+            return
         kinds = set(map(type, obj))
         if kinds <= _SCALAR_TYPES:
             # One join per array of scalars; all-int and all-finite-float
@@ -258,8 +282,8 @@ def _get(obj: dict, key: str, where: str, check=None) -> Any:
     return check((obj[key],), f"{where}.{key}", SchemaError)[0]
 
 
-def _bbox_json(b: BBox) -> list[float]:
-    return [_q(b.x), _q(b.y), _q(b.w), _q(b.h)]
+def _bbox_json(b: BBox) -> _Quantized:
+    return _Quantized((b.x, b.y, b.w, b.h))
 
 
 def _bbox_from(value: Any, where: str) -> BBox:
@@ -435,9 +459,9 @@ def _detection_json(d: Detection) -> dict:
         "bbox": _bbox_json(d.bbox),
         "score": _q(d.score),
         "category_id": d.category_id,
-        "class_probs": [_q(p) for p in d.class_probs],
+        "class_probs": _Quantized(d.class_probs),
         "segmentation": _rle_json(d.mask) if d.mask is not None else None,
-        "embedding": [_q(v) for v in d.embedding],
+        "embedding": _Quantized(d.embedding),
     }
 
 
@@ -648,7 +672,7 @@ def save_report(report: EvalReport, path: str) -> None:
 def _view_json(view) -> dict:
     w = view.window
     return {
-        "window": [_q(w.x0), _q(w.y0), _q(w.x1), _q(w.y1)],
+        "window": _Quantized((w.x0, w.y0, w.x1, w.y1)),
         "annotations": [
             {
                 "instance_id": a.instance_id,

@@ -4,16 +4,32 @@ The generator is specified fully below (no dependence on platform or
 library RNG state), so seeded runs are bit-identical across machines
 and Python versions. Derived draws (integers, gaussians, Poisson
 counts) consume uniforms in a fixed, documented order.
+
+SplitMix64 is counter-based: the k-th next draw is the finalizer of
+``state + k * gamma``, so ``gauss_many`` computes a block of uniforms
+as one uint64 array. It returns the same floats as that many ``gauss``
+calls, in the same order, and leaves the same state behind; the block
+changes only how the draws are computed, never which draw goes where.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
+from ._numpy import np
 from .core import ints
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# The largest mean (708.396...) whose exp(-mean) is a normal float.
+# Knuth's Poisson sampler stops once a product of uniforms falls below
+# exp(-mean); past this mean that bound is subnormal and then 0, and the
+# counts stop growing (near 748 for every mean from ~745 on).
+POISSON_MAX_MEAN = -math.log(sys.float_info.min)
 
 
 class SplitMix64:
@@ -34,8 +50,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -56,11 +72,29 @@ class SplitMix64:
         u2 = self.next_float()
         return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def gauss_many(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        """The next ``n`` ``gauss(sigma)`` draws as one float64 array, bit
+        for bit. The 2n uniforms are computed as one uint64 array (numpy
+        wraps modulo 2**64 as the mask does); log and cos are ``math``'s,
+        as numpy's differ from them in the last bit of some draws, while
+        the arithmetic and sqrt are correctly rounded in both."""
+        z = np.uint64(self.state) + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.state = (self.state + 2 * n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        u = (z ^ (z >> np.uint64(31))).astype(np.float64) / 2.0**64
+        log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
+        cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, n)
+        return sigma * np.sqrt(-2.0 * log_u1) * cos_u2
+
     def poisson(self, lam: float) -> int:
-        """Knuth's product-of-uniforms Poisson sampler."""
+        """Knuth's product-of-uniforms Poisson sampler; a mean above
+        POISSON_MAX_MEAN raises ValueError."""
         if lam <= 0.0:
             return 0
         limit = math.exp(-lam)
+        if limit < sys.float_info.min:
+            raise ValueError(f"Poisson mean must be at most {POISSON_MAX_MEAN:.6g}, as exp(-mean) underflows; got {lam}")
         count = 0
         prod = self.next_float()
         while prod > limit:

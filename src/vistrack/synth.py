@@ -11,7 +11,10 @@ little or not at all; identity must come from the embeddings.
 Masks are encoded straight from each shape's box: a rect or an
 inscribed ellipse (sampled at pixel centers) covers one run of rows per
 column, so the run-length counts and the tight box come from those
-column runs without drawing a canvas.
+column runs without drawing a canvas. The runs of a shape depend only
+on its kind, its size and the canvas height, not on where it sits: they
+are computed once per shape and size (in closed form for a rect) and
+each frame shifts them to the box's position.
 
 Dropout models occlusion: a dropped (video, object, frame) cell has
 neither a detection nor a ground-truth entry. Clutter detections carry
@@ -26,6 +29,7 @@ corpus is byte-stable under serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ._numpy import np
 from .core import (
@@ -41,7 +45,7 @@ from .core import (
     reals,
 )
 from .errors import ConfigError, ConfigInfeasible
-from .rng import SplitMix64
+from .rng import POISSON_MAX_MEAN, SplitMix64
 
 # identity_key value for detections that correspond to no object
 CLUTTER = -1
@@ -81,6 +85,11 @@ class SynthConfig:
             raise ConfigError("detector_dropout must lie in [0, 1)")
         if self.clutter_rate < 0.0:
             raise ConfigError("clutter_rate must be non-negative")
+        if self.clutter_rate > POISSON_MAX_MEAN:
+            raise ConfigError(
+                f"clutter_rate must be at most {POISSON_MAX_MEAN:.6g}, the largest Poisson mean"
+                f" whose exp(-mean) is a normal float; got {self.clutter_rate}"
+            )
         if self.embedding_noise_sigma < 0.0:
             raise ConfigError("embedding_noise_sigma must be non-negative")
         if self.motion_step_max < 0:
@@ -103,7 +112,7 @@ class SynthCorpus:
 
 def _unit_gaussian(rng: SplitMix64, dim: int) -> np.ndarray:
     while True:
-        v = np.array([rng.gauss(1.0) for _ in range(dim)])
+        v = rng.gauss_many(dim)
         n = float(np.linalg.norm(v))
         if n > 1e-12:
             return v / n
@@ -131,47 +140,67 @@ def _sample_bases(rng: SplitMix64, count: int, dim: int) -> list[np.ndarray]:
 
 def _shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> tuple[RleMask, BBox]:
     """Mask and tight box of a rect or of the ellipse inscribed in the box
-    [x, x + w) x [y, y + h), encoded from the box window alone.
+    [x, x + w) x [y, y + h): the shape's runs at the origin, shifted."""
+    if shape == "rect":
+        # a full-height rect's columns meet in one run
+        runs = [w * h] if h == canvas_h else [h, canvas_h - h] * (w - 1) + [h]
+        first, end, dx, dy, bw, bh = 0, (w - 1) * canvas_h + h, 0, 0, w, h
+    else:
+        runs, first, end, dx, dy, bw, bh = _ellipse_runs(w, h, canvas_h)
+    shift = x * canvas_h + y
+    counts = [first + shift, *runs]
+    tail = canvas_w * canvas_h - end - shift
+    if tail:
+        counts.append(tail)
+    bbox = BBox(float(x + dx), float(y + dy), float(bw), float(bh))
+    return RleMask(height=canvas_h, width=canvas_w, counts=counts), bbox
 
-    Both shapes hold at most one run of ones per column, rows [top,
-    bottom) of that column, so the flat run bounds are col * canvas_h +
+
+@lru_cache(maxsize=256)
+def _ellipse_runs(w: int, h: int, canvas_h: int) -> tuple[tuple[int, ...], int, int, int, int, int, int]:
+    """The ellipse inscribed in the box [0, w) x [0, h) of a canvas
+    ``canvas_h`` rows high: its counts from its first foreground pixel to
+    its last, the flat index of that first pixel and of the one past the
+    last, and its tight box (x, y, w, h).
+
+    Pixel centers are sampled relative to the box, at multiples of 0.5,
+    so the test gives the same floats wherever the box sits, and a box at
+    (x, y) has these runs shifted by x * canvas_h + y. The ellipse holds
+    at most one run of rows [top, bottom) per column (none in the edge
+    columns of a thin one), so the flat run bounds are col * canvas_h +
     top and col * canvas_h + bottom.
     """
-    cols = np.arange(x, x + w)
-    if shape == "rect":
-        top = np.full(w, y)
-        bottom = top + h
-    else:
-        # pixel centers inside the ellipse; outside the box none can be
-        cy, cx = y + h / 2.0, x + w / 2.0
-        ry, rx = h / 2.0, w / 2.0
-        rows = (np.arange(y, y + h) + 0.5 - cy) / ry
-        inside = rows[:, None] ** 2 + ((cols + 0.5 - cx) / rx)[None, :] ** 2 <= 1.0
-        filled = inside.any(axis=0)  # a thin ellipse misses its edge columns
-        cols, inside = cols[filled], inside[:, filled]
-        top = y + inside.argmax(axis=0)
-        bottom = y + h - inside[::-1].argmax(axis=0)
+    cols = np.arange(w)
+    rows = (np.arange(h) + 0.5 - h / 2.0) / (h / 2.0)
+    inside = rows[:, None] ** 2 + ((cols + 0.5 - w / 2.0) / (w / 2.0))[None, :] ** 2 <= 1.0
+    filled = inside.any(axis=0)
+    cols, inside = cols[filled], inside[:, filled]
+    top = inside.argmax(axis=0)
+    bottom = h - inside[::-1].argmax(axis=0)
     starts = cols * canvas_h + top
     ends = cols * canvas_h + bottom
     if h == canvas_h:  # runs can meet across columns: merge them
         apart = ends[:-1] != starts[1:]
         starts = starts[np.concatenate(([True], apart))]
         ends = ends[np.concatenate((apart, [True]))]
-    bounds = np.zeros(2 * len(starts) + 1, dtype=np.int64)
-    bounds[1::2] = starts
-    bounds[2::2] = ends
-    counts = (bounds[1:] - bounds[:-1]).tolist()
-    tail = canvas_w * canvas_h - int(ends[-1])
-    if tail:
-        counts.append(tail)
+    bounds = np.empty(2 * len(starts), dtype=np.int64)
+    bounds[0::2] = starts
+    bounds[1::2] = ends
     x0, y0 = int(cols[0]), int(top.min())
-    bbox = BBox(float(x0), float(y0), float(int(cols[-1]) + 1 - x0), float(int(bottom.max()) - y0))
-    return RleMask(height=canvas_h, width=canvas_w, counts=counts), bbox
+    return (
+        tuple(np.diff(bounds).tolist()),
+        int(starts[0]),
+        int(ends[-1]),
+        x0,
+        y0,
+        int(cols[-1]) + 1 - x0,
+        int(bottom.max()) - y0,
+    )
 
 
 def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: float) -> tuple[float, ...]:
     if sigma > 0.0:
-        vec = base + np.array([rng.gauss(sigma) for _ in range(base.size)])
+        vec = base + rng.gauss_many(base.size, sigma)
         n = float(np.linalg.norm(vec))
         if n <= 1e-12:
             vec = base.copy()
@@ -179,7 +208,7 @@ def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: flo
             vec = vec / n
     else:
         vec = base
-    return tuple(float(v) for v in vec * scale)
+    return tuple((vec * scale).tolist())
 
 
 def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, list[FrameDetections], dict]:
@@ -248,7 +277,7 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
                 x = rng.randint(0, cw - w)
                 y = rng.randint(0, ch - h)
                 cat = rng.randint(1, n_cats)
-                emb = tuple(float(v) for v in _unit_gaussian(rng, cfg.embedding_dim))
+                emb = tuple(_unit_gaussian(rng, cfg.embedding_dim).tolist())
                 score = 0.05 + 0.25 * rng.next_float()
                 mask, bbox = _shape_mask("rect", x, y, w, h, cw, ch)
                 probs = [0.0] * (n_cats + 1)

@@ -81,6 +81,69 @@ def render_shape(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canv
     return grid
 
 
+def reference_shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> tuple[RleMask, BBox]:
+    """Mask and tight box of a synth shape, encoded from the box window at
+    its position: every column's run of rows [top, bottom) becomes the
+    flat bounds col * canvas_h + top and col * canvas_h + bottom. (The
+    encoder synth used before it computed each shape's runs once per
+    size.)"""
+    cols = np.arange(x, x + w)
+    if shape == "rect":
+        top = np.full(w, y)
+        bottom = top + h
+    else:
+        cy, cx = y + h / 2.0, x + w / 2.0
+        ry, rx = h / 2.0, w / 2.0
+        rows = (np.arange(y, y + h) + 0.5 - cy) / ry
+        inside = rows[:, None] ** 2 + ((cols + 0.5 - cx) / rx)[None, :] ** 2 <= 1.0
+        filled = inside.any(axis=0)
+        cols, inside = cols[filled], inside[:, filled]
+        top = y + inside.argmax(axis=0)
+        bottom = y + h - inside[::-1].argmax(axis=0)
+    starts = cols * canvas_h + top
+    ends = cols * canvas_h + bottom
+    if h == canvas_h:
+        apart = ends[:-1] != starts[1:]
+        starts = starts[np.concatenate(([True], apart))]
+        ends = ends[np.concatenate((apart, [True]))]
+    bounds = np.zeros(2 * len(starts) + 1, dtype=np.int64)
+    bounds[1::2] = starts
+    bounds[2::2] = ends
+    counts = (bounds[1:] - bounds[:-1]).tolist()
+    tail = canvas_w * canvas_h - int(ends[-1])
+    if tail:
+        counts.append(tail)
+    x0, y0 = int(cols[0]), int(top.min())
+    bbox = BBox(float(x0), float(y0), float(int(cols[-1]) + 1 - x0), float(int(bottom.max()) - y0))
+    return RleMask(height=canvas_h, width=canvas_w, counts=counts), bbox
+
+
+# ---------------------------------------------------------------------------
+# SplitMix64 run backwards
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _unshift(z: int, s: int) -> int:
+    """The inverse of z ^ (z >> s) on 64 bits."""
+    out = z
+    for _ in range(64 // s):
+        out = z ^ (out >> s)
+    return out
+
+
+def state_before(z: int, k: int = 1) -> int:
+    """The SplitMix64 state whose k-th next draw (next_u64) is ``z``: the
+    finalizer inverted step by step, then k increments taken back."""
+    z = _unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    z = _unshift(z, 30)
+    return (z - k * _GAMMA) & _MASK64
+
+
 # ---------------------------------------------------------------------------
 # Decoded-grid spatio-temporal IoU
 

@@ -357,6 +357,62 @@ def test_dumps_json_rejects_other_types(obj):
 
 
 # ---------------------------------------------------------------------------
+# quantized float arrays, each float formatted once
+
+
+def _quantized_text(values) -> str:
+    """The arrays' text by definition: quantize each float, then write
+    the list with json.dumps (float.__repr__)."""
+    return reference_dumps([formats._q(v) for v in values])
+
+
+# mantissa x 10^exponent over magnitudes 1e-12 to 1e17, either sign
+_magnitudes = st.builds(
+    lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 10.0), st.integers(-12, 17), st.sampled_from([-1.0, 1.0])
+)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            _magnitudes,
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(10**7), 10**7).map(float),  # integral values
+            st.sampled_from([0.0, -0.0]),
+        ),
+        max_size=12,
+    )
+)
+def test_quantized_floats_are_written_as_quantize_then_repr(values):
+    assert dumps_json(formats._Quantized(values)) == _quantized_text(values)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        0.0, -0.0, 1.0, -3.0, 12.0, 100000.0, 999999.0, 999999.4, 999999.5, 1e6, -1e6, 1234567.0,
+        1e16, 1e17, 9.9999995e15, 1e-12, 1e-5, 9.999995e-5, 0.0001, 0.1, 1 / 3, 123456.5, 0.000123456789,
+        2.2250738585072014e-308, 1e-310, 5e-324, 1.7976931348623157e308,
+    ],
+)
+def test_quantized_float_edge_cases(x):
+    assert dumps_json(formats._Quantized((x, -x))) == _quantized_text((x, -x))
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_quantized_non_finite_float_raises_the_same_error(x):
+    with pytest.raises(ValueError) as two_step:
+        dumps_json([formats._q(1.5), formats._q(x)])
+    with pytest.raises(ValueError) as one_pass:
+        dumps_json(formats._Quantized((1.5, x)))
+    assert str(one_pass.value) == str(two_step.value)
+
+
+def test_empty_quantized_array():
+    assert dumps_json({"a": formats._Quantized(())}) == '{\n  "a": []\n}\n'
+
+
+# ---------------------------------------------------------------------------
 # the streamed writer
 
 
@@ -1351,6 +1407,28 @@ def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, 
     assert _loaded_after(code, "numpy") == (case == "track")
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_entrypoint_starts_openblas_single_threaded_unless_the_user_says(preset, expected):
+    """A fresh interpreter has no numpy when entrypoint starts, so the
+    variable is in place before OpenBLAS reads it."""
+    src = Path(vistrack.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys\n"
+        "from vistrack.cli import entrypoint\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert entrypoint(['losscheck', '--samples', '1']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == expected
+
+
 def test_exit_code_bad_config(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"association": {"match_threshold": -3}}))
@@ -1426,3 +1504,4 @@ def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, 
     cls = {f.name: f.default_factory for f in fields(RunConfig)}[section]
     with pytest.raises(ConfigError, match=field):
         cls(**values)
+

@@ -3,14 +3,16 @@ identity bookkeeping, and occlusion/clutter semantics."""
 
 import hashlib
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import render_shape
+from helpers import reference_shape_mask, render_shape, state_before
 from vistrack import (
     CLUTTER,
     ConfigError,
@@ -26,6 +28,7 @@ from vistrack import (
     synth,
 )
 from vistrack.cli import entrypoint
+from vistrack.rng import POISSON_MAX_MEAN
 from vistrack.synth import _shape_mask
 
 
@@ -266,6 +269,48 @@ def test_rng_seed_of_the_last_video_must_fit_64_bits(n_videos, seed):
         SynthConfig(n_videos=n_videos, rng_seed=seed)
 
 
+@given(
+    st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    st.integers(0, 64),
+    st.sampled_from([1.0, 0.05, 0.3, 3.0, 1e-9, 0.0, -1.0]),
+)
+@example(2**64 - 1, 64, 1.0)  # the state wraps on the first draw
+@example(0, 0, 1.0)
+def test_gauss_many_equals_gauss_bit_for_bit(seed, n, sigma):
+    batched, single = SplitMix64(seed), SplitMix64(seed)
+    many = batched.gauss_many(n, sigma)
+    one_by_one = [single.gauss(sigma) for _ in range(n)]
+    assert many.dtype == np.float64 and many.shape == (n,)
+    assert list(map(float.hex, many.tolist())) == list(map(float.hex, one_by_one))
+    assert batched.state == single.state
+
+
+# draws whose conversion to a float rounds: below, at and above a tie
+# between two floats, and ties that round down to an even float
+_ROUNDING_DRAWS = [2**53 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**63 + 3 * 2**10, 2**64 - 2**11, 2**64 - 2**10 - 1]
+
+
+@pytest.mark.parametrize(
+    "z, k",
+    # k = 1 is the radius draw, k = 2 the angle draw; the two top draws
+    # round to 2**64, a uniform of 1.0, which only the angle can take
+    [(z, 1) for z in _ROUNDING_DRAWS] + [(z, 2) for z in _ROUNDING_DRAWS + [2**64 - 2**10, 2**64 - 1]],
+)
+def test_gauss_many_rounds_each_draw_as_gauss_does(z, k):
+    seed = state_before(z, k)
+    assert float.hex(SplitMix64(seed).gauss_many(1, 0.5)[0]) == float.hex(SplitMix64(seed).gauss(0.5))
+
+
+@pytest.mark.parametrize("z", [2**64 - 2**10, 2**64 - 1])
+def test_a_radius_draw_of_one_fails_alike(z):
+    """Such a draw is the float 1.0, so the radius takes log(1 - 1.0)."""
+    seed = state_before(z, 1)
+    with pytest.raises(ValueError, match="math domain error"):
+        SplitMix64(seed).gauss(1.0)
+    with pytest.raises(ValueError, match="math domain error"):
+        SplitMix64(seed).gauss_many(3, 1.0)
+
+
 def test_top_rng_seed_generates():
     cfg = SynthConfig(**{**SMALL.__dict__, "n_videos": 2, "rng_seed": 2**64 - 3})
     assert [g.video_id for g in generate(cfg).ground_truth] == [1, 2]
@@ -300,6 +345,34 @@ def test_shape_mask_matches_the_dense_canvas(args):
     assert all(type(c) is int for c in mask.counts)
     assert bbox == bbox_of_mask(expected)
     assert all(type(v) is float for v in (bbox.x, bbox.y, bbox.w, bbox.h))
+
+
+@st.composite
+def one_size_at_many_places(draw):
+    """A shape and size with up to five positions: all but the first
+    call find its runs computed already."""
+    shape, x, y, w, h, canvas_w, canvas_h = draw(shapes())
+    places = draw(st.lists(st.tuples(st.integers(0, canvas_w - w), st.integers(0, canvas_h - h)), max_size=4))
+    return shape, w, h, canvas_w, canvas_h, [(x, y), *places]
+
+
+@given(one_size_at_many_places())
+@example(("rect", 5, 40, 30, 40, [(0, 0), (25, 0), (7, 0)]))  # h == canvas_h: runs meet across columns
+@example(("ellipse", 5, 40, 30, 40, [(25, 0), (0, 0)]))
+@example(("rect", 30, 6, 30, 40, [(0, 34), (0, 0), (0, 9)]))  # w == canvas_w
+@example(("ellipse", 30, 6, 30, 40, [(0, 0), (0, 34)]))
+@example(("rect", 9, 11, 50, 60, [(41, 49), (0, 0)]))  # bottom-right corner: no trailing zero-run
+@example(("ellipse", 9, 11, 50, 60, [(41, 49), (0, 0)]))
+@example(("ellipse", 100, 2, 100, 16, [(0, 7), (0, 0), (0, 14)]))  # thin: empty edge columns
+def test_shape_mask_equals_the_encoder_at_each_position(args):
+    """The runs computed once per shape and size and then shifted equal
+    those encoded from the box at each position, run for run."""
+    shape, w, h, canvas_w, canvas_h, places = args
+    for x, y in places:
+        mask, bbox = _shape_mask(shape, x, y, w, h, canvas_w, canvas_h)
+        assert (mask, bbox) == reference_shape_mask(shape, x, y, w, h, canvas_w, canvas_h)
+        assert all(type(c) is int for c in mask.counts)
+        assert all(type(v) is float for v in (bbox.x, bbox.y, bbox.w, bbox.h))
 
 
 def test_thin_ellipse_leaves_its_edge_columns_empty():
@@ -346,3 +419,36 @@ def test_synth_files_golden_bytes(tmp_path, name):
     assert entrypoint(argv) == 0
     files = ("annotations.json", "detections.json", "identity.json")
     assert [hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files] == digests
+
+
+# ---------------------------------------------------------------------------
+# Poisson means whose exp(-mean) is no longer a normal float
+
+
+@pytest.mark.parametrize("lam", [math.nextafter(POISSON_MAX_MEAN, math.inf), 745.2, 800.0, 2000.0, 1e6, math.inf])
+def test_poisson_refuses_a_mean_whose_exp_underflows(lam):
+    """Knuth's product of uniforms can never fall below a subnormal or
+    zero exp(-mean), so such means all gave counts near 748."""
+    with pytest.raises(ValueError, match=r"Poisson mean must be at most 708\.396"):
+        SplitMix64(1).poisson(lam)
+
+
+def test_poisson_takes_the_largest_mean_whose_exp_is_normal():
+    assert math.exp(-POISSON_MAX_MEAN) >= sys.float_info.min
+    counts = [SplitMix64(seed).poisson(POISSON_MAX_MEAN) for seed in range(20)]
+    assert 600 < sum(counts) / len(counts) < 820
+
+
+@pytest.mark.parametrize("rate", [math.nextafter(POISSON_MAX_MEAN, math.inf), 5000.0])
+def test_synth_refuses_a_clutter_rate_past_the_poisson_bound(tmp_path, rate):
+    with pytest.raises(ConfigError, match=r"clutter_rate must be at most 708\.396"):
+        SynthConfig(clutter_rate=rate)
+    (tmp_path / "config.json").write_text(json.dumps({"synth": {"n_videos": 1, "frames_per_video": 2, "clutter_rate": rate}}))
+    out = tmp_path / "out"
+    assert entrypoint(["synth", "--config", str(tmp_path / "config.json"), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_synth_takes_the_largest_clutter_rate():
+    cfg = SynthConfig(n_videos=1, frames_per_video=1, clutter_rate=POISSON_MAX_MEAN)
+    assert len(generate(cfg).detections[1][0].detections) > 600
