@@ -21,6 +21,7 @@ from .association import (
 )
 from .contrastive import embed_loss, embed_loss_grad, gradient_check_suite
 from .core import (
+    CLUTTER,
     BBox,
     Detection,
     FrameDetections,
@@ -64,6 +65,6 @@ from .pseudo_pair import (
     transform_annotations,
 )
 from .rng import SplitMix64
-from .synth import CLUTTER, SynthConfig, SynthCorpus, generate
+from .synth import SynthConfig, SynthCorpus, generate
 
 __version__ = "0.1.0"

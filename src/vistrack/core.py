@@ -24,6 +24,9 @@ from .errors import ConfigError, CountsMismatch, DimensionMismatch, NonFiniteInp
 _INT = frozenset((int,))
 _FLOAT = frozenset((float,))
 
+# identity_key value for detections that correspond to no object
+CLUTTER = -1
+
 
 def _array(values, name: str, error: type[Exception]) -> tuple:
     try:

@@ -27,9 +27,8 @@ from functools import reduce
 from operator import add
 from typing import Mapping, Sequence
 
-from .core import FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
+from .core import CLUTTER, FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
 from .errors import DimensionMismatch, UnknownCategory, UnknownVideoId
-from .synth import CLUTTER
 
 # The YouTube-VIS protocol of the module docstring; evaluate has no other.
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))

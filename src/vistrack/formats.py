@@ -3,15 +3,16 @@ pairs, evaluation reports, and run configuration.
 
 All writers quantize floats to 6 significant digits and serialize with
 sorted keys and 2-space indentation, so repeated runs produce
-byte-identical files. The byte contract of the writer, ``dumps_json``,
-is ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
-exactly, where a generator (``types.GeneratorType``) stands for the list
-of its items and a ``_Quantized`` tuple for the list of its items'
-``_q`` values: ASCII-escaped strings, ``int.__repr__`` and
-``float.__repr__`` for numbers, ValueError for NaN and infinities and
-TypeError for any other type, sets and other iterators included. It is
-a specialized writer because ``json.dumps`` with an indent runs the
-pure-Python encoder, one generator step per value.
+byte-identical files. Every writer goes through ``_write``, and the
+bytes it writes for ``obj`` are exactly
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+where a generator (``types.GeneratorType``) stands for the list of its
+items and a ``_Quantized`` tuple for the list of its items' ``_q``
+values: ASCII-escaped strings, ``int.__repr__`` and ``float.__repr__``
+for numbers, ValueError for NaN and infinities and TypeError for any
+other type, sets and other iterators included. It is a specialized
+writer because ``json.dumps`` with an indent runs the pure-Python
+encoder, one generator step per value.
 
 Writers stream record by record: each passes its arrays of records as
 generators, and ``_write`` hands the text to the file between records,
@@ -49,7 +50,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .association import AssociationConfig
 from .core import (
-    _FLOAT,
     _INT,
     BBox,
     Detection,
@@ -107,21 +107,10 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _FLUSH_PIECES = 256
 
 
-def dumps_json(obj: Any) -> str:
-    """``obj`` as sorted-key, 2-space-indented JSON plus a final newline;
-    the same bytes as ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``, a generator written as the list of its
-    items and a ``_Quantized`` tuple as the list of its ``_q`` values."""
-    out: list[str] = []
-    _emit(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None] | None = None) -> None:
+def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
-    plus the indentation of the line ``obj`` starts on. ``flush``, if
-    given, takes and empties ``out`` between the items of a generator."""
+    plus the indentation of the line ``obj`` starts on. ``flush`` takes
+    and empties ``out`` between the items of a generator."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -144,14 +133,9 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None] 
             return
         kinds = set(map(type, obj))
         if kinds <= _SCALAR_TYPES:
-            # One join per array of scalars; all-int and all-finite-float
-            # arrays skip the per-element dispatch.
-            if kinds == _INT:
-                text = map(int.__repr__, obj)
-            elif kinds == _FLOAT and all(map(math.isfinite, obj)):
-                text = map(float.__repr__, obj)
-            else:
-                text = map(_scalar, obj)
+            # One join per array of scalars; all-int arrays skip the
+            # per-element dispatch.
+            text = map(int.__repr__ if kinds == _INT else _scalar, obj)
             out.append("[" + inner + sep.join(text) + nl + "]")
             return
         # Visit only the non-null elements (per-frame result arrays are
@@ -179,7 +163,7 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None] 
             _emit(item, inner, out, flush)
             lead = "," + inner
             empty = False
-            if flush is not None and len(out) > _FLUSH_PIECES:
+            if len(out) > _FLUSH_PIECES:
                 flush(out)
         out.append("[]" if empty else nl + "]")
     else:
@@ -213,11 +197,12 @@ def _key(key: Any) -> str:
 
 
 def _write(obj: Any, path: str) -> None:
-    """Write ``dumps_json(obj)`` to ``path``, streaming the items of each
-    generator in ``obj``. The text goes to a sibling file that replaces
-    ``path`` only once it is complete, so a write that fails leaves
-    ``path`` as it was. A symlink is written through; a path that is not
-    a regular file (a pipe, ``/dev/stdout``) is written in place."""
+    """Write ``obj`` to ``path`` in the bytes the module docstring states,
+    streaming the items of each generator in ``obj``. The text goes to a
+    sibling file that replaces ``path`` only once it is complete, so a
+    write that fails leaves ``path`` as it was. A symlink is written
+    through; a path that is not a regular file (a pipe, ``/dev/stdout``)
+    is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             _stream(obj, fh)
@@ -238,7 +223,8 @@ def _write(obj: Any, path: str) -> None:
 
 
 def _stream(obj: Any, fh) -> None:
-    """Write ``dumps_json(obj)`` to ``fh``, a few records at a time."""
+    """Write the bytes of ``_write(obj, ...)`` to ``fh``, a few records at
+    a time."""
 
     def flush(out: list[str]) -> None:
         fh.write("".join(out))

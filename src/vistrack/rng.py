@@ -31,12 +31,17 @@ _MIX2 = 0x94D049BB133111EB
 # counts stop growing (near 748 for every mean from ~745 on).
 POISSON_MAX_MEAN = -math.log(sys.float_info.min)
 
+# z / 2**64 rounds every z >= 2**64 - 2**10 up to 1.0; those draws give
+# this float instead, and every other draw stays as it was.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 class SplitMix64:
     """Tiny splittable-mix PRNG with 64-bit state.
 
     State update: ``s += 0x9E3779B97F4A7C15``; output: xor-shift/multiply
-    finalizer of the new state. Uniform floats are ``z / 2**64``.
+    finalizer of the new state. Uniform floats are ``z / 2**64``, at most
+    the largest float below 1.
     """
 
     __slots__ = ("state",)
@@ -56,7 +61,8 @@ class SplitMix64:
 
     def next_float(self) -> float:
         """Uniform draw in [0, 1)."""
-        return self.next_u64() / 2.0**64
+        u = self.next_u64() / 2.0**64
+        return u if u < 1.0 else _BELOW_ONE
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]. One uniform."""
@@ -82,7 +88,7 @@ class SplitMix64:
         self.state = (self.state + 2 * n * _GAMMA) & _MASK64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        u = (z ^ (z >> np.uint64(31))).astype(np.float64) / 2.0**64
+        u = np.minimum((z ^ (z >> np.uint64(31))).astype(np.float64) / 2.0**64, _BELOW_ONE)
         log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
         cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, n)
         return sigma * np.sqrt(-2.0 * log_u1) * cos_u2

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 from ._numpy import np
 from .core import (
+    CLUTTER,
     BBox,
     Detection,
     FrameDetections,
@@ -46,9 +47,6 @@ from .core import (
 )
 from .errors import ConfigError, ConfigInfeasible
 from .rng import POISSON_MAX_MEAN, SplitMix64
-
-# identity_key value for detections that correspond to no object
-CLUTTER = -1
 
 _MAX_BASE_ATTEMPTS = 10_000
 _BASE_SEPARATION = 0.3

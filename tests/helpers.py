@@ -8,6 +8,7 @@ routes to the same quantity.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from vistrack import (
     SimilarityKind,
     Track,
     TrackEntry,
+    formats,
     rle_decode,
     rle_encode,
     track_video_with_trace,
@@ -35,8 +37,16 @@ from vistrack.core import VideoMeta
 
 
 def reference_dumps(obj) -> str:
-    """The byte contract of ``formats.dumps_json``, by the stdlib encoder."""
+    """The byte contract of ``formats._write``, by the stdlib encoder."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def streamed_json(obj) -> str:
+    """The text that ``formats._stream``, the route of every writer,
+    writes for ``obj``."""
+    out = io.StringIO()
+    formats._stream(obj, out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vistrack
-from helpers import reference_dumps
+from helpers import reference_dumps, streamed_json
 from vistrack import (
     BBox,
     ConfigError,
@@ -43,7 +43,6 @@ from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
     RunConfig,
-    dumps_json,
     load_annotations,
     load_detections,
     load_identity,
@@ -296,8 +295,8 @@ json_values = st.recursive(
 
 
 @given(json_values)
-def test_dumps_json_matches_reference(obj):
-    assert dumps_json(obj) == reference_dumps(obj)
+def test_stream_matches_reference(obj):
+    assert streamed_json(obj) == reference_dumps(obj)
 
 
 @pytest.mark.parametrize(
@@ -331,29 +330,29 @@ def test_dumps_json_matches_reference(obj):
         (1, (2.0, "x")),
     ],
 )
-def test_dumps_json_matches_reference_on_edge_cases(obj):
-    assert dumps_json(obj) == reference_dumps(obj)
+def test_stream_matches_reference_on_edge_cases(obj):
+    assert streamed_json(obj) == reference_dumps(obj)
 
 
 @pytest.mark.parametrize(
     "obj",
     [float("nan"), float("inf"), [1.0, float("-inf")], [0.5, "x", float("nan")], {"a": [[float("inf")]]}],
 )
-def test_dumps_json_rejects_non_finite_floats(obj):
+def test_stream_rejects_non_finite_floats(obj):
     with pytest.raises(ValueError):
         reference_dumps(obj)
     with pytest.raises(ValueError):
-        dumps_json(obj)
+        streamed_json(obj)
 
 
 @pytest.mark.parametrize(
     "obj", [{1, 2}, [0, {1}], {"a": frozenset()}, {(1, 2): 0}, np.int64(3), map(int, "12"), iter([1, 2])]
 )
-def test_dumps_json_rejects_other_types(obj):
+def test_stream_rejects_other_types(obj):
     with pytest.raises(TypeError):
         reference_dumps(obj)
     with pytest.raises(TypeError):
-        dumps_json(obj)
+        streamed_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +383,7 @@ _magnitudes = st.builds(
     )
 )
 def test_quantized_floats_are_written_as_quantize_then_repr(values):
-    assert dumps_json(formats._Quantized(values)) == _quantized_text(values)
+    assert streamed_json(formats._Quantized(values)) == _quantized_text(values)
 
 
 @pytest.mark.parametrize(
@@ -396,20 +395,20 @@ def test_quantized_floats_are_written_as_quantize_then_repr(values):
     ],
 )
 def test_quantized_float_edge_cases(x):
-    assert dumps_json(formats._Quantized((x, -x))) == _quantized_text((x, -x))
+    assert streamed_json(formats._Quantized((x, -x))) == _quantized_text((x, -x))
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_quantized_non_finite_float_raises_the_same_error(x):
     with pytest.raises(ValueError) as two_step:
-        dumps_json([formats._q(1.5), formats._q(x)])
+        streamed_json([formats._q(1.5), formats._q(x)])
     with pytest.raises(ValueError) as one_pass:
-        dumps_json(formats._Quantized((1.5, x)))
+        streamed_json(formats._Quantized((1.5, x)))
     assert str(one_pass.value) == str(two_step.value)
 
 
 def test_empty_quantized_array():
-    assert dumps_json({"a": formats._Quantized(())}) == '{\n  "a": []\n}\n'
+    assert streamed_json({"a": formats._Quantized(())}) == '{\n  "a": []\n}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,7 @@ def test_streamed_write_matches_reference(tmp_path_factory, obj, rnd):
     expected = reference_dumps(obj)
     assert _written(_as_generators(obj, lambda: rnd.random() < 0.5), tmp_path) == expected
     assert _written(_as_generators(obj, lambda: True), tmp_path) == expected
-    assert dumps_json(_as_generators(obj, lambda: True)) == expected
+    assert streamed_json(_as_generators(obj, lambda: True)) == expected
 
 
 BIG = formats._FLUSH_PIECES * 3

@@ -293,7 +293,7 @@ _ROUNDING_DRAWS = [2**53 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**63 + 3 * 2**1
 @pytest.mark.parametrize(
     "z, k",
     # k = 1 is the radius draw, k = 2 the angle draw; the two top draws
-    # round to 2**64, a uniform of 1.0, which only the angle can take
+    # round to 2**64, which both take as the largest float below 1
     [(z, 1) for z in _ROUNDING_DRAWS] + [(z, 2) for z in _ROUNDING_DRAWS + [2**64 - 2**10, 2**64 - 1]],
 )
 def test_gauss_many_rounds_each_draw_as_gauss_does(z, k):
@@ -302,13 +302,14 @@ def test_gauss_many_rounds_each_draw_as_gauss_does(z, k):
 
 
 @pytest.mark.parametrize("z", [2**64 - 2**10, 2**64 - 1])
-def test_a_radius_draw_of_one_fails_alike(z):
-    """Such a draw is the float 1.0, so the radius takes log(1 - 1.0)."""
-    seed = state_before(z, 1)
-    with pytest.raises(ValueError, match="math domain error"):
-        SplitMix64(seed).gauss(1.0)
-    with pytest.raises(ValueError, match="math domain error"):
-        SplitMix64(seed).gauss_many(3, 1.0)
+def test_a_top_draw_stays_below_one(z):
+    """``z / 2**64`` rounds such a draw up to 1.0; as a radius draw it
+    would take log(1 - 1.0)."""
+    seed = state_before(z)
+    assert SplitMix64(seed).next_float() == math.nextafter(1.0, 0.0)
+    one = SplitMix64(seed).gauss()
+    assert math.isfinite(one)
+    assert float.hex(SplitMix64(seed).gauss_many(1)[0]) == float.hex(one)
 
 
 def test_top_rng_seed_generates():
@@ -419,6 +420,22 @@ def test_synth_files_golden_bytes(tmp_path, name):
     assert entrypoint(argv) == 0
     files = ("annotations.json", "detections.json", "identity.json")
     assert [hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files] == digests
+
+
+def test_eval_golden_bytes(tmp_path, capsys):
+    """sha256 of `eval`'s report.json and of its --table output after
+    `track` on the clutter-dropout corpus."""
+    (tmp_path / "config.json").write_text(json.dumps({"synth": _GOLDEN["clutter-dropout-64x128"][0]}))
+    assert entrypoint(["synth", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path)]) == 0
+    det, ann, res, report = (str(tmp_path / n) for n in ("detections.json", "annotations.json", "results.json", "report.json"))
+    assert entrypoint(["track", "--detections", det, "--out", res]) == 0
+    capsys.readouterr()
+    assert entrypoint(["eval", "--gt", ann, "--results", res, "--out", report, "--table"]) == 0
+    table = capsys.readouterr().out.encode()
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
+        "4b57011f76b327cafe3feeed2acd8606b7b0670ac67560e266664f5615b01df5"
+    )
+    assert hashlib.sha256(table).hexdigest() == "84f8e438c23d8db2b45796208a28925dc766cb23f1688b1c2e8c5e53823787ae"
 
 
 # ---------------------------------------------------------------------------
