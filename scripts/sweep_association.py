@@ -11,10 +11,12 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 from vistrack import (
     AssociationConfig,
+    ConfigError,
     SimilarityKind,
     SynthConfig,
     evaluate,
@@ -56,8 +58,8 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    corpus = generate(
-        SynthConfig(
+    try:  # a bad value exits 3 with its message, as the CLI does
+        synth = SynthConfig(
             n_videos=args.videos,
             frames_per_video=args.frames,
             objects_per_video=args.objects,
@@ -66,7 +68,15 @@ def main():
             clutter_rate=args.clutter,
             rng_seed=args.seed,
         )
-    )
+        settings = [
+            AssociationConfig(match_threshold=thr, similarity_kind=kind)
+            for kind in (SimilarityKind.BISOFTMAX, SimilarityKind.COSINE)
+            for thr in args.thresholds
+        ]
+        corpus = generate(synth)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     n_vid = len(corpus.ground_truth)
     print(f"corpus: {n_vid} videos x {args.frames} frames x {args.objects} objects, seed {args.seed}")
     print(f"noise sigma {args.sigma}, dropout {args.dropout}, clutter rate {args.clutter}")
@@ -74,16 +84,15 @@ def main():
         f"{'similarity':>10}  {'threshold':>9}  {'mAP':>6}  {'AP50':>6}  {'AP75':>6}  {'AR@1':>6}  {'AR@10':>6}"
         f"  {'switches':>8}  {'switch-free':>11}"
     )
-    for kind in (SimilarityKind.BISOFTMAX, SimilarityKind.COSINE):
-        for thr in args.thresholds:
-            assoc = AssociationConfig(match_threshold=thr, similarity_kind=kind)
-            m, switches, switch_free = run_setting(corpus, assoc)
-            print(
-                f"{kind.value:>10}  {thr:>9.2f}  {m.ap:.4f}  {m.ap50:.4f}  {m.ap75:.4f}  {m.ar[1]:.4f}  {m.ar[10]:.4f}"
-                f"  {switches:>8d}  {f'{switch_free}/{n_vid}':>11}"
-            )
+    for assoc in settings:
+        m, switches, switch_free = run_setting(corpus, assoc)
+        print(
+            f"{assoc.similarity_kind.value:>10}  {assoc.match_threshold:>9.2f}  {m.ap:.4f}  {m.ap50:.4f}"
+            f"  {m.ap75:.4f}  {m.ar[1]:.4f}  {m.ar[10]:.4f}  {switches:>8d}  {f'{switch_free}/{n_vid}':>11}"
+        )
     print(f"wall time {time.perf_counter() - t0:.2f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,36 +5,67 @@ outputs go through the deterministic writers in formats, so repeated
 runs on identical inputs are byte-identical. Exit codes: 0 success,
 2 parse/schema error, 3 configuration error, 4 violated internal
 invariant, 1 I/O failure.
+
+Each command imports only the modules it runs: ``--help`` loads
+``cli`` and ``errors``; ``eval`` adds ``formats``, ``core`` and
+``evaluation``; ``track`` adds ``formats``, ``core`` and
+``association``; ``fuse`` adds ``formats``, ``core``, ``evaluation``
+and ``fusion``; ``pseudopair`` adds ``formats``, ``core``, ``rng`` and
+``pseudo_pair``; ``synth`` adds ``formats``, ``core``, ``rng`` and
+``synth``; ``losscheck`` adds ``core``, ``rng`` and ``contrastive``.
+A config file also loads the module of each section it names.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import formats
-from .association import track_video
-from .core import VideoMeta
-from .contrastive import gradient_check_suite
 from .errors import ConfigError, SchemaError, ToolkitError, VideoMismatch
-from .evaluation import MAX_DETECTIONS, EvalReport, evaluate
-from .fusion import fuse_tracks
-from .pseudo_pair import ImageMeta, SourceAnnotation, make_pair
-from .rng import SplitMix64
-from .synth import generate
+
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
+
+# The stage each command runs, by the module that defines it. Each is an
+# attribute of this module, imported on its first lookup (PEP 562), and
+# the commands call it through the module (``_cli.<stage>``):
+# perfbench/layers.py times the stages by wrapping these attributes. Once
+# the benchmark wraps each stage where it is defined, they can become
+# plain imports inside the commands.
+_STAGES = {
+    "generate": "synth",
+    "track_video": "association",
+    "evaluate": "evaluation",
+    "fuse_tracks": "fusion",
+    "make_pair": "pseudo_pair",
+    "gradient_check_suite": "contrastive",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_STAGES[name]}", __package__), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
 
 GRAD_REL_BOUND = 1e-4
 GRAD_ABS_BOUND = 1e-7
 
 
 def _cmd_track(args) -> int:
+    from . import formats
+
     cfg = formats.load_run_config(args.config)
     det_file = formats.load_detections(args.detections)
     vids = sorted(det_file.videos)
     results = {
-        vid: track_video(det_file.videos[vid], cfg.association, det_file.metas[vid]) for vid in vids
+        vid: _cli.track_video(det_file.videos[vid], cfg.association, det_file.metas[vid]) for vid in vids
     }
     lengths = {vid: det_file.metas[vid].length for vid in vids}
     formats.save_results(results, args.out, lengths)
@@ -42,6 +73,8 @@ def _cmd_track(args) -> int:
 
 
 def _format_table(report: EvalReport) -> str:
+    from .evaluation import MAX_DETECTIONS
+
     headers = ["category", "AP", "AP50", "AP75"] + [f"AR@{k}" for k in MAX_DETECTIONS]
     rows = []
 
@@ -63,6 +96,8 @@ def _format_table(report: EvalReport) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from . import formats
+
     ground_truth = formats.load_annotations(args.gt)
     predictions, metas = formats.load_results(args.results)
     gt_videos = {g.video_id: g for g in ground_truth}
@@ -77,7 +112,7 @@ def _cmd_eval(args) -> int:
                 f"results masks of video {vid} are {meta.height}x{meta.width}, ground truth says {g.height}x{g.width}"
                 " (height x width)"
             )
-    report = evaluate(predictions, ground_truth)
+    report = _cli.evaluate(predictions, ground_truth)
     formats.save_report(report, args.out)
     if args.table:
         print(_format_table(report))
@@ -92,6 +127,10 @@ def _seed(seed: int) -> int:
 
 
 def _cmd_pseudopair(args) -> int:
+    from . import formats
+    from .pseudo_pair import ImageMeta, SourceAnnotation
+    from .rng import SplitMix64
+
     rng = SplitMix64(_seed(args.seed))
     cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.annotations)
@@ -113,12 +152,14 @@ def _cmd_pseudopair(args) -> int:
                 continue
             image_id += 1
             meta = ImageMeta(image_id=image_id, width=g.width, height=g.height)
-            samples.append(make_pair(meta, anns, cfg.crop, rng))
+            samples.append(_cli.make_pair(meta, anns, cfg.crop, rng))
     formats.save_pairs(samples, args.out)
     return 0
 
 
 def _cmd_fuse(args) -> int:
+    from . import formats
+
     cfg = formats.load_run_config(args.config)
     loaded = [formats.load_results(p) for p in args.inputs]
     lengths: dict[int, int] = {}
@@ -133,16 +174,21 @@ def _cmd_fuse(args) -> int:
     merged = {}
     for vid in sorted(lengths):
         track_sets = [tracks.get(vid, []) for tracks, _ in loaded]
-        merged[vid] = fuse_tracks(track_sets, lengths[vid], cfg.fusion)
+        merged[vid] = _cli.fuse_tracks(track_sets, lengths[vid], cfg.fusion)
     formats.save_results(merged, args.out, lengths)
     return 0
 
 
 def _cmd_synth(args) -> int:
+    from dataclasses import replace
+
+    from . import formats
+    from .core import VideoMeta
+
     cfg = formats.load_run_config(args.config).synth
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
-    corpus = generate(cfg)
+    corpus = _cli.generate(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     formats.save_annotations(corpus.ground_truth, os.path.join(args.out_dir, "annotations.json"))
     metas = {
@@ -162,7 +208,7 @@ def _cmd_synth(args) -> int:
 def _cmd_losscheck(args) -> int:
     if args.samples < 1:  # a check of no instances would print PASS
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    worst_rel, worst_abs = gradient_check_suite(samples=args.samples, seed=_seed(args.seed))
+    worst_rel, worst_abs = _cli.gradient_check_suite(samples=args.samples, seed=_seed(args.seed))
     ok = worst_rel <= GRAD_REL_BOUND and worst_abs <= GRAD_ABS_BOUND
     print(f"max relative error: {worst_rel:.3e} (bound {GRAD_REL_BOUND:.0e})")
     print(f"max absolute error near zero: {worst_abs:.3e} (bound {GRAD_ABS_BOUND:.0e})")

@@ -38,6 +38,7 @@ annotation id 1, and loaders group by (video_id, id).
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -46,9 +47,8 @@ from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 from types import GeneratorType
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .association import AssociationConfig
 from .core import (
     _INT,
     BBox,
@@ -63,10 +63,10 @@ from .core import (
     ints,
 )
 from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
-from .evaluation import EvalReport
-from .fusion import FusionConfig
-from .pseudo_pair import CropConfig, CropPairSample
-from .synth import SynthConfig
+
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
+    from .pseudo_pair import CropPairSample
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +708,40 @@ def load_identity(path: str) -> dict[tuple[int, int, int], int]:
 # Run configuration
 
 
-@dataclass
+# section -> (module, config dataclass). A section's module is imported
+# only when a file names the section or a caller reads it, so a command
+# loads only the modules it runs.
+_SECTIONS = {
+    "association": ("association", "AssociationConfig"),
+    "crop": ("pseudo_pair", "CropConfig"),
+    "fusion": ("fusion", "FusionConfig"),
+    "synth": ("synth", "SynthConfig"),
+}
+
+
+def _section_class(name: str) -> type:
+    module, cls = _SECTIONS[name]
+    return getattr(importlib.import_module(f".{module}", __package__), cls)
+
+
 class RunConfig:
-    association: AssociationConfig = field(default_factory=AssociationConfig)
-    crop: CropConfig = field(default_factory=CropConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    """The run configuration, one config dataclass per section:
+    ``association`` (``AssociationConfig``), ``crop`` (``CropConfig``),
+    ``fusion`` (``FusionConfig``) and ``synth`` (``SynthConfig``). A
+    section not given is its dataclass's default, built when first read."""
+
+    def __init__(self, **sections):
+        for name, value in sections.items():
+            if name not in _SECTIONS:
+                raise TypeError(f"RunConfig has no section '{name}'")
+            setattr(self, name, value)
+
+    def __getattr__(self, name: str):
+        if name not in _SECTIONS:
+            raise AttributeError(f"'RunConfig' object has no attribute {name!r}")
+        value = _section_class(name)()
+        setattr(self, name, value)  # later lookups find it without this call
+        return value
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -721,16 +749,16 @@ def load_run_config(path: str | None) -> RunConfig:
 
     Every section and every field is optional and falls back to the
     dataclass default; unknown sections or fields raise ConfigError.
+    Each section the file names is built, and so checked, here.
     """
     if path is None:
         return RunConfig()
     root = _expect_object(_read_json(path), "config", ConfigError)
-    sections = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
     for name, value in root.items():
-        if name not in sections:
+        if name not in _SECTIONS:
             raise ConfigError(f"config: unknown section '{name}'")
-        cls = sections[name].default_factory  # the config dataclass itself
+        cls = _section_class(name)
         obj = _expect_object(value, f"config.{name}", ConfigError)
         allowed = {f.name for f in fields(cls)}
         ctor_kwargs = {}

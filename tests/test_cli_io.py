@@ -4,6 +4,8 @@ run-config loader, and the command-line entrypoints with their exit codes."""
 import enum
 import filecmp
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import stat
@@ -38,11 +40,10 @@ from vistrack import (
     bbox_of_mask,
     rle_encode,
 )
-from vistrack import core, formats, pseudo_pair
+from vistrack import cli, core, formats, pseudo_pair
 from vistrack.cli import entrypoint
 from vistrack.core import VideoMeta
 from vistrack.formats import (
-    RunConfig,
     load_annotations,
     load_detections,
     load_identity,
@@ -827,10 +828,25 @@ def test_eval_results_must_match_the_video_mask_size(tmp_path, capsys):
 # run config
 
 
+def _sections():
+    """(name, config class) of every RunConfig section."""
+    return [(name, formats._section_class(name)) for name in formats._SECTIONS]
+
+
 def test_run_config_defaults():
     cfg = load_run_config(None)
     assert cfg.association.match_threshold == 0.5
     assert cfg.fusion.score_rule is ScoreRule.MEAN
+    assert [(name, cls.__name__) for name, cls in _sections()] == [
+        ("association", "AssociationConfig"),
+        ("crop", "CropConfig"),
+        ("fusion", "FusionConfig"),
+        ("synth", "SynthConfig"),
+    ]
+    for name, cls in _sections():
+        assert getattr(cfg, name) == cls()
+    with pytest.raises(AttributeError, match="tracking"):
+        cfg.tracking
 
 
 def test_run_config_overrides(tmp_path):
@@ -933,10 +949,10 @@ def test_run_config_bad_similarity_kind(tmp_path):
 def _config_fields(kind):
     """(config class, field) for every ``kind``-typed field of every RunConfig section."""
     return [
-        (section.default_factory, f.name)
-        for section in fields(RunConfig)
-        for f in fields(section.default_factory)
-        if get_type_hints(section.default_factory)[f.name] is kind
+        (cls, f.name)
+        for _, cls in _sections()
+        for f in fields(cls)
+        if get_type_hints(cls)[f.name] is kind
     ]
 
 
@@ -986,8 +1002,7 @@ def _json_forms():
     and tuple-typed field of every RunConfig section: each enum member,
     and each tuple default (or a one-element tuple where the default is None)."""
     cases = []
-    for section in fields(RunConfig):
-        cls = section.default_factory
+    for section, cls in _sections():
         hints = get_type_hints(cls)
         default = cls()
         for f in fields(cls):
@@ -995,12 +1010,12 @@ def _json_forms():
             enums = [k for k in kinds if isinstance(k, type) and issubclass(k, enum.Enum)]
             tuples = [k for k in kinds if typing.get_origin(k) is tuple]
             if enums:
-                cases += [(section.name, f.name, m.value, m) for m in enums[0]]
+                cases += [(section, f.name, m.value, m) for m in enums[0]]
             elif tuples:
                 value = getattr(default, f.name)
                 if value is None:
                     value = (typing.get_args(tuples[0])[0](1),)
-                cases.append((section.name, f.name, list(value), value))
+                cases.append((section, f.name, list(value), value))
     return cases
 
 
@@ -1350,15 +1365,15 @@ def test_bad_value_names_path_field_and_invariant(corpus_dir, results_file, tmp_
     assert not out.exists()
 
 
-def _loaded_after(code: str, package: str) -> bool:
-    """Whether ``package`` is in ``sys.modules`` after a fresh interpreter
-    on the checkout's src runs ``code``."""
+def _modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter on the
+    checkout's src runs ``code``."""
     src = Path(vistrack.__file__).resolve().parents[1]
-    probe = f"import sys\n{code}\nprint({package!r} in sys.modules)"
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1] == "True"
+    return set(run.stdout.splitlines()[-1].split())
 
 
 def _run_cli(argv: list[str]) -> str:
@@ -1381,16 +1396,19 @@ def test_every_command_runs_without_scipy(tmp_path):
         ["losscheck", "--samples", "2"],
     ]
     code = "sys.modules['scipy'] = None\n" + "\n".join(_run_cli(argv) for argv in commands)
-    assert _loaded_after(code, "scipy")  # the blocking None entry, never replaced by the package
+    assert "scipy" in _modules_after(code)  # the blocking None entry, never replaced by the package
 
 
 @pytest.mark.parametrize(
-    "case", ["import vistrack", "import vistrack.cli", "--help", "fuse", "pseudopair", "eval", "track"]
+    "case",
+    ["import vistrack", "import vistrack.cli", "--help", "fuse", "pseudopair", "eval", "track", "synth", "losscheck"],
 )
 def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, tmp_path, case):
     """fuse, pseudopair and eval work on the runs and plain floats and
-    never load numpy; track, whose embedding math is on arrays, shows
-    that the probe can see it."""
+    never load numpy; track, synth and losscheck, whose math is on
+    arrays, show that the probe can see it. Each command loads only the
+    vistrack modules it runs: ``import vistrack`` none, ``--help`` the
+    CLI and the errors it maps to exit codes."""
     ann = str(corpus_dir / "annotations.json")
     out = str(tmp_path / "out.json")
     code = {
@@ -1402,8 +1420,88 @@ def test_numpy_is_loaded_only_by_commands_that_use_it(corpus_dir, results_file, 
         "pseudopair": _run_cli(["pseudopair", "--annotations", ann, "--out", out]),
         "eval": _run_cli(["eval", "--gt", ann, "--results", str(results_file), "--out", out]),
         "track": _run_cli(["track", "--detections", str(corpus_dir / "detections.json"), "--out", out]),
+        "synth": _run_cli(["synth", "--out-dir", str(tmp_path / "corpus")]),
+        "losscheck": _run_cli(["losscheck", "--samples", "1"]),
     }[case]
-    assert _loaded_after(code, "numpy") == (case == "track")
+    base = {"vistrack", "vistrack.cli", "vistrack.errors"}
+    io = base | {"vistrack._numpy", "vistrack.core", "vistrack.formats"}
+    expected = {
+        "import vistrack": {"vistrack"},
+        "import vistrack.cli": base,
+        "--help": base,
+        "fuse": io | {"vistrack.evaluation", "vistrack.fusion"},
+        "pseudopair": io | {"vistrack.pseudo_pair", "vistrack.rng"},
+        "eval": io | {"vistrack.evaluation"},
+        "track": io | {"vistrack.association"},
+        "synth": io | {"vistrack.rng", "vistrack.synth"},
+        "losscheck": base | {"vistrack._numpy", "vistrack.core", "vistrack.rng", "vistrack.contrastive"},
+    }[case]
+    modules = _modules_after(code)
+    assert {m for m in modules if m.split(".")[0] == "vistrack"} == expected
+    assert ("numpy" in modules) == (case in ("track", "synth", "losscheck"))
+
+
+def test_public_names_resolve_lazily_to_their_defining_modules():
+    """Each name in ``vistrack.__all__`` is imported from its module on
+    first use, is that module's object, and ``dir`` lists it; an unknown
+    name raises AttributeError, in ``vistrack`` and in ``vistrack.cli``."""
+    assert len(vistrack.__all__) == 57
+    for name in vistrack.__all__:
+        value = getattr(vistrack, name)
+        module = importlib.import_module(f"vistrack.{vistrack._MODULE_OF[name]}")
+        assert value is getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module.__name__
+    assert set(vistrack.__all__) <= set(dir(vistrack))
+    # a submodule is an attribute of the package before anything imports it
+    assert "vistrack.fusion" in _modules_after("import vistrack\nassert vistrack.fusion.fuse_tracks")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vistrack.no_such_name
+    with pytest.raises(ImportError):
+        from vistrack import no_such_name  # noqa: F401
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize(
+    "stage, module, command",
+    [
+        ("generate", "synth", "synth"),
+        ("track_video", "association", "track"),
+        ("evaluate", "evaluation", "eval"),
+        ("fuse_tracks", "fusion", "fuse"),
+        ("make_pair", "pseudo_pair", "pseudopair"),
+        ("gradient_check_suite", "contrastive", "losscheck"),
+    ],
+)
+def test_each_command_calls_its_stage_through_the_cli_module(
+    corpus_dir, results_file, tmp_path, monkeypatch, stage, module, command
+):
+    """Each stage is an attribute of ``vistrack.cli``, its defining
+    module's function, and the command looks it up there when it runs:
+    perfbench/layers.py times the stages by wrapping these attributes."""
+    fn = getattr(cli, stage)
+    assert fn is getattr(importlib.import_module(f"vistrack.{module}"), stage)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(stage)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"n_videos": 1, "frames_per_video": 2}}))
+    ann, out = str(corpus_dir / "annotations.json"), str(tmp_path / "out.json")
+    argv = {
+        "synth": ["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "corpus")],
+        "track": ["track", "--detections", str(corpus_dir / "detections.json"), "--out", out],
+        "eval": ["eval", "--gt", ann, "--results", str(results_file), "--out", out],
+        "fuse": ["fuse", "--inputs", str(results_file), "--out", out],
+        "pseudopair": ["pseudopair", "--annotations", ann, "--out", out],
+        "losscheck": ["losscheck", "--samples", "1"],
+    }[command]
+    assert entrypoint(argv) == 0
+    assert calls
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
@@ -1500,7 +1598,7 @@ def test_config_value_of_wrong_type_exits_3(corpus_dir, results_file, tmp_path, 
     assert entrypoint(argv + ["--config", str(cfg)]) == 3
     assert field in capsys.readouterr().err
     ((section, values),) = config.items()
-    cls = {f.name: f.default_factory for f in fields(RunConfig)}[section]
+    cls = formats._section_class(section)
     with pytest.raises(ConfigError, match=field):
         cls(**values)
 

@@ -1,6 +1,6 @@
 """Smoke runs of the experiment script on a tiny corpus (it exits 0 and
-prints the same report twice, its closing timing line aside) and of
-README's library example."""
+prints the same report twice, its closing timing line aside, and a bad
+value exits 3 with its message) and of README's library example."""
 
 import os
 import re
@@ -29,6 +29,22 @@ def test_script_runs_and_repeats(script):
         reports.append(report)
     assert any("mAP" in line and "switch-free" in line for line in reports[0])
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--thresholds", "1.5"], "error: match_threshold must lie in [0, 1]"),
+        (["--videos", "0"], "error: n_videos and frames_per_video must be positive"),
+    ],
+)
+def test_sweep_rejects_a_bad_value_with_exit_3(flags, message):
+    argv = [sys.executable, str(ROOT / "scripts" / "sweep_association.py"), "--frames", "2", *flags]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr == message + "\n"
+    assert run.stdout == ""
 
 
 def test_readme_library_example_runs():
