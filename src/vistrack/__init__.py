@@ -45,22 +45,7 @@ _EXPORTS = {
         "rle_decode",
         "rle_encode",
     ),
-    "errors": (
-        "ConfigError",
-        "ConfigInfeasible",
-        "CountsMismatch",
-        "DimensionMismatch",
-        "DuplicateInstanceId",
-        "EmptyInput",
-        "ImageTooSmall",
-        "NonFiniteInput",
-        "ParseError",
-        "SchemaError",
-        "ToolkitError",
-        "UnknownCategory",
-        "UnknownVideoId",
-        "VideoMismatch",
-    ),
+    "errors": ("ConfigError", "SchemaError", "ToolkitError"),
     "evaluation": ("EvalReport", "Metrics", "evaluate", "id_switches", "st_iou"),
     "fusion": ("FusionConfig", "ScoreRule", "fuse_tracks"),
     "pseudo_pair": (

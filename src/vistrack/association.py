@@ -19,7 +19,7 @@ from enum import Enum
 from ._numpy import np
 from .core import Detection, FrameDetections, Track, TrackEntry, VideoMeta
 from .core import config_numbers, embedding_rows, ints, reals
-from .errors import ConfigError, DimensionMismatch, EmptyInput
+from .errors import ConfigError, ToolkitError
 
 
 class SimilarityKind(str, Enum):
@@ -97,15 +97,15 @@ def similarity(
 
     Each side is a sequence of embeddings (sequences of reals) or an
     (n, D) float array, as ``embedding_rows`` takes them. Raises
-    EmptyInput when either side is empty; callers short-circuit the
+    ToolkitError when either side is empty; callers short-circuit the
     empty-memory case before scoring.
     """
     if not len(pred_embeddings) or not len(memory_embeddings):
-        raise EmptyInput("similarity requires at least one prediction and one memory instance")
+        raise ToolkitError("similarity requires at least one prediction and one memory instance")
     pred = embedding_rows(pred_embeddings)
     mem = embedding_rows(memory_embeddings)
     if pred.shape[1] != mem.shape[1]:
-        raise DimensionMismatch("prediction and memory embeddings must share one length")
+        raise ToolkitError("prediction and memory embeddings must share one length")
     if kind is SimilarityKind.COSINE:
         return cosine_scores(pred, mem)
     return bisoftmax_scores(pred @ mem.T)
@@ -131,7 +131,7 @@ def assign(scores: np.ndarray, threshold: float) -> list[int]:
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise DimensionMismatch("scores must be an N x M matrix over predictions and memory")
+        raise ToolkitError("scores must be an N x M matrix over predictions and memory")
     n, m = s.shape
     flat = s.ravel()
     cells = np.flatnonzero(flat > threshold)
@@ -196,7 +196,7 @@ def track_video_with_trace(
         dets = [fd.detections[i] for i in kept_indices]
         for det in dets:
             if det.mask is not None and (height not in (None, det.mask.height) or width not in (None, det.mask.width)):
-                raise DimensionMismatch("detection mask dimensions must equal video dimensions")
+                raise ToolkitError("detection mask dimensions must equal video dimensions")
         if not dets:
             continue
         emb = embedding_rows([d.embedding for d in dets])

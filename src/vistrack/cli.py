@@ -3,8 +3,10 @@
 Subcommands: track, eval, pseudopair, fuse, synth, losscheck. All file
 outputs go through the deterministic writers in formats, so repeated
 runs on identical inputs are byte-identical. Exit codes: 0 success,
-2 parse/schema error, 3 configuration error, 4 violated internal
-invariant, 1 I/O failure.
+1 I/O failure, 2 an input fault (``SchemaError``: a malformed file, or
+files that disagree with each other), 3 a bad configuration value
+(``ConfigError``), 4 any other ``ToolkitError`` (an operation contract
+broken by its operands; the commands check their inputs first).
 
 Each command imports only the modules it runs: ``--help`` loads
 ``cli`` and ``errors``; ``eval`` adds ``formats``, ``core`` and
@@ -24,7 +26,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, SchemaError, ToolkitError, VideoMismatch
+from .errors import ConfigError, SchemaError, ToolkitError
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -106,9 +108,9 @@ def _cmd_eval(args) -> int:
         if g is None:
             continue  # evaluate names the unknown video
         if meta.length != g.length:
-            raise VideoMismatch(f"results declare length {meta.length} for video {vid}, ground truth says {g.length}")
+            raise SchemaError(f"results declare length {meta.length} for video {vid}, ground truth says {g.length}")
         if meta.height is not None and (meta.height, meta.width) != (g.height, g.width):
-            raise VideoMismatch(
+            raise SchemaError(
                 f"results masks of video {vid} are {meta.height}x{meta.width}, ground truth says {g.height}x{g.width}"
                 " (height x width)"
             )
@@ -167,10 +169,10 @@ def _cmd_fuse(args) -> int:
     for _, metas in loaded:
         for vid, meta in metas.items():
             if lengths.setdefault(vid, meta.length) != meta.length:
-                raise VideoMismatch(f"input files disagree on the length of video {vid}")
+                raise SchemaError(f"input files disagree on the length of video {vid}")
             size = (meta.height, meta.width)
             if meta.height is not None and sizes.setdefault(vid, size) != size:
-                raise VideoMismatch(f"input files disagree on the mask size of video {vid}")
+                raise SchemaError(f"input files disagree on the mask size of video {vid}")
     merged = {}
     for vid in sorted(lengths):
         track_sets = [tracks.get(vid, []) for tracks, _ in loaded]
@@ -275,7 +277,7 @@ def entrypoint(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return main(argv)
-    except SchemaError as e:  # ParseError included
+    except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConfigError as e:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ._numpy import np
 from .core import embedding_rows, ints
-from .errors import DimensionMismatch
+from .errors import ToolkitError
 
 # The fixed instance sizes and finite-difference step of gradient_check_suite.
 MAX_DIM = 16
@@ -25,7 +25,7 @@ def _rows(v, positives, negatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = embedding_rows(positives)
     neg = embedding_rows(negatives)
     if pos.shape[1] != vec.size or neg.shape[1] != vec.size:
-        raise DimensionMismatch("positive/negative embeddings must match the anchor length")
+        raise ToolkitError("positive/negative embeddings must match the anchor length")
     return vec, pos, neg
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ._numpy import np
-from .errors import ConfigError, CountsMismatch, DimensionMismatch, NonFiniteInput
+from .errors import ConfigError, ToolkitError
 
 
 _INT = frozenset((int,))
@@ -119,19 +119,19 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        height, width = ints((self.height, self.width), "size", CountsMismatch)
-        counts = ints(self.counts, "counts", CountsMismatch)
+        height, width = ints((self.height, self.width), "size")
+        counts = ints(self.counts, "counts")
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "counts", counts)
         if height <= 0 or width <= 0:
-            raise CountsMismatch("mask dimensions must be positive")
+            raise ValueError("mask dimensions must be positive")
         if counts and min(counts) < 0:
-            raise CountsMismatch("counts must be non-negative")
+            raise ValueError("counts must be non-negative")
         if 0 in counts[1:]:
-            raise CountsMismatch("counts must have no internal zero entries except the first")
+            raise ValueError("counts must have no internal zero entries except the first")
         if sum(counts) != height * width:
-            raise CountsMismatch("counts must sum to height*width")
+            raise ValueError("counts must sum to height*width")
 
     @property
     def area(self) -> int:
@@ -141,22 +141,22 @@ class RleMask:
 
 def embedding_rows(rows) -> np.ndarray:
     """n embeddings (sequences of reals or array rows) as one (n, D)
-    float64 array. Ragged rows raise DimensionMismatch, non-real entries
-    ValueError (they are never converted), NaN or inf NonFiniteInput."""
+    float64 array. Ragged rows and NaN or inf raise ToolkitError,
+    non-real entries ValueError (they are never converted)."""
     if not isinstance(rows, np.ndarray):
         rows = [
             r if isinstance(r, np.ndarray) and r.dtype.kind in "fiu" else reals(r, "embedding", finite=False)
             for r in rows
         ]
         if len(set(map(len, rows))) > 1:
-            raise DimensionMismatch("embeddings must share one length")
+            raise ToolkitError("embeddings must share one length")
     array = np.asarray(rows)  # no dtype, so that a non-real array keeps its dtype for the check below
     if array.dtype.kind not in "fiu":
         raise ValueError("embedding: expected a number")
     if array.ndim != 2 or not array.shape[1]:
-        raise DimensionMismatch("embeddings must be n non-empty rows of one length")
+        raise ToolkitError("embeddings must be n non-empty rows of one length")
     if not np.isfinite(array).all():
-        raise NonFiniteInput("embedding entries must be finite")
+        raise ToolkitError("embedding entries must be finite")
     return array.astype(np.float64, copy=False)
 
 
@@ -326,7 +326,7 @@ def rle_intersection_area(a: RleMask, b: RleMask) -> int:
     the two current runs and advances the one that ends first.
     """
     if (a.height, a.width) != (b.height, b.width):
-        raise DimensionMismatch("masks must share height and width")
+        raise ToolkitError("masks must share height and width")
     bounds_a = list(accumulate(a.counts))
     bounds_b = list(accumulate(b.counts))
     # one-run k covers the flat positions [bounds[2k], bounds[2k+1])

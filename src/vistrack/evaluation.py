@@ -28,7 +28,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .core import CLUTTER, FrameDetections, RleMask, Track, VideoGroundTruth, rle_intersection_area
-from .errors import DimensionMismatch, UnknownCategory, UnknownVideoId
+from .errors import SchemaError, ToolkitError
 
 # The YouTube-VIS protocol of the module docstring; evaluate has no other.
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -92,12 +92,12 @@ def _track_pixels(track: Track, video_length: int, video_dims: tuple[int, int] |
     area = 0
     for f, e in track.entries.items():
         if f >= video_length:
-            raise DimensionMismatch("track entry frame index must be below the video length")
+            raise ToolkitError("track entry frame index must be below the video length")
         m = e.mask
         if m is None:
             continue
         if video_dims is not None and (m.height, m.width) != video_dims:
-            raise DimensionMismatch("track mask dimensions must equal video dimensions")
+            raise ToolkitError("track mask dimensions must equal video dimensions")
         masks[f] = m
         area += m.area
     return masks, area
@@ -287,18 +287,18 @@ def evaluate(
     gt_by_vid: dict[int, VideoGroundTruth] = {}
     for g in ground_truth:
         if g.video_id in gt_by_vid:
-            raise UnknownVideoId(f"duplicate ground-truth video id {g.video_id}")
+            raise SchemaError(f"duplicate ground-truth video id {g.video_id}")
         gt_by_vid[g.video_id] = g
     for vid in predictions:
         if vid not in gt_by_vid:
-            raise UnknownVideoId(f"predictions reference unknown video id {vid}")
+            raise SchemaError(f"predictions reference unknown video id {vid}")
 
     categories = sorted({c for g in ground_truth for c in g.category_set})
     known = set(categories)
     for vid, tracks in predictions.items():
         for t in tracks:
             if t.category_id not in known:
-                raise UnknownCategory(f"predicted category {t.category_id} not in category set")
+                raise SchemaError(f"predicted category {t.category_id} not in category set")
 
     pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
 

@@ -22,7 +22,7 @@ complete, so a write that fails leaves the path as it was.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
-raises ParseError carrying the line and column. A loader checks the
+raises SchemaError carrying the line and column. A loader checks the
 JSON shape (objects, arrays, fields and array lengths) and hands each
 number as parsed to the domain type that holds it (``BBox``,
 ``RleMask``, ``Detection``, ``Track``), which checks it; the loader
@@ -62,7 +62,7 @@ from .core import (
     bbox_of_mask,
     ints,
 )
-from .errors import ConfigError, CountsMismatch, ParseError, SchemaError
+from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -241,9 +241,9 @@ def _read_json(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+        raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
+        raise SchemaError(f"{path}: not valid UTF-8: {e}") from e
 
 
 def _expect_object(value: Any, where: str, error: type[Exception] = SchemaError) -> dict:
@@ -297,8 +297,8 @@ def _rle_from(value: Any, where: str) -> RleMask:
     counts = _expect_list(counts, f"{where}.counts")
     try:
         return RleMask(height=size[0], width=size[1], counts=counts)
-    except CountsMismatch as e:
-        raise CountsMismatch(f"{where}: {e}") from e
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def _entries_json(t: Track, length: int) -> dict[str, list[Any]]:
@@ -457,11 +457,21 @@ def save_detections(
     metas: Mapping[int, VideoMeta] | None = None,
     embedding_dim: int | None = None,
 ) -> None:
+    """Write ``videos`` as a detections file that ``load_detections``
+    reads back. ``embedding_dim`` defaults to the one length every
+    embedding shares; it is checked before the file is opened."""
+    dims = {len(d.embedding) for frames in videos.values() for fr in frames for d in fr.detections}
     if embedding_dim is None:
-        dims = {len(d.embedding) for frames in videos.values() for fr in frames for d in fr.detections}
         if len(dims) > 1:
             raise SchemaError("detections mix embedding dimensions; they must be constant per file")
         embedding_dim = dims.pop() if dims else 0
+    if embedding_dim < 1:
+        raise SchemaError("embedding_dim: must be at least 1")
+    if dims - {embedding_dim}:
+        raise SchemaError(
+            f"embedding length {min(dims - {embedding_dim})} violates the declared "
+            f"embedding_dim {embedding_dim} (dimension must be constant per file)"
+        )
     rows = (_video_json(vid, videos[vid], (metas or {}).get(vid)) for vid in sorted(videos))
     _write({"embedding_dim": embedding_dim, "videos": rows}, path)
 

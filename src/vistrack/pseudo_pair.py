@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BBox, RleMask, config_numbers, reals, rle_crop
-from .errors import ConfigError, DuplicateInstanceId, ImageTooSmall
+from .errors import ConfigError, SchemaError, ToolkitError
 from .rng import SplitMix64
 
 
@@ -96,7 +96,7 @@ def sample_crop(image_w: int, image_h: int, cfg: CropConfig, rng: SplitMix64) ->
     placements that keep the window inside the image.
     """
     if image_w < 2 or image_h < 2:
-        raise ImageTooSmall("images must be at least 2 pixels per side to crop")
+        raise SchemaError("images must be at least 2 pixels per side to crop")
     span = cfg.max_scale - cfg.min_scale
     w = int(math.floor((rng.next_float() * span + cfg.min_scale) * image_w + 0.5))
     h = int(math.floor((rng.next_float() * span + cfg.min_scale) * image_h + 0.5))
@@ -166,7 +166,7 @@ def make_pair(
     """
     ids = [a.instance_id for a in annotations]
     if len(ids) != len(set(ids)):
-        raise DuplicateInstanceId("source annotations must have unique instance ids")
+        raise ToolkitError("source annotations must have unique instance ids")
     window_a = sample_crop(image_meta.width, image_meta.height, cfg, rng)
     window_b = sample_crop(image_meta.width, image_meta.height, cfg, rng)
     view_a = transform_annotations(annotations, window_a, cfg)

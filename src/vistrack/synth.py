@@ -45,7 +45,7 @@ from .core import (
     ints,
     reals,
 )
-from .errors import ConfigError, ConfigInfeasible
+from .errors import ConfigError
 from .rng import POISSON_MAX_MEAN, SplitMix64
 
 _MAX_BASE_ATTEMPTS = 10_000
@@ -123,7 +123,7 @@ def _sample_bases(rng: SplitMix64, count: int, dim: int) -> list[np.ndarray]:
     while len(bases) < count:
         attempts += 1
         if attempts > _MAX_BASE_ATTEMPTS:
-            raise ConfigInfeasible(
+            raise ConfigError(
                 f"could not place {count} unit embeddings with pairwise dot "
                 f"<= {_BASE_SEPARATION} in {dim} dimensions"
             )

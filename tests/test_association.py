@@ -16,10 +16,9 @@ from vistrack import (
     AssociationConfig,
     BBox,
     Detection,
-    DimensionMismatch,
-    EmptyInput,
     FrameDetections,
     SimilarityKind,
+    ToolkitError,
     VideoMeta,
     assign,
     rle_encode,
@@ -105,11 +104,11 @@ def test_cosine_range_and_zero_vector():
 
 
 def test_similarity_errors():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ToolkitError, match="similarity requires at least one prediction and one memory instance"):
         similarity([], bank_of((1.0, 0.0)))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ToolkitError, match="similarity requires at least one prediction and one memory instance"):
         similarity([(1.0, 0.0)], np.empty((0, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="prediction and memory embeddings must share one length"):
         similarity([(1.0, 0.0, 0.0)], bank_of((1.0, 0.0)))
 
 
@@ -166,7 +165,7 @@ def test_assign_empty_memory():
 
 
 def test_assign_needs_a_matrix():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="scores must be an N x M matrix over predictions and memory"):
         assign(np.zeros(2), T)
 
 
@@ -355,14 +354,14 @@ def test_unmatched_rows_are_kept():
     ids=["against-the-bank", "within-a-frame"],
 )
 def test_track_video_rejects_embeddings_of_another_length(frames):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="embeddings must share one length"):
         track_video(frames, CFG, META)
 
 
 @pytest.mark.parametrize("side", ["height", "width"])
 def test_track_video_checks_a_side_declared_alone(side):
     frames = [FrameDetections(0, [det(0.9, (1.0, 0.0), mask=rle_encode(np.ones((4, 4), dtype=bool)))])]
-    with pytest.raises(DimensionMismatch, match="video dimensions"):
+    with pytest.raises(ToolkitError, match="detection mask dimensions must equal video dimensions"):
         track_video(frames, CFG, VideoMeta(length=1, **{side: 64}))
     assert len(track_video(frames, CFG, VideoMeta(length=1, **{side: 4}))) == 1
 

@@ -30,7 +30,6 @@ from vistrack import (
     ConfigError,
     Detection,
     FrameDetections,
-    ParseError,
     SchemaError,
     ScoreRule,
     SimilarityKind,
@@ -494,6 +493,28 @@ def test_save_results_checks_every_length_before_opening_the_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "videos,embedding_dim,message",
+    [
+        ({1: [FrameDetections(frame_index=0, detections=[])]}, None, "embedding_dim: must be at least 1"),
+        ({}, 0, "embedding_dim: must be at least 1"),
+        (
+            tiny_detections(),
+            5,
+            r"embedding length 2 violates the declared embedding_dim 5 \(dimension must be constant per file\)",
+        ),
+    ],
+    ids=["no-detections", "zero", "declared-5-given-2"],
+)
+def test_save_detections_writes_only_files_that_load(tmp_path, videos, embedding_dim, message):
+    """An embedding_dim that load_detections would reject is refused
+    before the file is opened."""
+    p = tmp_path / "det.json"
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        save_detections(videos, str(p), embedding_dim=embedding_dim)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_through_a_symlink_keeps_the_link(tmp_path):
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     target.write_text("old\n")
@@ -595,7 +616,7 @@ def test_identity_round_trip(tmp_path):
 def test_malformed_json_reports_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"videos": [}')
-    with pytest.raises(ParseError, match=r"line 1 column"):
+    with pytest.raises(SchemaError, match=r"line 1 column"):
         load_annotations(str(p))
 
 
@@ -807,7 +828,7 @@ def test_fuse_inputs_must_agree_on_mask_size(tmp_path, capsys, frame):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps([_result_record(1, {0}, (4, 4))]))
     b.write_text(json.dumps([_result_record(1, {frame}, (5, 4))]))
-    assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 4
+    assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 2
     assert "mask size of video 1" in capsys.readouterr().err
     assert not (tmp_path / "fused.json").exists()
 
@@ -819,9 +840,70 @@ def test_eval_results_must_match_the_video_mask_size(tmp_path, capsys):
     res, rep = tmp_path / "res.json", tmp_path / "rep.json"
     res.write_text(json.dumps([_result_record(1, {0}, (10, 12), length=4)]))
     code = entrypoint(["eval", "--gt", str(tmp_path / "annotations.json"), "--results", str(res), "--out", str(rep)])
-    assert code == 4
+    assert code == 2
     assert "results masks of video 1 are 10x12, ground truth says 64x64" in capsys.readouterr().err
     assert not rep.exists()
+
+
+def _one_pixel_wide_gt():
+    m = rle_encode(np.ones((4, 1), dtype=bool))
+    track = Track(track_id=1, category_id=1, score=1.0, entries={0: TrackEntry(bbox=bbox_of_mask(m), mask=m)})
+    return [VideoGroundTruth(video_id=1, height=4, width=1, length=1, gt_tracks=[track], category_set=[1])]
+
+
+@pytest.mark.parametrize(
+    "command,results,message",
+    [
+        ("eval", [[_result_record(1, {0}, (4, 4), vid=2)]], "predictions reference unknown video id 2"),
+        ("eval", [[{**_result_record(1, {0}, (4, 4)), "category_id": 9}]], "predicted category 9 not in category set"),
+        ("eval", [[_result_record(1, {0}, (4, 4), length=3)]], "results declare length 3 for video 1, ground truth says 2"),
+        (
+            "eval",
+            [[_result_record(1, {0}, (4, 5))]],
+            "results masks of video 1 are 4x5, ground truth says 4x4 (height x width)",
+        ),
+        (
+            "fuse",
+            [[_result_record(1, {0}, (4, 4))], [_result_record(1, {0}, (4, 4), length=3)]],
+            "input files disagree on the length of video 1",
+        ),
+        (
+            "fuse",
+            [[_result_record(1, {0}, (4, 4))], [_result_record(1, {0}, (5, 4))]],
+            "input files disagree on the mask size of video 1",
+        ),
+        ("pseudopair", [], "images must be at least 2 pixels per side to crop"),
+    ],
+    ids=[
+        "eval-unknown-video",
+        "eval-unknown-category",
+        "eval-length",
+        "eval-mask-size",
+        "fuse-length",
+        "fuse-mask-size",
+        "pseudopair-one-pixel-wide",
+    ],
+)
+def test_input_files_that_disagree_exit_2(tmp_path, capsys, command, results, message):
+    """A fault between input files is an input fault like one inside a
+    file: exit 2 with the message naming it, and no output. Except for
+    pseudopair's, the ground truth is tiny_gt's one 4x4 video of length 2."""
+    gt = tmp_path / "gt.json"
+    save_annotations(_one_pixel_wide_gt() if command == "pseudopair" else tiny_gt(), str(gt))
+    inputs = []
+    for i, records in enumerate(results):
+        p = tmp_path / f"results_{i}.json"
+        p.write_text(json.dumps(records))
+        inputs.append(str(p))
+    out = tmp_path / "out.json"
+    argv = {
+        "eval": ["eval", "--gt", str(gt), "--results", *inputs],
+        "fuse": ["fuse", "--inputs", *inputs],
+        "pseudopair": ["pseudopair", "--annotations", str(gt)],
+    }[command]
+    assert entrypoint(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1445,7 +1527,7 @@ def test_public_names_resolve_lazily_to_their_defining_modules():
     """Each name in ``vistrack.__all__`` is imported from its module on
     first use, is that module's object, and ``dir`` lists it; an unknown
     name raises AttributeError, in ``vistrack`` and in ``vistrack.cli``."""
-    assert len(vistrack.__all__) == 57
+    assert len(vistrack.__all__) == 46
     for name in vistrack.__all__:
         value = getattr(vistrack, name)
         module = importlib.import_module(f"vistrack.{vistrack._MODULE_OF[name]}")

@@ -18,13 +18,12 @@ from helpers import (
 from vistrack import (
     AssociationConfig,
     BBox,
-    DimensionMismatch,
     Metrics,
+    SchemaError,
     SynthConfig,
+    ToolkitError,
     Track,
     TrackEntry,
-    UnknownCategory,
-    UnknownVideoId,
     VideoGroundTruth,
     evaluate,
     generate,
@@ -83,14 +82,14 @@ def test_st_iou_both_empty_is_one():
 
 def test_st_iou_rejects_frame_beyond_length():
     a = track_from_grids(1, 1, 0.9, {4: square(4, 4, 0, 0, 2)})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="track entry frame index must be below the video length"):
         st_iou(a, a, 3)
 
 
 def test_st_iou_rejects_mismatched_dims():
     a = track_from_grids(1, 1, 0.9, {0: square(4, 4, 0, 0, 2)})
     b = track_from_grids(2, 1, 0.9, {0: square(5, 4, 0, 0, 2)})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="track mask dimensions must equal video dimensions"):
         st_iou(a, b, 2, video_dims=(4, 4))
 
 
@@ -104,7 +103,7 @@ def test_st_iou_rejects_maskless_entry_beyond_length(maskless_first):
     a = track_from_grids(1, 1, 0.9, {0: square(4, 4, 0, 0, 2)})
     b = maskless_track([0, 3])
     pair = (b, a) if maskless_first else (a, b)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="track entry frame index must be below the video length"):
         st_iou(*pair, 3)
 
 
@@ -350,7 +349,7 @@ def test_evaluate_absent_category_is_none_and_excluded():
 def test_evaluate_rejects_maskless_result_entry_beyond_length():
     preds, gts = _one_video_corpus()
     bad = maskless_track([0, gts[0].length], track_id=3, category_id=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ToolkitError, match="track entry frame index must be below the video length"):
         evaluate({1: preds[1] + [bad]}, gts)
 
 
@@ -383,14 +382,14 @@ def test_evaluate_one_missed_of_four():
 def test_evaluate_unknown_video():
     preds, gts = _one_video_corpus()
     preds[99] = preds[1]
-    with pytest.raises(UnknownVideoId):
+    with pytest.raises(SchemaError, match="^predictions reference unknown video id 99$"):
         evaluate(preds, gts)
 
 
 def test_evaluate_unknown_category():
     preds, gts = _one_video_corpus()
     preds[1][0] = track_from_grids(1, 9, 0.9, {0: square(8, 8, 0, 0, 4)})
-    with pytest.raises(UnknownCategory):
+    with pytest.raises(SchemaError, match="^predicted category 9 not in category set$"):
         evaluate(preds, gts)
 
 

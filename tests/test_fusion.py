@@ -10,9 +10,9 @@ from helpers import reference_fuse, track_from_grids
 from vistrack import (
     BBox,
     ConfigError,
-    DimensionMismatch,
     FusionConfig,
     ScoreRule,
+    ToolkitError,
     Track,
     TrackEntry,
     fuse_tracks,
@@ -130,7 +130,7 @@ def test_distinct_ids_survive():
 
 def test_entry_beyond_length_rejected():
     a = track_from_grids(1, 1, 0.9, {3: square(0, 0, 3)})
-    with pytest.raises(DimensionMismatch, match="track entry frame index must be below the video length"):
+    with pytest.raises(ToolkitError, match="track entry frame index must be below the video length"):
         fuse_tracks([[a]], 2, FusionConfig())
 
 

@@ -11,11 +11,11 @@ from vistrack import (
     ConfigError,
     CropConfig,
     CropWindow,
-    DuplicateInstanceId,
     ImageMeta,
-    ImageTooSmall,
+    SchemaError,
     SourceAnnotation,
     SplitMix64,
+    ToolkitError,
     make_pair,
     rle_decode,
     rle_encode,
@@ -64,7 +64,7 @@ def test_sample_crop_deterministic():
 
 
 def test_sample_crop_rejects_tiny_images():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(SchemaError, match="images must be at least 2 pixels per side to crop"):
         sample_crop(1, 64, CFG, SplitMix64(0))
 
 
@@ -222,7 +222,7 @@ def test_pair_shared_instance_at_different_offsets():
 
 def test_pair_duplicate_instance_ids_rejected():
     anns = [ann(1, BBox(0.0, 0.0, 5.0, 5.0)), ann(1, BBox(10.0, 10.0, 5.0, 5.0))]
-    with pytest.raises(DuplicateInstanceId):
+    with pytest.raises(ToolkitError, match="source annotations must have unique instance ids"):
         make_pair(ImageMeta(1, 50, 50), anns, CFG, SplitMix64(0))
 
 

@@ -16,7 +16,6 @@ from helpers import reference_shape_mask, render_shape, state_before
 from vistrack import (
     CLUTTER,
     ConfigError,
-    ConfigInfeasible,
     SplitMix64,
     SynthConfig,
     bbox_of_mask,
@@ -201,7 +200,7 @@ def test_six_objects_in_two_dims_is_infeasible():
         embedding_dim=2,
         rng_seed=0,
     )
-    with pytest.raises(ConfigInfeasible):
+    with pytest.raises(ConfigError, match="could not place 6 unit embeddings"):
         generate(cfg)
 
 
