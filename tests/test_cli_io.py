@@ -1447,6 +1447,45 @@ def test_bad_value_names_path_field_and_invariant(corpus_dir, results_file, tmp_
     assert not out.exists()
 
 
+_RLE_FAULTS = {
+    "sum": (lambda size, counts: (size, [counts[0] + 1, *counts[1:]]), "counts must sum to height*width"),
+    "negative": (lambda size, counts: (size, [-1, size[0] * size[1] + 1]), "counts must be non-negative"),
+    "internal-zero": (
+        lambda size, counts: (size, [size[0] * size[1], 0]),
+        "counts must have no internal zero entries except the first",
+    ),
+    "size": (lambda size, counts: ([0, size[1]], counts), "mask dimensions must be positive"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_RLE_FAULTS))
+@pytest.mark.parametrize("kind", ["detections", "annotations", "results"])
+def test_bad_rle_names_path_and_invariant(corpus_dir, results_file, tmp_path, capsys, kind, fault):
+    """Each loader turns an RleMask fault into exit 2 with
+    ``error: <JSON path>: <invariant>`` and writes nothing."""
+    source = {"detections": corpus_dir / "detections.json", "annotations": corpus_dir / "annotations.json"}
+    doc = json.loads(source.get(kind, results_file).read_text())
+    if kind == "detections":
+        seg, where = doc["videos"][0]["frames"][0]["detections"][0]["segmentation"], f"{_DETECTION}.segmentation"
+    else:
+        segs = (doc["annotations"] if kind == "annotations" else doc)[0]["segmentations"]
+        f = next(i for i, seg in enumerate(segs) if seg is not None)
+        seg, where = segs[f], f"{kind}[0].segmentations[{f}]"
+    mutate, message = _RLE_FAULTS[fault]
+    seg["size"], seg["counts"] = mutate(seg["size"], seg["counts"])
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = {
+        "detections": ["track", "--detections", str(p)],
+        "annotations": ["eval", "--gt", str(p), "--results", str(results_file)],
+        "results": ["fuse", "--inputs", str(p)],
+    }[kind]
+    assert entrypoint(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not out.exists()
+
+
 def _modules_after(code: str) -> set[str]:
     """The names in ``sys.modules`` after a fresh interpreter on the
     checkout's src runs ``code``."""
