@@ -102,8 +102,11 @@ def similarity(
     """
     if not len(pred_embeddings) or not len(memory_embeddings):
         raise ToolkitError("similarity requires at least one prediction and one memory instance")
-    pred = embedding_rows(pred_embeddings)
-    mem = embedding_rows(memory_embeddings)
+    return _scores(embedding_rows(pred_embeddings), embedding_rows(memory_embeddings), kind)
+
+
+def _scores(pred: np.ndarray, mem: np.ndarray, kind: SimilarityKind) -> np.ndarray:
+    """``similarity`` of two checked (n, D) float64 arrays."""
     if pred.shape[1] != mem.shape[1]:
         raise ToolkitError("prediction and memory embeddings must share one length")
     if kind is SimilarityKind.COSINE:
@@ -199,9 +202,13 @@ def track_video_with_trace(
                 raise ToolkitError("detection mask dimensions must equal video dimensions")
         if not dets:
             continue
-        emb = embedding_rows([d.embedding for d in dets])
+        # Detection has checked each embedding (non-empty, finite reals), so
+        # only their lengths are left to check.
+        if len({len(d.embedding) for d in dets}) > 1:
+            raise ToolkitError("embeddings must share one length")
+        emb = np.array([d.embedding for d in dets], dtype=np.float64)
         if len(rows):
-            cols = assign(similarity(emb, rows, cfg.similarity_kind), cfg.match_threshold)
+            cols = assign(_scores(emb, rows, cfg.similarity_kind), cfg.match_threshold)
         else:
             cols = [-1] * len(dets)
         fresh = []

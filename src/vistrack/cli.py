@@ -154,7 +154,10 @@ def _cmd_pseudopair(args) -> int:
                 continue
             image_id += 1
             meta = ImageMeta(image_id=image_id, width=g.width, height=g.height)
-            samples.append(_cli.make_pair(meta, anns, cfg.crop, rng))
+            try:
+                samples.append(_cli.make_pair(meta, anns, cfg.crop, rng))
+            except SchemaError as e:  # the image is too small to crop
+                raise SchemaError(f"video {g.video_id}: {e}") from e
     formats.save_pairs(samples, args.out)
     return 0
 

@@ -298,7 +298,7 @@ def evaluate(
     for vid, tracks in predictions.items():
         for t in tracks:
             if t.category_id not in known:
-                raise SchemaError(f"predicted category {t.category_id} not in category set")
+                raise SchemaError(f"video {vid} track {t.track_id}: predicted category {t.category_id} not in category set")
 
     pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
 

@@ -8,17 +8,26 @@ bytes it writes for ``obj`` are exactly
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
 where a generator (``types.GeneratorType``) stands for the list of its
 items and a ``_Quantized`` tuple for the list of its items' ``_q``
-values: ASCII-escaped strings, ``int.__repr__`` and ``float.__repr__``
-for numbers, ValueError for NaN and infinities and TypeError for any
-other type, sets and other iterators included. It is a specialized
-writer because ``json.dumps`` with an indent runs the pure-Python
-encoder, one generator step per value.
+values and a ``_Sparse`` pair ``(length, [(frame, value), ...])`` for
+the list of ``length`` slots that holds each value at its frame and
+``None`` elsewhere: ASCII-escaped strings, ``int.__repr__`` and
+``float.__repr__`` for numbers, ValueError for NaN and infinities and
+TypeError for any other type, sets and other iterators included. It is
+a specialized writer because ``json.dumps`` with an indent runs the
+pure-Python encoder, one generator step per value.
 
 Writers stream record by record: each passes its arrays of records as
 generators, and ``_write`` hands the text to the file between records,
-so neither the records nor the text of a whole file exist at once. The
-text goes to a sibling file that replaces the path only once it is
+so neither the records nor the text of a whole file exist at once. A
+track's per-frame arrays are ``_Sparse``: the writer builds the nulls
+between its entries from the gaps, in pieces of at most ``_NULL_PIECE``
+slots, so a record costs what its entries cost, not its video's length.
+The text goes to a sibling file that replaces the path only once it is
 complete, so a write that fails leaves the path as it was.
+
+``load_results`` reads its file one record at a time (``_array_items``):
+it holds the tracks it has built and the text of one record, not the
+parsed file. Every other loader parses its whole file first.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
@@ -43,11 +52,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
-from operator import is_not
+from operator import is_not, or_
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from .core import (
     _INT,
@@ -86,6 +96,14 @@ class _Quantized(tuple):
     __slots__ = ()
 
 
+class _Sparse(tuple):
+    """``(length, [(frame, value), ...])`` in ascending frame order, which
+    ``_emit`` writes as the array of ``length`` slots holding each value
+    at its frame and ``null`` elsewhere."""
+
+    __slots__ = ()
+
+
 def _qtext(x: float) -> str:
     """``_scalar(_q(x))`` from one format call. A decimal of at most 6
     significant digits round-trips through a normal float, so repr prints
@@ -106,6 +124,11 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 # one-entry track is ~25 pieces, most of its bytes in two runs of nulls.
 _FLUSH_PIECES = 256
 
+# A run of nulls in a ``_Sparse`` array is written in pieces of at most
+# this many slots, with a flush between pieces, so that the text of a
+# long run never exists at once (about 50 KB a piece).
+_NULL_PIECE = 4096
+
 
 def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
@@ -122,6 +145,29 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None])
             _emit(value, inner, out, flush)
             sep = "," + inner
         out.append(nl + "}")
+    elif type(obj) is _Sparse:
+        length, items = obj
+        if not length:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        lead = "[" + inner
+        done = 0  # slots written
+        for f, value in chain(items, ((length, None),)):
+            while done < f:  # the nulls of slots done .. f - 1, a piece at a time
+                n = min(f - done, _NULL_PIECE)
+                out.append(lead + "null" + (sep + "null") * (n - 1))
+                lead = sep
+                done += n
+                if done < f:
+                    flush(out)
+            if f < length:
+                out.append(lead)
+                _emit(value, inner, out, flush)
+                lead = sep
+                done = f + 1
+        out.append(nl + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -138,21 +184,11 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None])
             text = map(int.__repr__ if kinds == _INT else _scalar, obj)
             out.append("[" + inner + sep.join(text) + nl + "]")
             return
-        # Visit only the non-null elements (per-frame result arrays are
-        # mostly null) and write each run of k nulls as one string.
         lead = "[" + inner
-        nulls = sep + "null"
-        end = -1  # index of the last element written
-        for k in compress(range(len(obj)), map(is_not, obj, repeat(None))):
-            if k > end + 1:
-                out.append(lead + "null" + nulls * (k - end - 2))
-                lead = sep
+        for item in obj:
             out.append(lead)
-            _emit(obj[k], inner, out, flush)
+            _emit(item, inner, out, flush)
             lead = sep
-            end = k
-        if len(obj) > end + 1:
-            out.append(lead + "null" + nulls * (len(obj) - end - 2))
         out.append(nl + "]")
     elif isinstance(obj, GeneratorType):
         inner = nl + "  "
@@ -246,6 +282,57 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"{path}: not valid UTF-8: {e}") from e
 
 
+# Characters ``_array_items`` reads at a time. An item that does not fit
+# in the text held doubles it, so decoding an item longer than this costs
+# at most about twice one decode of it.
+_READ_WINDOW = 1 << 20
+
+
+def _array_items(path: str, where: str) -> Iterator[Any]:
+    """The items of the JSON array that ``path`` holds, as ``_read_json``
+    would parse them, decoded one at a time from a window of the text.
+
+    Text that is not the next item or the end of the array (bad JSON, a
+    BOM, text after the array, invalid UTF-8, a root that is not an
+    array) sends the file to ``_read_json`` and ``_expect_list``, which
+    raise the error of a whole-file parse; should they parse the file,
+    the remaining items come from that parse."""
+    decode = json.JSONDecoder().raw_decode
+    skip = WHITESPACE.match
+    count = 0  # items yielded
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text, pos = "", 0
+            expect = "["  # then "first" (an item or "]"), "item" after ",", "end" after "]"
+            while more := fh.read(max(_READ_WINDOW, len(text) - pos)):
+                text, pos = text[pos:] + more, 0
+                while (pos := skip(text, pos).end()) < len(text):
+                    if expect == "[" and text[pos] == "[":
+                        expect, pos = "first", pos + 1
+                    elif expect == "first" and text[pos] == "]":
+                        expect, pos = "end", pos + 1
+                    elif expect in ("[", "end"):
+                        raise ValueError  # not an array, or text after it
+                    else:
+                        try:
+                            value, end = decode(text, pos)
+                        except json.JSONDecodeError:
+                            break  # the rest of the item may be unread
+                        end = skip(text, end).end()
+                        if end == len(text):
+                            break  # so may the separator, or more digits of a number
+                        if text[end] not in ",]":
+                            raise ValueError
+                        expect, pos = ("item" if text[end] == "," else "end"), end + 1
+                        count += 1
+                        yield value
+            if expect == "end":
+                return
+    except ValueError:  # also JSONDecodeError and UnicodeDecodeError
+        pass
+    yield from _expect_list(_read_json(path), where)[count:]
+
+
 def _expect_object(value: Any, where: str, error: type[Exception] = SchemaError) -> dict:
     if not isinstance(value, dict):
         raise error(f"{where}: expected a JSON object")
@@ -301,27 +388,28 @@ def _rle_from(value: Any, where: str) -> RleMask:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def _entries_json(t: Track, length: int) -> dict[str, list[Any]]:
+def _entries_json(t: Track, length: int) -> dict[str, _Sparse]:
     """A track's per-frame ``segmentations`` and ``bboxes`` arrays, null
     where the track has no entry."""
-    segs: list[Any] = [None] * length
-    boxes: list[Any] = [None] * length
-    for f, e in t.entries.items():
+    for f in t.entries:
         if f >= length:
             raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
-        segs[f] = _rle_json(e.mask) if e.mask is not None else None
-        boxes[f] = _bbox_json(e.bbox)
-    return {"segmentations": segs, "bboxes": boxes}
+    entries = sorted(t.entries.items())
+    return {
+        "segmentations": _Sparse((length, [(f, _rle_json(e.mask)) for f, e in entries if e.mask is not None])),
+        "bboxes": _Sparse((length, [(f, _bbox_json(e.bbox)) for f, e in entries])),
+    }
 
 
 def _entries_from(segs: list, boxes: list, where: str) -> dict[int, TrackEntry]:
     """Track entries from equal-length per-frame arrays. A frame with a
     mask but no box takes the mask's bounding box; a frame with neither,
-    or with only an empty mask, has no entry."""
+    or with only an empty mask, has no entry. Only the frames with a
+    mask or a box are visited."""
     entries: dict[int, TrackEntry] = {}
-    for f, (seg, box) in enumerate(zip(segs, boxes)):
-        if seg is None and box is None:
-            continue
+    present = map(or_, map(is_not, segs, repeat(None)), map(is_not, boxes, repeat(None)))
+    for f in compress(range(len(segs)), present):
+        seg, box = segs[f], boxes[f]
         mask = _rle_from(seg, f"{where}.segmentations[{f}]") if seg is not None else None
         if box is not None:
             bbox = _bbox_from(box, f"{where}.bboxes[{f}]")
@@ -600,13 +688,22 @@ def save_results(
 def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
     """Tracks grouped per video (file order preserved) plus each video's
     meta: its segmentation-array length and the one size that its masks
-    must share (height and width None when it has no mask)."""
-    root = _expect_list(_read_json(path), "results")
+    must share (height and width None when it has no mask). The records
+    are read and converted one at a time; the errors are those of a
+    whole-file parse followed by the conversion."""
+    try:
+        return _results_from(_array_items(path, "results"))
+    except SchemaError:
+        _read_json(path)  # a file that is also malformed JSON reports that first, as a whole-file parse did
+        raise
+
+
+def _results_from(records: Iterator[Any]) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
     tracks: dict[int, list[Track]] = {}
     lengths: dict[int, int] = {}
     sizes: dict[int, tuple[int, int]] = {}
     seen: set[tuple[int, int]] = set()
-    for i, r in enumerate(root):
+    for i, r in enumerate(records):
         where = f"results[{i}]"
         obj = _expect_object(r, where)
         vid = _get(obj, "video_id", where, ints)

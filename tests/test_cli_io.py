@@ -855,7 +855,7 @@ def _one_pixel_wide_gt():
     "command,results,message",
     [
         ("eval", [[_result_record(1, {0}, (4, 4), vid=2)]], "predictions reference unknown video id 2"),
-        ("eval", [[{**_result_record(1, {0}, (4, 4)), "category_id": 9}]], "predicted category 9 not in category set"),
+        ("eval", [[{**_result_record(1, {0}, (4, 4)), "category_id": 9}]], "video 1 track 1: predicted category 9 not in category set"),
         ("eval", [[_result_record(1, {0}, (4, 4), length=3)]], "results declare length 3 for video 1, ground truth says 2"),
         (
             "eval",
@@ -872,7 +872,7 @@ def _one_pixel_wide_gt():
             [[_result_record(1, {0}, (4, 4))], [_result_record(1, {0}, (5, 4))]],
             "input files disagree on the mask size of video 1",
         ),
-        ("pseudopair", [], "images must be at least 2 pixels per side to crop"),
+        ("pseudopair", [], "video 1: images must be at least 2 pixels per side to crop"),
     ],
     ids=[
         "eval-unknown-video",

@@ -389,7 +389,7 @@ def test_evaluate_unknown_video():
 def test_evaluate_unknown_category():
     preds, gts = _one_video_corpus()
     preds[1][0] = track_from_grids(1, 9, 0.9, {0: square(8, 8, 0, 0, 4)})
-    with pytest.raises(SchemaError, match="^predicted category 9 not in category set$"):
+    with pytest.raises(SchemaError, match="^video 1 track 1: predicted category 9 not in category set$"):
         evaluate(preds, gts)
 
 
