@@ -1,30 +1,34 @@
 """Track one noisy synthetic corpus under each association setting and
 score it against ground truth.
 
-Varies the match threshold and the similarity kind and prints, per
-setting, mAP, AP50, AP75, AR@1 and AR@10 plus the identity switches
-counted against the corpus's identity key, holding the corpus fixed so
-the numbers are comparable row to row.
+Every setting comes from a run-config file, read as ``vistrack`` reads
+one (``formats.load_run_config``): each positional file gives one row,
+tracked under its ``association`` section (no file gives one row at the
+defaults), and ``--corpus`` gives the corpus through its ``synth``
+section. ``--seed`` replaces the corpus's ``rng_seed``, as
+``vistrack synth --seed`` does; given several seeds, every row runs on
+the corpus of each.
+
+Each row prints mAP, AP50, AP75, AR@1 and AR@10 plus the identity
+switches counted against the corpus's identity key and the number of
+switch-free videos; over several seeds, each column prints the median
+and ``[min, max]``. A file that cannot be read exits 1, a malformed
+file 2 and a bad value 3, each with ``error: ...``, as the command line
+does.
 
 Usage:
-    python3 scripts/sweep_association.py --seed 42 --sigma 0.15 --dropout 0.15
+    python3 scripts/sweep_association.py defaults.json tuned.json --corpus corpus.json --seed 5 6 7
 """
 
 import argparse
+import statistics
 import sys
 import time
+from dataclasses import replace
 
-from vistrack import (
-    AssociationConfig,
-    ConfigError,
-    SimilarityKind,
-    SynthConfig,
-    evaluate,
-    generate,
-    id_switches,
-    track_video_with_trace,
-)
+from vistrack import ConfigError, SchemaError, evaluate, generate, id_switches, track_video_with_trace
 from vistrack.core import VideoMeta
+from vistrack.formats import load_run_config
 
 
 def run_setting(corpus, assoc):
@@ -40,56 +44,61 @@ def run_setting(corpus, assoc):
         n = id_switches(corpus.detections[g.video_id], corpus.identity_key, g.video_id, trace)
         switches += n
         switch_free += n == 0
-    return evaluate(predictions, corpus.ground_truth).overall, switches, switch_free
+    m = evaluate(predictions, corpus.ground_truth).overall
+    return [m.ap, m.ap50, m.ap75, m.ar[1], m.ar[10], switches, switch_free]
+
+
+def cell(values, fmt: str) -> str:
+    """One value, or the median and [min, max] of several; the median of
+    an integer column may fall halfway between two integers."""
+    if len(values) == 1:
+        return format(values[0], fmt)
+    median = format(statistics.median(values), ".10g" if fmt == "d" else fmt)
+    return f"{median} [{min(values):{fmt}}, {max(values):{fmt}}]"
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--videos", type=int, default=10)
-    ap.add_argument("--frames", type=int, default=20)
-    ap.add_argument("--objects", type=int, default=4)
-    ap.add_argument("--sigma", type=float, default=0.15, help="embedding noise")
-    ap.add_argument("--dropout", type=float, default=0.15)
-    ap.add_argument("--clutter", type=float, default=1.0)
-    ap.add_argument(
-        "--thresholds", type=float, nargs="+", default=[0.3, 0.4, 0.5, 0.6, 0.7]
-    )
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("configs", nargs="*", help="run-config files, one row each, from their association section")
+    ap.add_argument("--corpus", help="run-config file whose synth section sets the corpus")
+    ap.add_argument("--seed", type=int, nargs="+", help="corpus seeds, each replacing synth.rng_seed")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    try:  # a bad value exits 3 with its message, as the CLI does
-        synth = SynthConfig(
-            n_videos=args.videos,
-            frames_per_video=args.frames,
-            objects_per_video=args.objects,
-            embedding_noise_sigma=args.sigma,
-            detector_dropout=args.dropout,
-            clutter_rate=args.clutter,
-            rng_seed=args.seed,
-        )
-        settings = [
-            AssociationConfig(match_threshold=thr, similarity_kind=kind)
-            for kind in (SimilarityKind.BISOFTMAX, SimilarityKind.COSINE)
-            for thr in args.thresholds
-        ]
-        corpus = generate(synth)
+    try:
+        synth = load_run_config(args.corpus).synth
+        synths = [replace(synth, rng_seed=s) for s in args.seed] if args.seed else [synth]
+        settings = [(path, load_run_config(path).association) for path in args.configs]
+        settings = settings or [("defaults", load_run_config(None).association)]
+        corpora = [generate(s) for s in synths]
+    except SchemaError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    n_vid = len(corpus.ground_truth)
-    print(f"corpus: {n_vid} videos x {args.frames} frames x {args.objects} objects, seed {args.seed}")
-    print(f"noise sigma {args.sigma}, dropout {args.dropout}, clutter rate {args.clutter}")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(
-        f"{'similarity':>10}  {'threshold':>9}  {'mAP':>6}  {'AP50':>6}  {'AP75':>6}  {'AR@1':>6}  {'AR@10':>6}"
-        f"  {'switches':>8}  {'switch-free':>11}"
+        f"corpus: {synth.n_videos} videos x {synth.frames_per_video} frames x {synth.objects_per_video} objects,"
+        f" seed {', '.join(str(s.rng_seed) for s in synths)}"
     )
-    for assoc in settings:
-        m, switches, switch_free = run_setting(corpus, assoc)
-        print(
-            f"{assoc.similarity_kind.value:>10}  {assoc.match_threshold:>9.2f}  {m.ap:.4f}  {m.ap50:.4f}"
-            f"  {m.ap75:.4f}  {m.ar[1]:.4f}  {m.ar[10]:.4f}  {switches:>8d}  {f'{switch_free}/{n_vid}':>11}"
+    print(
+        f"noise sigma {synth.embedding_noise_sigma}, dropout {synth.detector_dropout},"
+        f" clutter rate {synth.clutter_rate}"
+    )
+    rows = [["config", "similarity", "threshold", "mAP", "AP50", "AP75", "AR@1", "AR@10", "switches", "switch-free"]]
+    for name, assoc in settings:
+        columns = list(zip(*(run_setting(corpus, assoc) for corpus in corpora)))
+        rows.append(
+            [name, assoc.similarity_kind.value, f"{assoc.match_threshold:.2f}"]
+            + [cell(c, ".4f") for c in columns[:5]]
+            + [cell(columns[5], "d"), f"{cell(columns[6], 'd')}/{synth.n_videos}"]
         )
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join([row[0].ljust(widths[0])] + [v.rjust(w) for v, w in zip(row[1:], widths[1:])]))
     print(f"wall time {time.perf_counter() - t0:.2f}s")
     return 0
 

@@ -34,12 +34,19 @@ violate a documented invariant with an error naming it; malformed JSON
 raises SchemaError carrying the line and column. A loader checks the
 JSON shape (objects, arrays, fields and array lengths) and hands each
 number as parsed to the domain type that holds it (``BBox``,
-``RleMask``, ``Detection``, ``Track``), which checks it; the loader
-adds the JSON path, so a bad value reads
-``<JSON path>: <field>: <invariant>``. The loader checks a number with
-``core.ints`` itself only where it uses the number before a domain type
-sees it (ids, declared sizes) or where the domain type's message would
-not name the field.
+``RleMask``, ``Detection``, ``Track``), which checks it. Every domain
+type is built through ``_build``, which adds the JSON path, so a bad
+value reads ``<JSON path>: <field>: <invariant>``. The loader checks a
+number with ``core.ints`` itself only where it uses the number before a
+domain type sees it (ids, declared sizes) or where the domain type's
+message would not name the field. ``load_results`` puts its file's path
+in front of each message, since ``fuse`` reads several results files.
+
+One size rule holds in every format (``_fit_size``): all masks of a
+video share one size. On each side, that size is the one the file
+declares (an annotations file declares both, a detections file either,
+a results file neither), or else the side of the video's first mask.
+Annotation and results records share one reader (``_track_from``).
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -355,6 +362,15 @@ def _get(obj: dict, key: str, where: str, check=None) -> Any:
     return check((obj[key],), f"{where}.{key}", SchemaError)[0]
 
 
+def _build(cls: type, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, a domain type that checks its own
+    numbers, with its ValueError raised as a SchemaError under ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from e
+
+
 def _bbox_json(b: BBox) -> _Quantized:
     return _Quantized((b.x, b.y, b.w, b.h))
 
@@ -363,10 +379,7 @@ def _bbox_from(value: Any, where: str) -> BBox:
     """The box ``value``, with its errors reported under ``where``."""
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-    try:
-        return BBox(*value)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+    return _build(BBox, where, *value)
 
 
 def _rle_json(m: RleMask) -> dict:
@@ -382,10 +395,20 @@ def _rle_from(value: Any, where: str) -> RleMask:
     if isinstance(counts, str):
         raise SchemaError(f"{where}.counts: compressed string counts are not supported; use an integer array")
     counts = _expect_list(counts, f"{where}.counts")
-    try:
-        return RleMask(height=size[0], width=size[1], counts=counts)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+    return _build(RleMask, where, height=size[0], width=size[1], counts=counts)
+
+
+def _fit_size(mask: RleMask, size: list, vid: int, where: str) -> None:
+    """The size rule of every format: all masks of a video share one
+    size. ``size`` is the video's ``[height, width]``: on each side the
+    one its file declares, or else None, which the video's first mask
+    fills in."""
+    if None in size:
+        size[:] = (mask.height if size[0] is None else size[0], mask.width if size[1] is None else size[1])
+    if mask.height != size[0] or mask.width != size[1]:
+        raise SchemaError(
+            f"{where}: mask size [{mask.height}, {mask.width}] differs from {size}, the size of video {vid}"
+        )
 
 
 def _entries_json(t: Track, length: int) -> dict[str, _Sparse]:
@@ -401,16 +424,54 @@ def _entries_json(t: Track, length: int) -> dict[str, _Sparse]:
     }
 
 
-def _entries_from(segs: list, boxes: list, where: str) -> dict[int, TrackEntry]:
-    """Track entries from equal-length per-frame arrays. A frame with a
-    mask but no box takes the mask's bounding box; a frame with neither,
-    or with only an empty mask, has no entry. Only the frames with a
-    mask or a box are visited."""
+def _track_from(
+    value: Any,
+    where: str,
+    videos: dict[int, tuple[int, list]],
+    seen: set[tuple[int, int]],
+    categories: Mapping[int, str] | None = None,
+) -> tuple[int, Track]:
+    """The video id and track of one annotations or results record:
+    ``video_id``, ``id``, ``category_id``, and per-frame
+    ``segmentations`` and ``bboxes`` arrays of the video's length. A
+    frame with a mask but no box takes the mask's bounding box; a frame
+    with neither, or with only an empty mask, has no entry, and only the
+    frames with a mask or a box are visited.
+
+    ``videos`` maps a video id to its length and ``[height, width]``
+    (``_fit_size``) and ``seen`` holds the (video, track) ids read so
+    far. With ``categories`` (an annotations file), the video and the
+    category must be declared and the score is 1.0. Without (a results
+    file), the record carries its ``score`` and a video's first record
+    sets its length and, through its first mask, its size."""
+    obj = _expect_object(value, where)
+    vid = _get(obj, "video_id", where, ints)
+    tid = _get(obj, "id", where, ints)
+    if (vid, tid) in seen:
+        raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
+    seen.add((vid, tid))
+    cid = _get(obj, "category_id", where, ints)  # Track's message would not name the field
+    if categories is None:
+        score = _get(obj, "score", where)
+    else:
+        if vid not in videos:
+            raise SchemaError(f"{where}: unknown video_id {vid}")
+        if cid not in categories:
+            raise SchemaError(f"{where}: unknown category_id {cid}")
+        score = 1.0
+    segs = _expect_list(_get(obj, "segmentations", where), f"{where}.segmentations")
+    boxes = _expect_list(_get(obj, "bboxes", where), f"{where}.bboxes")
+    length, size = videos.setdefault(vid, (len(segs), [None, None]))
+    if len(segs) != length or len(boxes) != length:
+        raise SchemaError(f"{where}: segmentations and bboxes must have video {vid}'s length, {length}")
     entries: dict[int, TrackEntry] = {}
     present = map(or_, map(is_not, segs, repeat(None)), map(is_not, boxes, repeat(None)))
-    for f in compress(range(len(segs)), present):
+    for f in compress(range(length), present):
         seg, box = segs[f], boxes[f]
-        mask = _rle_from(seg, f"{where}.segmentations[{f}]") if seg is not None else None
+        mask = None
+        if seg is not None:
+            mask = _rle_from(seg, f"{where}.segmentations[{f}]")
+            _fit_size(mask, size, vid, f"{where}.segmentations[{f}]")
         if box is not None:
             bbox = _bbox_from(box, f"{where}.bboxes[{f}]")
         else:
@@ -418,7 +479,7 @@ def _entries_from(segs: list, boxes: list, where: str) -> dict[int, TrackEntry]:
             if bbox is None:
                 continue
         entries[f] = TrackEntry(bbox=bbox, mask=mask)
-    return entries
+    return vid, _build(Track, where, track_id=tid, category_id=cid, score=score, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +506,15 @@ def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> Non
 
 def load_annotations(path: str) -> list[VideoGroundTruth]:
     root = _expect_object(_read_json(path), "annotations")
-    video_meta: dict[int, tuple[int, int, int]] = {}
+    videos: dict[int, tuple[int, list]] = {}
     for i, v in enumerate(_expect_list(_get(root, "videos", "annotations"), "videos")):
         where = f"videos[{i}]"
         obj = _expect_object(v, where)
         vid = _get(obj, "id", where, ints)
-        if vid in video_meta:
+        if vid in videos:
             raise SchemaError(f"{where}: duplicate video id {vid}")
-        video_meta[vid] = (
-            _get(obj, "width", where, ints),
-            _get(obj, "height", where, ints),
-            _get(obj, "length", where, ints),
-        )
+        width, height, length = (_positive_int(obj, key, where, required=True) for key in ("width", "height", "length"))
+        videos[vid] = (length, [height, width])
     cat_names: dict[int, str] = {}
     for i, c in enumerate(_expect_list(_get(root, "categories", "annotations"), "categories")):
         where = f"categories[{i}]"
@@ -469,48 +527,27 @@ def load_annotations(path: str) -> list[VideoGroundTruth]:
             raise SchemaError(f"{where}: duplicate category id {cid}")
         cat_names[cid] = name
 
-    tracks_by_video: dict[int, list[Track]] = {vid: [] for vid in video_meta}
+    tracks: dict[int, list[Track]] = {vid: [] for vid in videos}
+    seen: set[tuple[int, int]] = set()
     for i, a in enumerate(_expect_list(_get(root, "annotations", "annotations"), "annotations")):
-        where = f"annotations[{i}]"
-        obj = _expect_object(a, where)
-        tid = _get(obj, "id", where, ints)
-        vid = _get(obj, "video_id", where, ints)
-        cid = _get(obj, "category_id", where, ints)
-        if vid not in video_meta:
-            raise SchemaError(f"{where}: unknown video_id {vid}")
-        if cid not in cat_names:
-            raise SchemaError(f"{where}: unknown category_id {cid}")
-        width, height, length = video_meta[vid]
-        segs = _expect_list(_get(obj, "segmentations", where), f"{where}.segmentations")
-        boxes = _expect_list(_get(obj, "bboxes", where), f"{where}.bboxes")
-        if len(segs) != length or len(boxes) != length:
-            raise SchemaError(
-                f"{where}: segmentations and bboxes must have exactly video length ({length}) entries"
-            )
-        entries = _entries_from(segs, boxes, where)
-        try:
-            track = Track(track_id=tid, category_id=cid, score=1.0, entries=entries)
-        except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from e
-        tracks_by_video[vid].append(track)
-
+        vid, track = _track_from(a, f"annotations[{i}]", videos, seen, cat_names)
+        tracks[vid].append(track)
     out = []
-    for vid in sorted(video_meta):
-        width, height, length = video_meta[vid]
-        try:
-            out.append(
-                VideoGroundTruth(
-                    video_id=vid,
-                    height=height,
-                    width=width,
-                    length=length,
-                    gt_tracks=tracks_by_video[vid],
-                    category_set=sorted(cat_names),
-                    category_names=dict(cat_names),
-                )
+    for vid in sorted(videos):
+        length, (height, width) = videos[vid]
+        out.append(
+            _build(
+                VideoGroundTruth,
+                f"video {vid}",
+                video_id=vid,
+                height=height,
+                width=width,
+                length=length,
+                gt_tracks=tracks[vid],
+                category_set=sorted(cat_names),
+                category_names=dict(cat_names),
             )
-        except ValueError as e:
-            raise SchemaError(f"video {vid}: {e}") from e
+        )
     return out
 
 
@@ -592,6 +629,7 @@ def load_detections(path: str) -> DetectionsFile:
         if vid in out.videos:
             raise SchemaError(f"{where}: duplicate video_id {vid}")
         height, width = (_positive_int(obj, key, where) for key in ("height", "width"))
+        size = [height, width]
         frames: list[FrameDetections] = []
         last_frame = -1
         for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
@@ -600,11 +638,8 @@ def load_detections(path: str) -> DetectionsFile:
             fidx = _get(fobj, "frame_index", fwhere)
             dets = []
             for k, d in enumerate(_expect_list(_get(fobj, "detections", fwhere), f"{fwhere}.detections")):
-                dets.append(_detection_from(d, f"{fwhere}.detections[{k}]", dim, height, width))
-            try:
-                frame = FrameDetections(frame_index=fidx, detections=dets)
-            except ValueError as e:
-                raise SchemaError(f"{fwhere}: {e}") from e
+                dets.append(_detection_from(d, f"{fwhere}.detections[{k}]", dim, size, vid))
+            frame = _build(FrameDetections, fwhere, frame_index=fidx, detections=dets)
             if frame.frame_index <= last_frame:
                 raise SchemaError(f"{fwhere}: frame_index must be strictly increasing within a video")
             last_frame = frame.frame_index
@@ -619,9 +654,10 @@ def load_detections(path: str) -> DetectionsFile:
     return out
 
 
-def _positive_int(obj: dict, key: str, where: str) -> int | None:
-    """An optional declared size: absent gives None, present must be >= 1."""
-    if key not in obj:
+def _positive_int(obj: dict, key: str, where: str, required: bool = False) -> int | None:
+    """A declared size, which must be >= 1; absent gives None unless
+    ``required``."""
+    if key not in obj and not required:
         return None
     value = _get(obj, key, where, ints)
     if value < 1:
@@ -629,7 +665,7 @@ def _positive_int(obj: dict, key: str, where: str) -> int | None:
     return value
 
 
-def _detection_from(value: Any, where: str, dim: int, height: int | None, width: int | None) -> Detection:
+def _detection_from(value: Any, where: str, dim: int, size: list, vid: int) -> Detection:
     obj = _expect_object(value, where)
     bbox = _bbox_from(_get(obj, "bbox", where), where)
     score = _get(obj, "score", where)
@@ -642,20 +678,13 @@ def _detection_from(value: Any, where: str, dim: int, height: int | None, width:
             f"embedding_dim {dim} (dimension must be constant per file)"
         )
     seg = obj.get("segmentation")
-    mask = _rle_from(seg, f"{where}.segmentation") if seg is not None else None
-    if mask is not None and (height not in (None, mask.height) or width not in (None, mask.width)):
-        raise SchemaError(f"{where}.segmentation: mask dimensions must equal video dimensions")
-    try:
-        return Detection(
-            bbox=bbox,
-            score=score,
-            category_id=cid,
-            class_probs=probs,
-            embedding=emb,
-            mask=mask,
-        )
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+    mask = None
+    if seg is not None:
+        mask = _rle_from(seg, f"{where}.segmentation")
+        _fit_size(mask, size, vid, f"{where}.segmentation")
+    return _build(
+        Detection, where, bbox=bbox, score=score, category_id=cid, class_probs=probs, embedding=emb, mask=mask
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,53 +717,21 @@ def save_results(
 def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
     """Tracks grouped per video (file order preserved) plus each video's
     meta: its segmentation-array length and the one size that its masks
-    must share (height and width None when it has no mask). The records
-    are read and converted one at a time; the errors are those of a
-    whole-file parse followed by the conversion."""
-    try:
-        return _results_from(_array_items(path, "results"))
-    except SchemaError:
-        _read_json(path)  # a file that is also malformed JSON reports that first, as a whole-file parse did
-        raise
-
-
-def _results_from(records: Iterator[Any]) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
+    share (height and width None when it has no mask). The records are
+    read and converted one at a time; the errors are those of a
+    whole-file parse followed by the conversion, and each starts with
+    ``path``."""
     tracks: dict[int, list[Track]] = {}
-    lengths: dict[int, int] = {}
-    sizes: dict[int, tuple[int, int]] = {}
+    videos: dict[int, tuple[int, list]] = {}
     seen: set[tuple[int, int]] = set()
-    for i, r in enumerate(records):
-        where = f"results[{i}]"
-        obj = _expect_object(r, where)
-        vid = _get(obj, "video_id", where, ints)
-        tid = _get(obj, "id", where, ints)
-        if (vid, tid) in seen:
-            raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
-        seen.add((vid, tid))
-        cid = _get(obj, "category_id", where, ints)  # Track's message would not name the field
-        score = _get(obj, "score", where)
-        segs = _expect_list(_get(obj, "segmentations", where), f"{where}.segmentations")
-        boxes = _expect_list(_get(obj, "bboxes", where), f"{where}.bboxes")
-        if len(boxes) != len(segs):
-            raise SchemaError(f"{where}: segmentations and bboxes must have equal length")
-        if vid in lengths and lengths[vid] != len(segs):
-            raise SchemaError(f"{where}: inconsistent video length for video {vid}")
-        lengths.setdefault(vid, len(segs))
-        entries = _entries_from(segs, boxes, where)
-        for f, e in entries.items():
-            if e.mask is not None:
-                size = (e.mask.height, e.mask.width)
-                if sizes.setdefault(vid, size) != size:
-                    raise SchemaError(
-                        f"{where}.segmentations[{f}]: mask size {list(size)} differs from "
-                        f"{list(sizes[vid])}, the size of the earlier masks of video {vid}"
-                    )
-        try:
-            track = Track(track_id=tid, category_id=cid, score=score, entries=entries)
-        except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from e
-        tracks.setdefault(vid, []).append(track)
-    return tracks, {vid: VideoMeta(length, *sizes.get(vid, (None, None))) for vid, length in lengths.items()}
+    try:
+        for i, r in enumerate(_array_items(path, "results")):
+            vid, track = _track_from(r, f"results[{i}]", videos, seen)
+            tracks.setdefault(vid, []).append(track)
+    except SchemaError as e:
+        _read_json(path)  # malformed JSON reports that first, as a whole-file parse did, and names the path
+        raise SchemaError(f"{path}: {e}") from e
+    return tracks, {vid: VideoMeta(length, *size) for vid, (length, size) in videos.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vistrack
@@ -689,7 +689,7 @@ def test_duplicate_annotation_id_rejected(tmp_path):
     doc = json.loads(p.read_text())
     doc["annotations"].append(dict(doc["annotations"][0]))
     p.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="unique"):
+    with pytest.raises(SchemaError, match=r"^annotations\[1\]: duplicate track id 1 for video 1$"):
         load_annotations(str(p))
 
 
@@ -744,10 +744,11 @@ def test_negative_frame_index_rejected(tmp_path, fidx):
         load_detections(str(p))
 
 
-@pytest.mark.parametrize("key", ["height", "width"])
-def test_track_checks_a_size_declared_alone(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, size", [("height", [64, 4]), ("width", [4, 64])], ids=["height", "width"])
+def test_track_checks_a_size_declared_alone(tmp_path, capsys, key, size):
     """A 4x4 mask in a video that declares only its height (or width) as
-    64 is a schema error, as when both sides are declared."""
+    64 is a schema error, as when both sides are declared; the side not
+    declared is the first mask's."""
     p, doc = _tiny_detections_doc(tmp_path)
     video = doc["videos"][0]
     del video["height"], video["width"]
@@ -755,7 +756,9 @@ def test_track_checks_a_size_declared_alone(tmp_path, capsys, key):
     p.write_text(json.dumps(doc))
     out = tmp_path / "res.json"
     assert entrypoint(["track", "--detections", str(p), "--out", str(out)]) == 2
-    assert "segmentation: mask dimensions must equal video dimensions" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: videos[0].frames[0].detections[0].segmentation: mask size [4, 4] differs from {size}, the size of video 1\n"
+    )
     assert not out.exists()
 
 
@@ -1425,13 +1428,14 @@ _IN_DETECTION = ["videos", 0, "frames", 0, "detections", 0]
         ("track", [*_IN_DETECTION, "class_probs", 0], None, f"{_DETECTION}: class_probs: expected a number"),
         ("track", [*_IN_DETECTION, "embedding", 0], [0.5], f"{_DETECTION}: embedding: expected a number"),
         ("track", ["videos", 0, "frames", 0, "frame_index"], 0.0, "videos[0].frames[0]: frame_index: expected an integer"),
-        ("fuse", [0, "score"], float("inf"), "results[0]: track score: value must be finite"),
+        ("fuse", [0, "score"], float("inf"), "{path}: results[0]: track score: value must be finite"),
     ],
     ids=["bbox", "bbox-sides", "size", "counts", "score", "category_id", "class_probs", "embedding", "frame_index", "results-score"],
 )
 def test_bad_value_names_path_field_and_invariant(corpus_dir, results_file, tmp_path, capsys, command, keys, value, message):
     """A malformed number, checked by the domain type that holds it,
-    exits 2 with ``error: <JSON path>: <field>: <invariant>``."""
+    exits 2 with ``error: <JSON path>: <field>: <invariant>``, after the
+    file's path for a results file."""
     flag, source = ("--detections", corpus_dir / "detections.json") if command == "track" else ("--inputs", results_file)
     doc = json.loads(source.read_text())
     *parents, last = keys
@@ -1443,7 +1447,7 @@ def test_bad_value_names_path_field_and_invariant(corpus_dir, results_file, tmp_
     p.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     assert entrypoint([command, flag, str(p), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=p)}\n"
     assert not out.exists()
 
 
@@ -1462,7 +1466,8 @@ _RLE_FAULTS = {
 @pytest.mark.parametrize("kind", ["detections", "annotations", "results"])
 def test_bad_rle_names_path_and_invariant(corpus_dir, results_file, tmp_path, capsys, kind, fault):
     """Each loader turns an RleMask fault into exit 2 with
-    ``error: <JSON path>: <invariant>`` and writes nothing."""
+    ``error: <JSON path>: <invariant>``, after the file's path for a
+    results file, and writes nothing."""
     source = {"detections": corpus_dir / "detections.json", "annotations": corpus_dir / "annotations.json"}
     doc = json.loads(source.get(kind, results_file).read_text())
     if kind == "detections":
@@ -1471,9 +1476,11 @@ def test_bad_rle_names_path_and_invariant(corpus_dir, results_file, tmp_path, ca
         segs = (doc["annotations"] if kind == "annotations" else doc)[0]["segmentations"]
         f = next(i for i, seg in enumerate(segs) if seg is not None)
         seg, where = segs[f], f"{kind}[0].segmentations[{f}]"
+    p = tmp_path / "in.json"
+    if kind == "results":
+        where = f"{p}: {where}"
     mutate, message = _RLE_FAULTS[fault]
     seg["size"], seg["counts"] = mutate(seg["size"], seg["counts"])
-    p = tmp_path / "in.json"
     p.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     argv = {
@@ -1484,6 +1491,134 @@ def test_bad_rle_names_path_and_invariant(corpus_dir, results_file, tmp_path, ca
     assert entrypoint(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
     assert not out.exists()
+
+
+def _full_mask(h: int, w: int) -> dict:
+    return {"size": [h, w], "counts": [0, h * w]}
+
+
+def _detection_doc(sizes: list, declared: dict) -> dict:
+    """A one-video detections file: one detection per frame, with a full
+    mask of each ``sizes`` entry ([h, w], or None for no mask)."""
+    det = {"bbox": [0, 0, 1, 1], "score": 0.9, "category_id": 1, "class_probs": [0.9], "embedding": [1.0, 0.0]}
+    frames = [
+        {"frame_index": f, "detections": [{**det, "segmentation": None if size is None else _full_mask(*size)}]}
+        for f, size in enumerate(sizes)
+    ]
+    return {"embedding_dim": 2, "videos": [{"video_id": 1, **declared, "frames": frames}]}
+
+
+def _annotations_doc(**video) -> dict:
+    """A 4x4, 2-frame video with one annotation of a full mask at frame 0."""
+    return {
+        "videos": [{"id": 1, "width": 4, "height": 4, "length": 2, **video}],
+        "annotations": [
+            {"id": 1, "video_id": 1, "category_id": 1, "segmentations": [_full_mask(4, 4), None], "bboxes": [None, None]}
+        ],
+        "categories": [{"id": 1, "name": "thing"}],
+    }
+
+
+def _results_doc(*sizes) -> list:
+    """One record per ``sizes`` entry in a 2-frame video 1, each with a
+    full mask of that size at frame 0."""
+    return [
+        {"video_id": 1, "id": i, "category_id": 1, "score": 0.5, "segmentations": [_full_mask(*size), None],
+         "bboxes": [None, None]}
+        for i, size in enumerate(sizes, 1)
+    ]
+
+
+def _annotation_faults():
+    wide = _annotations_doc()
+    wide["annotations"][0]["segmentations"][0] = _full_mask(4, 8)
+    twice = _annotations_doc()
+    twice["annotations"].append(dict(twice["annotations"][0]))
+    return {
+        "width-0": (_annotations_doc(width=0), "videos[0].width: must be at least 1, got 0"),
+        "length--1": (_annotations_doc(length=-1), "videos[0].length: must be at least 1, got -1"),
+        "duplicate-id": (twice, "annotations[1]: duplicate track id 1 for video 1"),
+        "mask-size": (wide, "annotations[0].segmentations[0]: mask size [4, 8] differs from [4, 4], the size of video 1"),
+    }
+
+
+_MIXED = "videos[0].frames[1].detections[0].segmentation: mask size [8, 8] differs from [4, 4], the size of video 1"
+_GEOMETRY_FAULTS = {
+    "track-mixed": ("track", _detection_doc([[4, 4], [8, 8]], {}), _MIXED),
+    "track-mixed-width-declared": ("track", _detection_doc([[4, 4], [8, 4]], {"width": 4}),
+                                   _MIXED.replace("[8, 8]", "[8, 4]")),
+    "track-declared": ("track", _detection_doc([[8, 8]], {"height": 4, "width": 4}),
+                       _MIXED.replace("frames[1]", "frames[0]")),
+    **{f"eval-{name}": ("eval", doc, message) for name, (doc, message) in _annotation_faults().items()},
+    **{f"pseudopair-{name}": ("pseudopair", doc, message) for name, (doc, message) in _annotation_faults().items()},
+    "fuse-mask-size": ("fuse", _results_doc([4, 4], [8, 8]),
+                       "{path}: results[1].segmentations[0]: mask size [8, 8] differs from [4, 4], the size of video 1"),
+    "fuse-length": ("fuse", [*_results_doc([4, 4]), dict(_results_doc([4, 4])[0], id=2, bboxes=[None, None, None])],
+                    "{path}: results[1]: segmentations and bboxes must have video 1's length, 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GEOMETRY_FAULTS))
+def test_geometry_fault_names_its_json_path(tmp_path, capsys, name):
+    """A video's geometry is checked by one rule in every loader: a
+    declared size, length or track id that breaks it, or a mask whose
+    size differs from the video's, exits 2 with
+    ``error: <JSON path>: ...`` and writes nothing."""
+    command, doc, message = _GEOMETRY_FAULTS[name]
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(_results_doc([4, 4])))
+    out = tmp_path / "out.json"
+    argv = {
+        "track": ["track", "--detections", str(p)],
+        "eval": ["eval", "--gt", str(p), "--results", str(results)],
+        "pseudopair": ["pseudopair", "--annotations", str(p)],
+        "fuse": ["fuse", "--inputs", str(results), str(p)],
+    }[command]
+    assert entrypoint(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=p)}\n"
+    assert not out.exists()
+
+
+def test_fuse_names_the_input_that_is_bad(tmp_path, capsys, results_file):
+    p = tmp_path / "bad.json"
+    p.write_text("[1]")
+    out = tmp_path / "out.json"
+    assert entrypoint(["fuse", "--inputs", str(results_file), str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: results[0]: expected a JSON object\n"
+    assert not out.exists()
+
+
+_SIDES = st.sampled_from([4, 8])
+
+
+@given(
+    sizes=st.lists(st.one_of(st.none(), st.tuples(_SIDES, _SIDES)), min_size=1, max_size=4),
+    declared=st.fixed_dictionaries({}, optional={"height": _SIDES, "width": _SIDES}),
+)
+@settings(max_examples=60, deadline=None)
+def test_detections_that_track_accepts_give_results_that_eval_and_fuse_accept(tmp_path_factory, sizes, declared):
+    """Mask sizes vary per detection, and the file declares neither, one
+    or both sides: whatever ``track`` accepts, ``eval`` and ``fuse``
+    accept its results."""
+    d = tmp_path_factory.mktemp("geometry")
+    det, res = d / "detections.json", d / "results.json"
+    det.write_text(json.dumps(_detection_doc(sizes, declared)))
+    code = entrypoint(["track", "--detections", str(det), "--out", str(res)])
+    if code != 0:
+        assert code == 2 and not res.exists()
+        return
+    masks = [size for size in sizes if size is not None]
+    height, width = (declared.get(key, masks[0][i] if masks else 4) for i, key in enumerate(("height", "width")))
+    gt = d / "annotations.json"
+    gt.write_text(json.dumps({
+        "videos": [{"id": 1, "width": width, "height": height, "length": len(sizes)}],
+        "annotations": [],
+        "categories": [{"id": 1, "name": "thing"}],
+    }))
+    assert entrypoint(["eval", "--gt", str(gt), "--results", str(res), "--out", str(d / "report.json")]) == 0
+    assert entrypoint(["fuse", "--inputs", str(res), str(res), "--out", str(d / "fused.json")]) == 0
 
 
 def _modules_after(code: str) -> set[str]:

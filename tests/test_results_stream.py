@@ -174,11 +174,12 @@ GOOD = json.dumps(
 )
 
 # The messages load_results gave when it parsed the whole file first,
-# recorded from that version; "{path}" stands for the file's path.
+# recorded from that version, with the file's path now in front of the
+# conversion errors too; "{path}" stands for the file's path.
 MALFORMED = {
     "empty": (b"", "{path}: line 1 column 1: Expecting value"),
     "blank": (b"  ", "{path}: line 1 column 3: Expecting value"),
-    "object": (b"{}", "results: expected a JSON array"),
+    "object": (b"{}", "{path}: results: expected a JSON array"),
     "open": (b"[", "{path}: line 1 column 2: Expecting value"),
     "close": (b"]", "{path}: line 1 column 1: Expecting value"),
     "trailing-comma": (b"[1,]", "{path}: line 1 column 4: Expecting value"),
@@ -194,8 +195,8 @@ MALFORMED = {
     ),
     "schema-then-malformed": (b'[{"video_id": 1}, 1 2]', "{path}: line 1 column 21: Expecting ',' delimiter"),
     "schema-then-truncated": (f'[{{"id": 1}}, {GOOD[:20]}'.encode(), "{path}: line 1 column 33: Expecting ':' delimiter"),
-    "number-record": (b"[1]", "results[0]: expected a JSON object"),
-    "nan-record": (b"[NaN]", "results[0]: expected a JSON object"),
+    "number-record": (b"[1]", "{path}: results[0]: expected a JSON object"),
+    "nan-record": (b"[NaN]", "{path}: results[0]: expected a JSON object"),
 }
 
 
