@@ -4,7 +4,9 @@ Subcommands: track, eval, pseudopair, fuse, synth, losscheck. All file
 outputs go through the deterministic writers in formats, so repeated
 runs on identical inputs are byte-identical. Exit codes: 0 success,
 1 I/O failure, 2 an input fault (``SchemaError``: a malformed file, or
-files that disagree with each other), 3 a bad configuration value
+a video's length or mask size that differs between files, which
+``formats.load_results`` checks against ``eval``'s ground truth or
+``fuse``'s earlier inputs), 3 a bad configuration value
 (``ConfigError``), 4 any other ``ToolkitError`` (an operation contract
 broken by its operands; the commands check their inputs first).
 
@@ -101,19 +103,8 @@ def _cmd_eval(args) -> int:
     from . import formats
 
     ground_truth = formats.load_annotations(args.gt)
-    predictions, metas = formats.load_results(args.results)
-    gt_videos = {g.video_id: g for g in ground_truth}
-    for vid, meta in metas.items():
-        g = gt_videos.get(vid)
-        if g is None:
-            continue  # evaluate names the unknown video
-        if meta.length != g.length:
-            raise SchemaError(f"results declare length {meta.length} for video {vid}, ground truth says {g.length}")
-        if meta.height is not None and (meta.height, meta.width) != (g.height, g.width):
-            raise SchemaError(
-                f"results masks of video {vid} are {meta.height}x{meta.width}, ground truth says {g.height}x{g.width}"
-                " (height x width)"
-            )
+    videos = {g.video_id: (g.length, [g.height, g.width]) for g in ground_truth}
+    predictions, _ = formats.load_results(args.results, videos)  # evaluate names an unknown video
     report = _cli.evaluate(predictions, ground_truth)
     formats.save_report(report, args.out)
     if args.table:
@@ -166,19 +157,12 @@ def _cmd_fuse(args) -> int:
     from . import formats
 
     cfg = formats.load_run_config(args.config)
-    loaded = [formats.load_results(p) for p in args.inputs]
-    lengths: dict[int, int] = {}
-    sizes: dict[int, tuple[int, int]] = {}
-    for _, metas in loaded:
-        for vid, meta in metas.items():
-            if lengths.setdefault(vid, meta.length) != meta.length:
-                raise SchemaError(f"input files disagree on the length of video {vid}")
-            size = (meta.height, meta.width)
-            if meta.height is not None and sizes.setdefault(vid, size) != size:
-                raise SchemaError(f"input files disagree on the mask size of video {vid}")
+    videos: dict[int, tuple[int, list]] = {}  # each input must agree with those before it
+    loaded = [formats.load_results(p, videos)[0] for p in args.inputs]
+    lengths = {vid: length for vid, (length, _) in videos.items()}
     merged = {}
     for vid in sorted(lengths):
-        track_sets = [tracks.get(vid, []) for tracks, _ in loaded]
+        track_sets = [tracks.get(vid, []) for tracks in loaded]
         merged[vid] = _cli.fuse_tracks(track_sets, lengths[vid], cfg.fusion)
     formats.save_results(merged, args.out, lengths)
     return 0

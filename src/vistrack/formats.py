@@ -47,6 +47,9 @@ video share one size. On each side, that size is the one the file
 declares (an annotations file declares both, a detections file either,
 a results file neither), or else the side of the video's first mask.
 Annotation and results records share one reader (``_track_from``).
+The rule, with the video's length, also holds between files:
+``load_results`` checks its records against the lengths and sizes its
+caller knows (``eval``'s ground truth, ``fuse``'s earlier inputs).
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -442,8 +445,9 @@ def _track_from(
     (``_fit_size``) and ``seen`` holds the (video, track) ids read so
     far. With ``categories`` (an annotations file), the video and the
     category must be declared and the score is 1.0. Without (a results
-    file), the record carries its ``score`` and a video's first record
-    sets its length and, through its first mask, its size."""
+    file), the record carries its ``score``, and a video that ``videos``
+    lacks takes its first record's length and, through its first mask,
+    its size."""
     obj = _expect_object(value, where)
     vid = _get(obj, "video_id", where, ints)
     tid = _get(obj, "id", where, ints)
@@ -714,15 +718,19 @@ def save_results(
     _write(records, path)
 
 
-def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
+def load_results(
+    path: str, videos: dict[int, tuple[int, list]] | None = None
+) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
     """Tracks grouped per video (file order preserved) plus each video's
     meta: its segmentation-array length and the one size that its masks
     share (height and width None when it has no mask). The records are
     read and converted one at a time; the errors are those of a
     whole-file parse followed by the conversion, and each starts with
-    ``path``."""
+    ``path``. ``videos`` (``_track_from``) holds the lengths and sizes
+    known before the file, from the ground truth or earlier inputs: each
+    record must agree with it, and the file's own videos are added to it."""
     tracks: dict[int, list[Track]] = {}
-    videos: dict[int, tuple[int, list]] = {}
+    videos = {} if videos is None else videos
     seen: set[tuple[int, int]] = set()
     try:
         for i, r in enumerate(_array_items(path, "results")):
@@ -731,7 +739,7 @@ def load_results(path: str) -> tuple[dict[int, list[Track]], dict[int, VideoMeta
     except SchemaError as e:
         _read_json(path)  # malformed JSON reports that first, as a whole-file parse did, and names the path
         raise SchemaError(f"{path}: {e}") from e
-    return tracks, {vid: VideoMeta(length, *size) for vid, (length, size) in videos.items()}
+    return tracks, {vid: VideoMeta(videos[vid][0], *videos[vid][1]) for vid in tracks}
 
 
 # ---------------------------------------------------------------------------
@@ -853,25 +861,27 @@ def load_run_config(path: str | None) -> RunConfig:
 
     Every section and every field is optional and falls back to the
     dataclass default; unknown sections or fields raise ConfigError.
-    Each section the file names is built, and so checked, here.
+    Each section the file names is built, and so checked, here, and each
+    error starts with ``path``.
     """
     if path is None:
         return RunConfig()
-    root = _expect_object(_read_json(path), "config", ConfigError)
+    where = f"{path}: config"
+    root = _expect_object(_read_json(path), where, ConfigError)
     kwargs = {}
     for name, value in root.items():
         if name not in _SECTIONS:
-            raise ConfigError(f"config: unknown section '{name}'")
+            raise ConfigError(f"{where}: unknown section '{name}'")
         cls = _section_class(name)
-        obj = _expect_object(value, f"config.{name}", ConfigError)
+        obj = _expect_object(value, f"{where}.{name}", ConfigError)
         allowed = {f.name for f in fields(cls)}
         ctor_kwargs = {}
         for key, raw in obj.items():
             if key not in allowed:
-                raise ConfigError(f"config.{name}: unknown field '{key}'")
+                raise ConfigError(f"{where}.{name}: unknown field '{key}'")
             ctor_kwargs[key] = raw
         try:
             kwargs[name] = cls(**ctor_kwargs)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"config.{name}: {e}") from e
+        except ConfigError as e:
+            raise ConfigError(f"{where}.{name}: {e}") from e
     return RunConfig(**kwargs)

@@ -832,8 +832,43 @@ def test_fuse_inputs_must_agree_on_mask_size(tmp_path, capsys, frame):
     a.write_text(json.dumps([_result_record(1, {0}, (4, 4))]))
     b.write_text(json.dumps([_result_record(1, {frame}, (5, 4))]))
     assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 2
-    assert "mask size of video 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {b}: results[0].segmentations[{frame}]: mask size [5, 4] differs from [4, 4], the size of video 1\n"
+    )
     assert not (tmp_path / "fused.json").exists()
+
+
+def test_fuse_names_the_input_and_record_that_disagree_with_those_before(tmp_path, capsys):
+    """Each input is checked against the videos of the inputs before it,
+    so a file read twice agrees with itself and the third file's second
+    record, which gives video 1 a third frame, is the fault."""
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "fused.json"
+    a.write_text(json.dumps([_result_record(1, {0}, (4, 4))]))
+    b.write_text(json.dumps([_result_record(1, {0}, (4, 4), vid=2), _result_record(2, {0}, (4, 4), length=3)]))
+    assert entrypoint(["fuse", "--inputs", str(a), str(a), str(b), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {b}: results[1]: segmentations and bboxes must have video 1's length, 2\n"
+    assert not out.exists()
+
+
+def test_load_results_checks_and_fills_the_videos_it_is_given(tmp_path):
+    """A given video's length and size bind the file's records; a size
+    given as [None, None] takes the first mask's, and the file's other
+    videos are added. The metas are those of the file's videos only."""
+    p = tmp_path / "res.json"
+    p.write_text(json.dumps([_result_record(1, {1}, (4, 5)), _result_record(1, {0}, (6, 6), length=3, vid=2)]))
+    videos = {1: (2, [None, None]), 3: (7, [8, 8])}
+    tracks, metas = load_results(str(p), videos)
+    assert videos == {1: (2, [4, 5]), 2: (3, [6, 6]), 3: (7, [8, 8])}
+    assert metas == {1: VideoMeta(length=2, height=4, width=5), 2: VideoMeta(length=3, height=6, width=6)}
+    assert sorted(tracks) == [1, 2]
+    with pytest.raises(SchemaError) as length_fault:
+        load_results(str(p), {1: (3, [None, None])})
+    assert str(length_fault.value) == f"{p}: results[0]: segmentations and bboxes must have video 1's length, 3"
+    with pytest.raises(SchemaError) as size_fault:
+        load_results(str(p), {1: (2, [4, 4])})
+    assert str(size_fault.value) == (
+        f"{p}: results[0].segmentations[1]: mask size [4, 5] differs from [4, 4], the size of video 1"
+    )
 
 
 def test_eval_results_must_match_the_video_mask_size(tmp_path, capsys):
@@ -844,7 +879,9 @@ def test_eval_results_must_match_the_video_mask_size(tmp_path, capsys):
     res.write_text(json.dumps([_result_record(1, {0}, (10, 12), length=4)]))
     code = entrypoint(["eval", "--gt", str(tmp_path / "annotations.json"), "--results", str(res), "--out", str(rep)])
     assert code == 2
-    assert "results masks of video 1 are 10x12, ground truth says 64x64" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {res}: results[0].segmentations[0]: mask size [10, 12] differs from [64, 64], the size of video 1\n"
+    )
     assert not rep.exists()
 
 
@@ -859,21 +896,25 @@ def _one_pixel_wide_gt():
     [
         ("eval", [[_result_record(1, {0}, (4, 4), vid=2)]], "predictions reference unknown video id 2"),
         ("eval", [[{**_result_record(1, {0}, (4, 4)), "category_id": 9}]], "video 1 track 1: predicted category 9 not in category set"),
-        ("eval", [[_result_record(1, {0}, (4, 4), length=3)]], "results declare length 3 for video 1, ground truth says 2"),
+        (
+            "eval",
+            [[_result_record(1, {0}, (4, 4), length=3)]],
+            "{0}: results[0]: segmentations and bboxes must have video 1's length, 2",
+        ),
         (
             "eval",
             [[_result_record(1, {0}, (4, 5))]],
-            "results masks of video 1 are 4x5, ground truth says 4x4 (height x width)",
+            "{0}: results[0].segmentations[0]: mask size [4, 5] differs from [4, 4], the size of video 1",
         ),
         (
             "fuse",
             [[_result_record(1, {0}, (4, 4))], [_result_record(1, {0}, (4, 4), length=3)]],
-            "input files disagree on the length of video 1",
+            "{1}: results[0]: segmentations and bboxes must have video 1's length, 2",
         ),
         (
             "fuse",
             [[_result_record(1, {0}, (4, 4))], [_result_record(1, {0}, (5, 4))]],
-            "input files disagree on the mask size of video 1",
+            "{1}: results[0].segmentations[0]: mask size [5, 4] differs from [4, 4], the size of video 1",
         ),
         ("pseudopair", [], "video 1: images must be at least 2 pixels per side to crop"),
     ],
@@ -889,7 +930,8 @@ def _one_pixel_wide_gt():
 )
 def test_input_files_that_disagree_exit_2(tmp_path, capsys, command, results, message):
     """A fault between input files is an input fault like one inside a
-    file: exit 2 with the message naming it, and no output. Except for
+    file: exit 2 with the message naming it, and no output. ``{i}`` in a
+    message is the path of the ``i``-th results file. Except for
     pseudopair's, the ground truth is tiny_gt's one 4x4 video of length 2."""
     gt = tmp_path / "gt.json"
     save_annotations(_one_pixel_wide_gt() if command == "pseudopair" else tiny_gt(), str(gt))
@@ -905,7 +947,7 @@ def test_input_files_that_disagree_exit_2(tmp_path, capsys, command, results, me
         "pseudopair": ["pseudopair", "--annotations", str(gt)],
     }[command]
     assert entrypoint(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(*inputs)}\n"
     assert not out.exists()
 
 
@@ -959,7 +1001,7 @@ def test_run_config_unknown_section(tmp_path, capsys, section):
     with pytest.raises(ConfigError, match=section):
         load_run_config(str(p))
     assert entrypoint(["synth", "--config", str(p), "--out-dir", str(tmp_path / "corpus")]) == 3
-    assert f"config: unknown section '{section}'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {p}: config: unknown section '{section}'\n"
 
 
 @pytest.mark.parametrize(
@@ -993,7 +1035,28 @@ def test_run_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc, where):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     assert entrypoint(["synth", "--config", str(p), "--out-dir", str(tmp_path / "corpus")]) == 3
-    assert f"error: {where}: expected a JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {p}: {where}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "section,value,message",
+    [
+        ("association", {"match_threshold": 1.5}, "match_threshold must lie in [0, 1]"),
+        ("crop", {"min_scale": 0}, "crop scales must satisfy 0 < min_scale <= max_scale <= 1"),
+        ("fusion", {"merge_iou": 0}, "merge_iou must lie in (0, 1]"),
+        ("synth", {"n_videos": 0}, "n_videos and frames_per_video must be positive"),
+    ],
+    ids=["association", "crop", "fusion", "synth"],
+)
+def test_config_value_fault_names_its_file_and_section(tmp_path, capsys, section, value, message):
+    """A bad value in any section exits 3 with ``<path>: config.<section>:``
+    in front of the invariant it broke, whichever command reads the file."""
+    det, _ = _tiny_detections_doc(tmp_path)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+    cfg.write_text(json.dumps({section: value}))
+    assert entrypoint(["track", "--detections", str(det), "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {cfg}: config.{section}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [("association", "thresh"), ("crop", "rng_seed")])

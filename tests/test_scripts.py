@@ -76,9 +76,9 @@ def test_sweep_rows_come_from_config_files_and_seeds(tmp_path):
     "files, args, code, message",
     [
         ({"bad.json": {"association": {"match_threshold": 1.5}}}, ["bad.json"], 3,
-         "error: match_threshold must lie in [0, 1]"),
+         "error: bad.json: config.association: match_threshold must lie in [0, 1]"),
         ({"c.json": {"synth": {"n_videos": 0}}}, ["--corpus", "c.json"], 3,
-         "error: n_videos and frames_per_video must be positive"),
+         "error: c.json: config.synth: n_videos and frames_per_video must be positive"),
         ({}, ["--seed", "-1"], 3, "error: rng_seed must lie in [0, 2**64 - n_videos), as video v is seeded with rng_seed + v; got -1"),
         ({"bad.json": "{"}, ["bad.json"], 2, "error: bad.json: line 1 column 2: Expecting property name enclosed in double quotes"),
         ({}, ["missing.json"], 1, "error: [Errno 2] No such file or directory: 'missing.json'"),
