@@ -182,24 +182,24 @@ def track_video_with_trace(
     frame take them in ascending detection order. The trace maps
     (frame_index, detection index within the frame) to the assigned
     track id; discarded or capacity-dropped detections are absent.
+
+    Of ``video_meta`` only ``length`` is read: frames must arrive in
+    ascending ``frame_index`` below it. The tracker reads no mask pixels,
+    so mask sizes are left to the loader (``formats._fit_size``).
     """
     rows = np.empty((0, 0))  # the bank: row j is track j + 1's smoothed embedding
     history: list[list[tuple[int, Detection]]] = []  # row j's (frame, detection) entries
     trace: dict[tuple[int, int], int] = {}
     rho = cfg.memory_momentum
-    height, width = video_meta.height, video_meta.width  # None where not declared
     last_frame = -1
     for fd in frames:
         if fd.frame_index <= last_frame:
-            raise ValueError("frames must arrive in ascending frame_index order")
+            raise ToolkitError("frames must arrive in ascending frame_index order")
         if fd.frame_index >= video_meta.length:
-            raise ValueError("frame_index must be below the video length")
+            raise ToolkitError("frame_index must be below the video length")
         last_frame = fd.frame_index
         kept_indices = _keep_top(fd.detections, cfg.keep_top_n_per_frame)
         dets = [fd.detections[i] for i in kept_indices]
-        for det in dets:
-            if det.mask is not None and (height not in (None, det.mask.height) or width not in (None, det.mask.width)):
-                raise ToolkitError("detection mask dimensions must equal video dimensions")
         if not dets:
             continue
         # Detection has checked each embedding (non-empty, finite reals), so

@@ -104,7 +104,7 @@ def _cmd_eval(args) -> int:
 
     ground_truth = formats.load_annotations(args.gt)
     videos = {g.video_id: (g.length, [g.height, g.width]) for g in ground_truth}
-    predictions, _ = formats.load_results(args.results, videos)  # evaluate names an unknown video
+    predictions = formats.load_results(args.results, videos)  # evaluate names an unknown video
     report = _cli.evaluate(predictions, ground_truth)
     formats.save_report(report, args.out)
     if args.table:
@@ -158,7 +158,7 @@ def _cmd_fuse(args) -> int:
 
     cfg = formats.load_run_config(args.config)
     videos: dict[int, tuple[int, list]] = {}  # each input must agree with those before it
-    loaded = [formats.load_results(p, videos)[0] for p in args.inputs]
+    loaded = [formats.load_results(p, videos) for p in args.inputs]
     lengths = {vid: length for vid, (length, _) in videos.items()}
     merged = {}
     for vid in sorted(lengths):

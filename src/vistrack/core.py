@@ -240,7 +240,9 @@ class Track:
 
 @dataclass
 class VideoGroundTruth:
-    """Reference tracks and metadata for one video."""
+    """Reference tracks and metadata for one video. It checks only its own
+    integer fields and positive sizes; ``load_annotations`` checks a file's
+    tracks against them, and ``evaluate`` a direct caller's."""
 
     video_id: int
     height: int
@@ -257,19 +259,6 @@ class VideoGroundTruth:
         )[:4]
         if self.height <= 0 or self.width <= 0 or self.length <= 0:
             raise ValueError("video dimensions and length must be positive")
-        known = set(self.category_set)
-        seen_ids = set()
-        for t in self.gt_tracks:
-            if t.track_id in seen_ids:
-                raise ValueError("ground-truth track ids must be unique within a video")
-            seen_ids.add(t.track_id)
-            if t.category_id not in known:
-                raise ValueError("ground-truth track category must be in category_set")
-            for f, e in t.entries.items():
-                if f >= self.length:
-                    raise ValueError("track entry frame index must be below video length")
-                if e.mask is not None and (e.mask.height, e.mask.width) != (self.height, self.width):
-                    raise ValueError("ground-truth mask dimensions must equal video dimensions")
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,10 @@ def evaluate(
         for t in tracks:
             if t.category_id not in known:
                 raise SchemaError(f"video {vid} track {t.track_id}: predicted category {t.category_id} not in category set")
+    for g in ground_truth:  # load_annotations checks this for a file
+        for t in g.gt_tracks:
+            if t.category_id not in known:
+                raise ToolkitError(f"video {g.video_id} ground-truth track {t.track_id}: category {t.category_id} not in category set")
 
     pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
 

@@ -48,8 +48,9 @@ declares (an annotations file declares both, a detections file either,
 a results file neither), or else the side of the video's first mask.
 Annotation and results records share one reader (``_track_from``).
 The rule, with the video's length, also holds between files:
-``load_results`` checks its records against the lengths and sizes its
-caller knows (``eval``'s ground truth, ``fuse``'s earlier inputs).
+``load_results`` checks its records against the map of lengths and
+sizes its caller passes (``eval``'s ground truth, ``fuse``'s earlier
+inputs), adds its file's videos to it and returns only the tracks.
 
 Annotation ids are scoped per video: two videos may both carry an
 annotation id 1, and loaders group by (video_id, id).
@@ -718,17 +719,15 @@ def save_results(
     _write(records, path)
 
 
-def load_results(
-    path: str, videos: dict[int, tuple[int, list]] | None = None
-) -> tuple[dict[int, list[Track]], dict[int, VideoMeta]]:
-    """Tracks grouped per video (file order preserved) plus each video's
-    meta: its segmentation-array length and the one size that its masks
-    share (height and width None when it has no mask). The records are
-    read and converted one at a time; the errors are those of a
-    whole-file parse followed by the conversion, and each starts with
-    ``path``. ``videos`` (``_track_from``) holds the lengths and sizes
-    known before the file, from the ground truth or earlier inputs: each
-    record must agree with it, and the file's own videos are added to it."""
+def load_results(path: str, videos: dict[int, tuple[int, list]] | None = None) -> dict[int, list[Track]]:
+    """Tracks grouped per video, in file order. The records are read and
+    converted one at a time; the errors are those of a whole-file parse
+    followed by the conversion, and each starts with ``path``.
+    ``videos`` (``_track_from``) holds the lengths and sizes known before
+    the file, from the ground truth or earlier inputs: each record must
+    agree with it, and the file's own videos are added to it, the size
+    ``[None, None]`` where a video has no mask. A caller that needs a
+    video's length or size reads it there."""
     tracks: dict[int, list[Track]] = {}
     videos = {} if videos is None else videos
     seen: set[tuple[int, int]] = set()
@@ -739,7 +738,7 @@ def load_results(
     except SchemaError as e:
         _read_json(path)  # malformed JSON reports that first, as a whole-file parse did, and names the path
         raise SchemaError(f"{path}: {e}") from e
-    return tracks, {vid: VideoMeta(videos[vid][0], *videos[vid][1]) for vid in tracks}
+    return tracks
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from vistrack import (
 )
 from vistrack.association import _keep_top, _majority_category, bisoftmax_scores, cosine_scores
 from vistrack.core import VideoMeta
+from vistrack.errors import ToolkitError
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +521,9 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
     last_frame = -1
     for fd in frames:
         if fd.frame_index <= last_frame:
-            raise ValueError("frames must arrive in ascending frame_index order")
+            raise ToolkitError("frames must arrive in ascending frame_index order")
         if fd.frame_index >= video_meta.length:
-            raise ValueError("frame_index must be below the video length")
+            raise ToolkitError("frame_index must be below the video length")
         last_frame = fd.frame_index
         kept_indices = _keep_top(fd.detections, cfg.keep_top_n_per_frame)
         dets = [fd.detections[i] for i in kept_indices]

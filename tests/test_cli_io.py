@@ -580,9 +580,10 @@ def test_detections_round_trip(tmp_path):
 def test_results_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_results({1: tiny_gt()[0].gt_tracks}, str(a), video_lengths={1: 2})
-    tracks, metas = load_results(str(a))
-    assert metas == {1: VideoMeta(length=2, height=4, width=4)}
-    save_results(tracks, str(b), video_lengths={vid: meta.length for vid, meta in metas.items()})
+    videos = {}
+    tracks = load_results(str(a), videos)
+    assert videos == {1: (2, [4, 4])}
+    save_results(tracks, str(b), video_lengths={vid: length for vid, (length, _) in videos.items()})
     assert filecmp.cmp(a, b, shallow=False)
 
 
@@ -594,12 +595,13 @@ def test_results_meta_of_a_video_without_masks(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps([boxes_only]))
     b.write_text(json.dumps([_result_record(1, {0}, (4, 4), length=3)]))
-    _, metas = load_results(str(a))
-    assert metas == {1: VideoMeta(length=3)}
-    assert (metas[1].height, metas[1].width) == (None, None)
+    videos = {}
+    load_results(str(a), videos)
+    assert videos == {1: (3, [None, None])}
     assert entrypoint(["fuse", "--inputs", str(a), str(b), "--out", str(tmp_path / "fused.json")]) == 0
-    _, fused = load_results(str(tmp_path / "fused.json"))
-    assert fused == {1: VideoMeta(length=3, height=4, width=4)}
+    fused = {}
+    load_results(str(tmp_path / "fused.json"), fused)
+    assert fused == {1: (3, [4, 4])}
 
 
 def test_identity_round_trip(tmp_path):
@@ -794,7 +796,7 @@ def test_null_bbox_of_huge_mask_is_taken_from_runs(tmp_path, monkeypatch):
     record["segmentations"] = [{"size": [side, side], "counts": counts}]
     p = tmp_path / "res.json"
     p.write_text(json.dumps([record]))
-    tracks, _ = load_results(str(p))
+    tracks = load_results(str(p))
     assert tracks[1][0].entries[0].bbox == BBox(3.0, 0.0, 6.0, float(side))
 
 
@@ -821,9 +823,10 @@ def test_results_masks_of_one_video_must_share_a_size(tmp_path, capsys, frame):
 def test_results_masks_of_different_videos_may_differ_in_size(tmp_path):
     p = tmp_path / "res.json"
     p.write_text(json.dumps([_result_record(1, {0}, (4, 4)), _result_record(2, {0}, (4, 5), vid=2)]))
-    tracks, metas = load_results(str(p))
+    videos = {}
+    tracks = load_results(str(p), videos)
     assert [t.entries[0].mask.width for vid in (1, 2) for t in tracks[vid]] == [4, 5]
-    assert metas == {1: VideoMeta(length=2, height=4, width=4), 2: VideoMeta(length=2, height=4, width=5)}
+    assert videos == {1: (2, [4, 4]), 2: (2, [4, 5])}
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["shared-frame", "no-shared-frame"])
@@ -853,13 +856,12 @@ def test_fuse_names_the_input_and_record_that_disagree_with_those_before(tmp_pat
 def test_load_results_checks_and_fills_the_videos_it_is_given(tmp_path):
     """A given video's length and size bind the file's records; a size
     given as [None, None] takes the first mask's, and the file's other
-    videos are added. The metas are those of the file's videos only."""
+    videos are added. The tracks are those of the file's videos only."""
     p = tmp_path / "res.json"
     p.write_text(json.dumps([_result_record(1, {1}, (4, 5)), _result_record(1, {0}, (6, 6), length=3, vid=2)]))
     videos = {1: (2, [None, None]), 3: (7, [8, 8])}
-    tracks, metas = load_results(str(p), videos)
+    tracks = load_results(str(p), videos)
     assert videos == {1: (2, [4, 5]), 2: (3, [6, 6]), 3: (7, [8, 8])}
-    assert metas == {1: VideoMeta(length=2, height=4, width=5), 2: VideoMeta(length=3, height=6, width=6)}
     assert sorted(tracks) == [1, 2]
     with pytest.raises(SchemaError) as length_fault:
         load_results(str(p), {1: (3, [None, None])})
@@ -1235,8 +1237,8 @@ def test_fuse_merges_duplicates(corpus_dir, tmp_path):
     fused = tmp_path / "fused.json"
     assert entrypoint(["track", "--detections", det, "--out", str(res)]) == 0
     assert entrypoint(["fuse", "--inputs", str(res), str(res), "--out", str(fused)]) == 0
-    single, _ = load_results(str(res))
-    merged, _ = load_results(str(fused))
+    single = load_results(str(res))
+    merged = load_results(str(fused))
     assert sorted(merged) == sorted(single)
     for vid in single:
         assert len(merged[vid]) == len(single[vid])

@@ -393,6 +393,35 @@ def test_evaluate_unknown_category():
         evaluate(preds, gts)
 
 
+def test_evaluate_rejects_ground_truth_of_an_unknown_category():
+    """A ground-truth track outside every category_set would be left out
+    of every category's pool, so a perfect prediction of the rest would
+    score AP 1.0 without it."""
+    preds, gts = _one_video_corpus()
+    stray = track_from_grids(5, 5, 1.0, {0: square(8, 8, 2, 2, 2)})
+    gts[0].gt_tracks.append(stray)
+    with pytest.raises(ToolkitError, match="^video 1 ground-truth track 5: category 5 not in category set$"):
+        evaluate(preds, gts)
+
+
+@pytest.mark.parametrize(
+    "stray, message",
+    [
+        ({0: square(4, 4, 0, 0, 2)}, "track mask dimensions must equal video dimensions"),
+        ({2: square(8, 8, 0, 0, 2)}, "track entry frame index must be below the video length"),
+    ],
+    ids=["mask-size", "frame-beyond-length"],
+)
+def test_evaluate_checks_each_ground_truth_track_it_compares(stray, message):
+    """VideoGroundTruth leaves its tracks to the loader and to evaluate:
+    a ground-truth mask of another size, or an entry at a frame not below
+    the video's length (2), is an error of the comparison."""
+    preds, gts = _one_video_corpus()
+    gts[0].gt_tracks.append(track_from_grids(3, 1, 1.0, stray))
+    with pytest.raises(ToolkitError, match=f"^{message}$"):
+        evaluate(preds, gts)
+
+
 def test_evaluate_never_matches_across_categories():
     """Categories come from the ground truth: a perfect mask under the
     wrong category recalls nothing."""

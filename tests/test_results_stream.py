@@ -22,6 +22,13 @@ from vistrack.synth import SynthConfig, generate
 WINDOWS = [1, 2, 3, 7, 64, 4096]
 
 
+def loaded(path):
+    """``load_results``' tracks and the videos it adds to an empty map:
+    each one's length and mask size."""
+    videos = {}
+    return load_results(str(path), videos), videos
+
+
 # ---------------------------------------------------------------------------
 # the writer
 
@@ -102,7 +109,7 @@ def long_results(tmp_path_factory):
     tracks = track_video(corpus.detections[g.video_id], AssociationConfig(), meta)
     p = tmp_path_factory.mktemp("long") / "results.json"
     save_results({g.video_id: tracks}, str(p), video_lengths={g.video_id: g.length})
-    return p, load_results(str(p))
+    return p, loaded(p)
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -110,7 +117,7 @@ def test_long_results_load_the_same_at_every_window(long_results, window):
     path, expected = long_results
     assert len(expected[0][1]) > 100
     with mock.patch.object(formats, "_READ_WINDOW", window):
-        assert load_results(str(path)) == expected
+        assert loaded(path) == expected
 
 
 masks = st.lists(st.booleans(), min_size=6, max_size=6).map(lambda px: rle_encode(np.array(px).reshape(2, 3)))
@@ -143,14 +150,14 @@ def test_round_trip_loads_the_same_at_every_window(tmp_path_factory, results):
     tracks, lengths = results
     p = tmp_path_factory.mktemp("rt") / "res.json"
     save_results(tracks, str(p), video_lengths=lengths)
-    expected = load_results(str(p))
+    expected = loaded(p)
     text = p.read_text()
     for window in WINDOWS:
         with mock.patch.object(formats, "_READ_WINDOW", window):
-            assert load_results(str(p)) == expected
+            assert loaded(p) == expected
     again = p.with_name("again.json")
-    loaded, metas = expected
-    save_results(loaded, str(again), video_lengths={vid: meta.length for vid, meta in metas.items()})
+    read, videos = expected
+    save_results(read, str(again), video_lengths={vid: length for vid, (length, _) in videos.items()})
     assert again.read_text() == text
 
 
@@ -160,9 +167,9 @@ def test_a_text_the_window_cannot_take_yields_the_whole_file_parse(tmp_path):
     record = {"video_id": 1, "id": 1, "category_id": 1, "score": 0.5, "segmentations": [None], "bboxes": [[0, 0, 1, 1]]}
     p = tmp_path / "res.json"
     p.write_text(json.dumps([record, {**record, "id": 2}, {**record, "id": 3}]))  # ", " between items
-    expected = load_results(str(p))
+    expected = loaded(p)
     with mock.patch.object(formats, "WHITESPACE", re.compile("")):
-        assert load_results(str(p)) == expected
+        assert loaded(p) == expected
     assert [t.track_id for t in expected[0][1]] == [1, 2, 3]
 
 
@@ -229,11 +236,11 @@ def test_load_results_memory_follows_a_record(tmp_path):
     save_results({1: tracks}, str(p), video_lengths={1: length})
     tracemalloc.start()
     try:
-        loaded, _ = load_results(str(p))
+        tracks_read = load_results(str(p))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = p.stat().st_size
-    assert len(loaded[1]) == 300
+    assert len(tracks_read[1]) == 300
     assert size > 10_000_000
     assert peak < size / 2, (peak, size)
