@@ -38,9 +38,12 @@ if TYPE_CHECKING:
 # the commands call it through the module (``_cli.<stage>``):
 # perfbench/layers.py times the stages by wrapping these attributes. Once
 # the benchmark wraps each stage where it is defined, they can become
-# plain imports inside the commands.
+# plain imports inside the commands. ``synth`` runs ``generate_videos``,
+# which yields each video as ``formats.save_detections`` asks for it, so
+# generation time falls inside the writer's; the benchmark still wraps
+# ``generate``, which no command calls now.
 _STAGES = {
-    "generate": "synth",
+    "generate_videos": "synth",
     "track_video": "association",
     "evaluate": "evaluation",
     "fuse_tracks": "fusion",
@@ -66,13 +69,10 @@ def _cmd_track(args) -> int:
     from . import formats
 
     cfg = formats.load_run_config(args.config)
-    det_file = formats.load_detections(args.detections)
-    vids = sorted(det_file.videos)
-    results = {
-        vid: _cli.track_video(det_file.videos[vid], cfg.association, det_file.metas[vid]) for vid in vids
-    }
-    lengths = {vid: det_file.metas[vid].length for vid in vids}
-    formats.save_results(results, args.out, lengths)
+    _, metas, results = formats.read_detections(
+        args.detections, lambda frames, meta: _cli.track_video(frames, cfg.association, meta)
+    )
+    formats.save_results(results, args.out, {vid: meta.length for vid, meta in metas.items()})
     return 0
 
 
@@ -177,20 +177,28 @@ def _cmd_synth(args) -> int:
     cfg = formats.load_run_config(args.config).synth
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
-    corpus = _cli.generate(cfg)
+    ground_truth, identity_key = [], {}
+
+    def videos():  # each video's detections are written as soon as it is generated
+        for gt, frames, identity in _cli.generate_videos(cfg):
+            ground_truth.append(gt)
+            identity_key.update(identity)
+            yield gt.video_id, frames, VideoMeta(length=gt.length, height=gt.height, width=gt.width)
+
+    made = []  # the directories this command creates, innermost first
+    d = os.path.abspath(args.out_dir)
+    while not os.path.exists(d):
+        made.append(d)
+        d = os.path.dirname(d)
     os.makedirs(args.out_dir, exist_ok=True)
-    formats.save_annotations(corpus.ground_truth, os.path.join(args.out_dir, "annotations.json"))
-    metas = {
-        g.video_id: VideoMeta(length=g.length, height=g.height, width=g.width)
-        for g in corpus.ground_truth
-    }
-    formats.save_detections(
-        corpus.detections,
-        os.path.join(args.out_dir, "detections.json"),
-        metas=metas,
-        embedding_dim=cfg.embedding_dim,
-    )
-    formats.save_identity(corpus.identity_key, os.path.join(args.out_dir, "identity.json"))
+    try:
+        formats.save_detections(videos(), os.path.join(args.out_dir, "detections.json"), cfg.embedding_dim)
+    except BaseException:  # a failed write leaves no file, and a config that fails leaves no directory
+        for d in made:
+            os.rmdir(d)
+        raise
+    formats.save_annotations(ground_truth, os.path.join(args.out_dir, "annotations.json"))
+    formats.save_identity(identity_key, os.path.join(args.out_dir, "identity.json"))
     return 0
 
 

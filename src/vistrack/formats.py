@@ -25,9 +25,16 @@ slots, so a record costs what its entries cost, not its video's length.
 The text goes to a sibling file that replaces the path only once it is
 complete, so a write that fails leaves the path as it was.
 
-``load_results`` reads its file one record at a time (``_array_items``):
-it holds the tracks it has built and the text of one record, not the
-parsed file. Every other loader parses its whole file first.
+Results and detections files are read one value at a time from a
+window of their text (``_scan``): ``load_results`` one record at a
+time, holding the tracks it has built and the text of one record, and
+``read_detections`` one frame at a time, handing each video on once its
+object closes, so ``track`` holds one video's detections. Neither ever
+reports an error of its own: a file they cannot stream is parsed whole,
+which raises that parse's error. The other loaders parse their whole
+file first. The detections writer takes its videos one at a time too,
+so ``synth`` writes each video as it is generated, and it checks each
+video by the loader's rules as it writes it.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
@@ -68,7 +75,7 @@ from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from operator import is_not, or_
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     _INT,
@@ -83,7 +90,7 @@ from .core import (
     bbox_of_mask,
     ints,
 )
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, ToolkitError
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -293,52 +300,126 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"{path}: not valid UTF-8: {e}") from e
 
 
-# Characters ``_array_items`` reads at a time. An item that does not fit
-# in the text held doubles it, so decoding an item longer than this costs
-# at most about twice one decode of it.
-_READ_WINDOW = 1 << 20
+# Characters ``_scan`` reads at a time. A value that does not fit in the
+# text held doubles it, so decoding a value longer than this costs at most
+# about twice one decode of it. The benchmark's detections frames and
+# results records are 20-30 KB. With half a window kept ahead of each
+# value, 128 KiB read them as fast as 1 MiB did without it, while `track`
+# on `wide` held 0.8 MB less than at 256 KiB.
+_READ_WINDOW = 1 << 17
+
+# The values ``_scan`` yields as a streamed container opens and closes.
+_OPEN, _CLOSE = object(), object()
+
+
+def _scan(path: str, spec: tuple) -> Iterator[tuple[tuple, Any]]:
+    """The JSON text of ``path`` as ``(keys, value)`` events, decoded from
+    a window of the text, one value at a time.
+
+    ``spec`` names the containers to stream, from the root down: ``None``
+    each item of an array, a string that member of an object. So
+    ``(None,)`` streams a root array, and ``("videos", None, "frames",
+    None)`` a root object, its ``videos`` array, each of that array's
+    items (objects) and their ``frames`` arrays. Every other value is
+    decoded whole, as ``_read_json`` would parse it, and yielded with
+    ``keys``, its path from the root (member names and item indices); a
+    streamed container yields ``_OPEN`` and ``_CLOSE`` under its own
+    path. A value is taken once a character other than whitespace follows
+    it.
+
+    Text that cannot be streamed (bad JSON, a BOM, text after the root,
+    invalid UTF-8, anything but the expected container where ``spec``
+    streams one) raises ValueError, possibly after some events; the
+    callers then parse the whole file."""
+    decode = json.JSONDecoder().raw_decode
+    skip = WHITESPACE.match
+    stack: list[list] = []  # the open streamed containers: [keys, closer, items so far, state]
+    done = False  # the root has closed
+    with open(path, "r", encoding="utf-8") as fh:
+        text, pos, eof = "", 0, False
+        while not eof:
+            more = fh.read(max(_READ_WINDOW, len(text) - pos))
+            text, pos, eof = text[pos:] + more, 0, not more
+            # Until the end of the file, half a window stays ahead of each
+            # value, so only a value longer than that is decoded twice.
+            ahead = 0 if eof else _READ_WINDOW // 2
+            while (pos := skip(text, pos).end()) < len(text) - ahead:
+                char = text[pos]
+                if not stack:
+                    if done or char != ("[" if spec[0] is None else "{"):
+                        raise ValueError  # text after the root, or a root of the other kind
+                    stack.append([(), "]" if spec[0] is None else "}", 0, "first"])
+                    pos += 1
+                    yield (), _OPEN
+                    continue
+                top = stack[-1]
+                keys, closer, n, state = top  # state: "first" after the opener, "more" after ",", "next" after a value
+                if state == "next" and char == ",":
+                    top[3], pos = "more", pos + 1
+                    continue
+                if state == "next" or (state == "first" and char == closer):
+                    if char != closer:
+                        raise ValueError
+                    stack.pop()
+                    pos, done = pos + 1, not stack
+                    yield keys, _CLOSE
+                    continue
+                depth = len(stack)  # of the value: spec[depth - 1] is its container's entry
+                if closer == "]":
+                    key, start, streamed = n, pos, depth < len(spec)
+                else:
+                    if char != '"':
+                        raise ValueError
+                    try:
+                        key, start = decode(text, pos)
+                    except json.JSONDecodeError:
+                        break  # the rest of the key may be unread
+                    start = skip(text, start).end()
+                    if start == len(text):
+                        break
+                    if text[start] != ":":
+                        raise ValueError
+                    start = skip(text, start + 1).end()
+                    if start == len(text):
+                        break
+                    streamed = depth < len(spec) and key == spec[depth - 1]
+                if streamed:
+                    opener = "[" if spec[depth] is None else "{"
+                    if text[start] != opener:
+                        raise ValueError
+                    top[2], top[3] = n + 1, "next"
+                    stack.append([keys + (key,), "]" if opener == "[" else "}", 0, "first"])
+                    pos = start + 1
+                    yield keys + (key,), _OPEN
+                    continue
+                try:
+                    value, end = decode(text, start)
+                except json.JSONDecodeError:
+                    break  # the rest of the value may be unread
+                if skip(text, end).end() == len(text):
+                    break  # so may more digits of a number
+                top[2], top[3] = n + 1, "next"
+                pos = end
+                yield keys + (key,), value
+    if not done:
+        raise ValueError  # the text ends inside the root
 
 
 def _array_items(path: str, where: str) -> Iterator[Any]:
     """The items of the JSON array that ``path`` holds, as ``_read_json``
-    would parse them, decoded one at a time from a window of the text.
+    would parse them, decoded one at a time (``_scan``).
 
-    Text that is not the next item or the end of the array (bad JSON, a
-    BOM, text after the array, invalid UTF-8, a root that is not an
-    array) sends the file to ``_read_json`` and ``_expect_list``, which
-    raise the error of a whole-file parse; should they parse the file,
-    the remaining items come from that parse."""
-    decode = json.JSONDecoder().raw_decode
-    skip = WHITESPACE.match
+    Text that ``_scan`` cannot stream sends the file to ``_read_json``
+    and ``_expect_list``, which raise the error of a whole-file parse;
+    should they parse the file, the remaining items come from that
+    parse."""
     count = 0  # items yielded
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text, pos = "", 0
-            expect = "["  # then "first" (an item or "]"), "item" after ",", "end" after "]"
-            while more := fh.read(max(_READ_WINDOW, len(text) - pos)):
-                text, pos = text[pos:] + more, 0
-                while (pos := skip(text, pos).end()) < len(text):
-                    if expect == "[" and text[pos] == "[":
-                        expect, pos = "first", pos + 1
-                    elif expect == "first" and text[pos] == "]":
-                        expect, pos = "end", pos + 1
-                    elif expect in ("[", "end"):
-                        raise ValueError  # not an array, or text after it
-                    else:
-                        try:
-                            value, end = decode(text, pos)
-                        except json.JSONDecodeError:
-                            break  # the rest of the item may be unread
-                        end = skip(text, end).end()
-                        if end == len(text):
-                            break  # so may the separator, or more digits of a number
-                        if text[end] not in ",]":
-                            raise ValueError
-                        expect, pos = ("item" if text[end] == "," else "end"), end + 1
-                        count += 1
-                        yield value
-            if expect == "end":
-                return
+        for keys, value in _scan(path, (None,)):
+            if len(keys) == 1:
+                count += 1
+                yield value
+        return
     except ValueError:  # also JSONDecodeError and UnicodeDecodeError
         pass
     yield from _expect_list(_read_json(path), where)[count:]
@@ -582,51 +663,148 @@ def _detection_json(d: Detection) -> dict:
 
 
 def save_detections(
-    videos: Mapping[int, Sequence[FrameDetections]],
+    videos: Iterable[tuple[int, Sequence[FrameDetections], VideoMeta | None]],
     path: str,
-    metas: Mapping[int, VideoMeta] | None = None,
-    embedding_dim: int | None = None,
+    embedding_dim: int,
 ) -> None:
-    """Write ``videos`` as a detections file that ``load_detections``
-    reads back. ``embedding_dim`` defaults to the one length every
-    embedding shares; it is checked before the file is opened."""
-    dims = {len(d.embedding) for frames in videos.values() for fr in frames for d in fr.detections}
-    if embedding_dim is None:
-        if len(dims) > 1:
-            raise SchemaError("detections mix embedding dimensions; they must be constant per file")
-        embedding_dim = dims.pop() if dims else 0
-    if embedding_dim < 1:
-        raise SchemaError("embedding_dim: must be at least 1")
-    if dims - {embedding_dim}:
-        raise SchemaError(
-            f"embedding length {min(dims - {embedding_dim})} violates the declared "
-            f"embedding_dim {embedding_dim} (dimension must be constant per file)"
-        )
-    rows = (_video_json(vid, videos[vid], (metas or {}).get(vid)) for vid in sorted(videos))
-    _write({"embedding_dim": embedding_dim, "videos": rows}, path)
+    """Write ``videos``, ``(video id, frames, meta or None)`` triples taken
+    one at a time and in their order, as a detections file that
+    ``load_detections`` reads back; a meta's ``length``, ``height`` and
+    ``width`` are written as the video's declared geometry. Each video is
+    checked by the loader's rules as it is written: a new video id, frames
+    in ascending ``frame_index`` below the declared length, embeddings of
+    ``embedding_dim`` values and masks of one size (``_fit_size``). A
+    refusal raises SchemaError and leaves no file."""
+    dim = _embedding_dim(embedding_dim)
+    seen: set[int] = set()
+    rows = (_video_json(f"videos[{i}]", *video, dim, seen) for i, video in enumerate(videos))
+    _write({"embedding_dim": dim, "videos": rows}, path)
 
 
-def _video_json(vid: int, frames: Sequence[FrameDetections], meta: VideoMeta | None) -> dict:
+def _video_json(
+    where: str, vid: int, frames: Sequence[FrameDetections], meta: VideoMeta | None, dim: int, seen: set[int]
+) -> dict:
+    (vid,) = ints((vid,), f"{where}.video_id", SchemaError)
+    if vid in seen:
+        raise SchemaError(f"{where}: duplicate video_id {vid}")
+    seen.add(vid)
     row: dict[str, Any] = {"video_id": vid}
+    length, size = None, [None, None]
     if meta is not None:
-        row["length"] = meta.length
+        length = row["length"] = meta.length
+        size = [meta.height, meta.width]
         if meta.height is not None:
             row["height"] = meta.height
         if meta.width is not None:
             row["width"] = meta.width
-    row["frames"] = (
-        {"frame_index": fr.frame_index, "detections": [_detection_json(d) for d in fr.detections]}
-        for fr in frames
-    )
+    row["frames"] = _frames_json(where, frames, dim, size, vid, length)
     return row
 
 
+def _frames_json(
+    where: str, frames: Sequence[FrameDetections], dim: int, size: list, vid: int, length: int | None
+) -> Iterator[dict]:
+    last = -1
+    for j, fr in enumerate(frames):
+        fwhere = f"{where}.frames[{j}]"
+        last = _frame_order(fr.frame_index, last, fwhere)
+        for k, d in enumerate(fr.detections):
+            dwhere = f"{fwhere}.detections[{k}]"
+            _embedding_length(d.embedding, dim, dwhere)
+            if d.mask is not None:
+                _fit_size(d.mask, size, vid, f"{dwhere}.segmentation")
+        yield {"frame_index": fr.frame_index, "detections": [_detection_json(d) for d in fr.detections]}
+    _video_length(length, where, last)
+
+
 def load_detections(path: str) -> DetectionsFile:
+    """The detections file at ``path``, read one frame at a time
+    (``read_detections``)."""
+    dim, metas, videos = read_detections(path, lambda frames, meta: frames)
+    return DetectionsFile(embedding_dim=dim, videos=videos, metas=metas)
+
+
+def read_detections(
+    path: str, each: Callable[[list[FrameDetections], VideoMeta], Any]
+) -> tuple[int, dict[int, VideoMeta], dict[int, Any]]:
+    """The embedding width of the detections file at ``path``, and per
+    video id in file order its geometry and ``each(frames, meta)``.
+
+    Frames are decoded and checked one at a time (``_scan``). A video goes
+    to ``each`` once its JSON object closes and the whole of it has been
+    checked, and its frames are dropped when ``each`` returns, so memory
+    follows one video and what ``each`` returns, not the file.
+
+    The stream reports no error itself. On a fault, on a layout it cannot
+    stream (``videos`` before ``embedding_dim``, a repeated key, of which
+    a whole-file parse keeps the last value) or on an error of ``each``,
+    the file is parsed and checked whole (``_parse_detections``), which
+    raises that parse's error, and ``each`` runs over the videos of that
+    parse. So the errors and their order are those of a whole-file parse
+    followed by ``each`` on each video."""
+    try:
+        return _stream_detections(path, each)
+    except (ValueError, ToolkitError):  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        pass
+    whole = _parse_detections(path)
+    return whole.embedding_dim, whole.metas, {vid: each(fr, whole.metas[vid]) for vid, fr in whole.videos.items()}
+
+
+# The containers of a detections file that ``_scan`` streams: the root,
+# its ``videos``, each video and its ``frames``.
+_DETECTIONS = ("videos", None, "frames", None)
+
+
+def _stream_detections(path: str, each: Callable) -> tuple[int, dict[int, VideoMeta], dict[int, Any]]:
+    """``read_detections`` on the stream; ValueError or a ToolkitError
+    wherever a whole-file parse could read the file otherwise. In a
+    sorted-key file a video's ``video_id`` and declared sides follow its
+    frames, so its masks are checked against its first mask's size and
+    the declared sides against that size once the video closes."""
+    dim = 0
+    root: dict[str, Any] = {}  # the root's members so far
+    metas: dict[int, VideoMeta] = {}
+    values: dict[int, Any] = {}
+    for keys, value in _scan(path, _DETECTIONS):
+        depth = len(keys)
+        if depth == 4:  # ("videos", i, "frames", j): a frame
+            # (no message of this path is shown, so the video id can wait)
+            frame = _frame_from(value, f"videos[{keys[1]}].frames[{keys[3]}]", dim, size, None, last)
+            frames.append(frame)
+            last = frame.frame_index
+        elif depth == 2 and value is _OPEN:  # ("videos", i): a video
+            members: dict[str, Any] = {}
+            frames: list[FrameDetections] = []
+            size, last = [None, None], -1
+        elif depth == 2:  # the end of video i: check its members, then hand it on
+            where = f"videos[{keys[1]}]"
+            vid = _get(members, "video_id", where, ints)
+            height, width = (_positive_int(members, key, where) for key in ("height", "width"))
+            if vid in values or "frames" not in members:
+                raise ValueError
+            if any(side is not None and found not in (None, side) for side, found in zip((height, width), size)):
+                raise ValueError
+            length = _video_length(_positive_int(members, "length", where), where, last)
+            meta = VideoMeta(length=length, height=height, width=width)
+            values[vid], metas[vid] = each(frames, meta), meta
+            frames = []
+        elif depth in (1, 3) and value is not _CLOSE:  # a member of the root or of a video
+            obj = root if depth == 1 else members
+            if keys[-1] in obj or (keys == ("videos",) and not dim):
+                raise ValueError  # a repeated key, or videos before their embedding width
+            obj[keys[-1]] = value
+            if keys == ("embedding_dim",):
+                dim = _embedding_dim(value)
+    if "videos" not in root:
+        raise ValueError
+    return dim, metas, values
+
+
+def _parse_detections(path: str) -> DetectionsFile:
+    """The detections file at ``path`` parsed whole, then checked in file
+    order: ``read_detections``' errors."""
     root = _expect_object(_read_json(path), "detections")
-    (dim,) = ints((_get(root, "embedding_dim", "detections"),), "embedding_dim", SchemaError)
-    if dim < 1:
-        raise SchemaError("embedding_dim: must be at least 1")
-    out = DetectionsFile(embedding_dim=dim)
+    out = DetectionsFile(embedding_dim=_embedding_dim(_get(root, "embedding_dim", "detections")))
     for i, v in enumerate(_expect_list(_get(root, "videos", "detections"), "videos")):
         where = f"videos[{i}]"
         obj = _expect_object(v, where)
@@ -636,27 +814,21 @@ def load_detections(path: str) -> DetectionsFile:
         height, width = (_positive_int(obj, key, where) for key in ("height", "width"))
         size = [height, width]
         frames: list[FrameDetections] = []
-        last_frame = -1
+        last = -1
         for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
-            fwhere = f"{where}.frames[{j}]"
-            fobj = _expect_object(fr, fwhere)
-            fidx = _get(fobj, "frame_index", fwhere)
-            dets = []
-            for k, d in enumerate(_expect_list(_get(fobj, "detections", fwhere), f"{fwhere}.detections")):
-                dets.append(_detection_from(d, f"{fwhere}.detections[{k}]", dim, size, vid))
-            frame = _build(FrameDetections, fwhere, frame_index=fidx, detections=dets)
-            if frame.frame_index <= last_frame:
-                raise SchemaError(f"{fwhere}: frame_index must be strictly increasing within a video")
-            last_frame = frame.frame_index
-            frames.append(frame)
-        length = _positive_int(obj, "length", where)
-        if length is None:
-            length = max(last_frame + 1, 1)  # no frames and no declared length: one empty frame
-        if last_frame >= length:
-            raise SchemaError(f"{where}: frame_index {last_frame} outside declared length {length}")
+            frames.append(_frame_from(fr, f"{where}.frames[{j}]", out.embedding_dim, size, vid, last))
+            last = frames[-1].frame_index
         out.videos[vid] = frames
+        length = _video_length(_positive_int(obj, "length", where), where, last)
         out.metas[vid] = VideoMeta(length=length, height=height, width=width)
     return out
+
+
+def _embedding_dim(value: Any) -> int:
+    (dim,) = ints((value,), "embedding_dim", SchemaError)
+    if dim < 1:
+        raise SchemaError("embedding_dim: must be at least 1")
+    return dim
 
 
 def _positive_int(obj: dict, key: str, where: str, required: bool = False) -> int | None:
@@ -670,18 +842,52 @@ def _positive_int(obj: dict, key: str, where: str, required: bool = False) -> in
     return value
 
 
-def _detection_from(value: Any, where: str, dim: int, size: list, vid: int) -> Detection:
+def _video_length(length: int | None, where: str, last_frame: int) -> int:
+    """A video's declared ``length``, or else one past its last frame (one
+    empty frame when it has none); its frames must lie below it."""
+    if length is None:
+        length = max(last_frame + 1, 1)
+    if last_frame >= length:
+        raise SchemaError(f"{where}: frame_index {last_frame} outside declared length {length}")
+    return length
+
+
+def _frame_order(frame_index: int, last: int, where: str) -> int:
+    """``frame_index``, which must exceed its video's ``last`` one."""
+    if frame_index <= last:
+        raise SchemaError(f"{where}: frame_index must be strictly increasing within a video")
+    return frame_index
+
+
+def _frame_from(value: Any, where: str, dim: int, size: list, vid: int | None, last: int) -> FrameDetections:
+    """One frame of a video whose frames so far end at ``last``."""
+    obj = _expect_object(value, where)
+    fidx = _get(obj, "frame_index", where)
+    dets = [
+        _detection_from(d, f"{where}.detections[{k}]", dim, size, vid)
+        for k, d in enumerate(_expect_list(_get(obj, "detections", where), f"{where}.detections"))
+    ]
+    frame = _build(FrameDetections, where, frame_index=fidx, detections=dets)
+    _frame_order(frame.frame_index, last, where)
+    return frame
+
+
+def _embedding_length(emb: Sequence, dim: int, where: str) -> None:
+    if len(emb) != dim:
+        raise SchemaError(
+            f"{where}.embedding: length {len(emb)} violates the declared "
+            f"embedding_dim {dim} (dimension must be constant per file)"
+        )
+
+
+def _detection_from(value: Any, where: str, dim: int, size: list, vid: int | None) -> Detection:
     obj = _expect_object(value, where)
     bbox = _bbox_from(_get(obj, "bbox", where), where)
     score = _get(obj, "score", where)
     cid = _get(obj, "category_id", where)
     probs = _expect_list(_get(obj, "class_probs", where), f"{where}.class_probs")
     emb = _expect_list(_get(obj, "embedding", where), f"{where}.embedding")
-    if len(emb) != dim:
-        raise SchemaError(
-            f"{where}.embedding: length {len(emb)} violates the declared "
-            f"embedding_dim {dim} (dimension must be constant per file)"
-        )
+    _embedding_length(emb, dim, where)
     seg = obj.get("segmentation")
     mask = None
     if seg is not None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from ._numpy import np
 from .core import (
@@ -310,16 +311,20 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
     return gt, frames, identity
 
 
+def generate_videos(cfg: SynthConfig) -> Iterator[tuple[VideoGroundTruth, list[FrameDetections], dict]]:
+    """The corpus for ``cfg`` one video at a time, in video id order: its
+    ground truth, its frames of detections and its identity key, each
+    video generated when it is asked for."""
+    for v in range(cfg.n_videos):
+        yield _generate_video(cfg, v + 1)
+
+
 def generate(cfg: SynthConfig) -> SynthCorpus:
     """Build the full corpus for ``cfg``; identical inputs give an
     identical corpus."""
-    ground_truth: list[VideoGroundTruth] = []
-    detections: dict[int, list[FrameDetections]] = {}
-    identity_key: dict[tuple[int, int, int], int] = {}
-    for v in range(cfg.n_videos):
-        vid = v + 1
-        gt, frames, identity = _generate_video(cfg, vid)
-        ground_truth.append(gt)
-        detections[vid] = frames
-        identity_key.update(identity)
-    return SynthCorpus(ground_truth=ground_truth, detections=detections, identity_key=identity_key)
+    corpus = SynthCorpus(ground_truth=[], detections={})
+    for gt, frames, identity in generate_videos(cfg):
+        corpus.ground_truth.append(gt)
+        corpus.detections[gt.video_id] = frames
+        corpus.identity_key.update(identity)
+    return corpus

@@ -76,17 +76,24 @@ def tiny_gt():
     ]
 
 
-def tiny_detections():
-    m = tiny_mask()
-    det = Detection(
+def tiny_detection(mask=None):
+    return Detection(
         bbox=BBox(0, 1, 2, 2),
         score=1 / 3,
         category_id=1,
         class_probs=(0.0, 1 / 3),
         embedding=(0.6, 0.8),
-        mask=m,
+        mask=tiny_mask() if mask is None else mask,
     )
-    return {1: [FrameDetections(frame_index=0, detections=[det])]}
+
+
+TINY_META = VideoMeta(length=2, height=4, width=4)
+
+
+def tiny_detections():
+    """``save_detections``' videos: one 2-frame 4x4 video with one
+    detection of embedding width 2."""
+    return [(1, [FrameDetections(frame_index=0, detections=[tiny_detection()])], TINY_META)]
 
 
 GOLDEN_ANNOTATIONS = """{
@@ -238,9 +245,7 @@ def test_annotations_golden_bytes(tmp_path):
 
 def test_detections_golden_bytes(tmp_path):
     p = tmp_path / "det.json"
-    save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
-    )
+    save_detections(tiny_detections(), str(p), embedding_dim=2)
     assert p.read_text() == GOLDEN_DETECTIONS
 
 
@@ -493,22 +498,60 @@ def test_save_results_checks_every_length_before_opening_the_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _two_frames(first_mask, second_mask, meta=None, indices=(0, 1)):
+    """One video of two frames, one detection each, with these masks."""
+    frames = [FrameDetections(f, [tiny_detection(m)]) for f, m in zip(indices, (first_mask, second_mask))]
+    return [(1, frames, meta)]
+
+
+_EIGHT = rle_encode(np.zeros((8, 8), dtype=bool))
+
+
 @pytest.mark.parametrize(
     "videos,embedding_dim,message",
     [
-        ({1: [FrameDetections(frame_index=0, detections=[])]}, None, "embedding_dim: must be at least 1"),
-        ({}, 0, "embedding_dim: must be at least 1"),
+        ([(1, [FrameDetections(frame_index=0, detections=[])], None)], None, "embedding_dim: expected an integer"),
+        ([], 0, "embedding_dim: must be at least 1"),
         (
             tiny_detections(),
             5,
-            r"embedding length 2 violates the declared embedding_dim 5 \(dimension must be constant per file\)",
+            r"videos\[0\]\.frames\[0\]\.detections\[0\]\.embedding: length 2 violates the declared "
+            r"embedding_dim 5 \(dimension must be constant per file\)",
         ),
+        (
+            _two_frames(None, None, indices=(1, 0)),
+            2,
+            r"videos\[0\]\.frames\[1\]: frame_index must be strictly increasing within a video",
+        ),
+        (_two_frames(None, None, TINY_META, (0, 2)), 2, r"videos\[0\]: frame_index 2 outside declared length 2"),
+        (
+            _two_frames(None, None, VideoMeta(length=2, height=8, width=4)),
+            2,
+            r"videos\[0\]\.frames\[0\]\.detections\[0\]\.segmentation: mask size \[4, 4\] differs from "
+            r"\[8, 4\], the size of video 1",
+        ),
+        (
+            _two_frames(None, _EIGHT),
+            2,
+            r"videos\[0\]\.frames\[1\]\.detections\[0\]\.segmentation: mask size \[8, 8\] differs from "
+            r"\[4, 4\], the size of video 1",
+        ),
+        (tiny_detections() * 2, 2, r"videos\[1\]: duplicate video_id 1"),
     ],
-    ids=["no-detections", "zero", "declared-5-given-2"],
+    ids=[
+        "no-detections",
+        "zero",
+        "declared-5-given-2",
+        "frames-out-of-order",
+        "frame-beyond-length",
+        "mask-size-not-declared",
+        "two-mask-sizes",
+        "duplicate-video",
+    ],
 )
 def test_save_detections_writes_only_files_that_load(tmp_path, videos, embedding_dim, message):
-    """An embedding_dim that load_detections would reject is refused
-    before the file is opened."""
+    """A video that load_detections would reject is refused, with the
+    loader's message, while it is written, and no file is left."""
     p = tmp_path / "det.json"
     with pytest.raises(SchemaError, match=f"^{message}$"):
         save_detections(videos, str(p), embedding_dim=embedding_dim)
@@ -569,11 +612,10 @@ def test_annotations_round_trip(tmp_path):
 
 def test_detections_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_detections(
-        tiny_detections(), str(a), metas={1: VideoMeta(length=2, height=4, width=4)}
-    )
+    save_detections(tiny_detections(), str(a), embedding_dim=2)
     loaded = load_detections(str(a))
-    save_detections(loaded.videos, str(b), metas=loaded.metas, embedding_dim=loaded.embedding_dim)
+    videos = ((vid, frames, loaded.metas[vid]) for vid, frames in loaded.videos.items())
+    save_detections(videos, str(b), embedding_dim=loaded.embedding_dim)
     assert filecmp.cmp(a, b, shallow=False)
 
 
@@ -644,9 +686,7 @@ def test_string_rle_counts_rejected(tmp_path):
 
 def test_wrong_embedding_length_rejected(tmp_path):
     p = tmp_path / "det.json"
-    save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
-    )
+    save_detections(tiny_detections(), str(p), embedding_dim=2)
     doc = json.loads(p.read_text())
     doc["videos"][0]["frames"][0]["detections"][0]["embedding"] = [0.6, 0.8, 0.0]
     p.write_text(json.dumps(doc))
@@ -697,9 +737,7 @@ def test_duplicate_annotation_id_rejected(tmp_path):
 
 def test_out_of_order_frames_rejected(tmp_path):
     p = tmp_path / "det.json"
-    save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
-    )
+    save_detections(tiny_detections(), str(p), embedding_dim=2)
     doc = json.loads(p.read_text())
     frame = doc["videos"][0]["frames"][0]
     doc["videos"][0]["frames"] = [frame, dict(frame)]  # frame_index repeats
@@ -710,9 +748,7 @@ def test_out_of_order_frames_rejected(tmp_path):
 
 def _tiny_detections_doc(tmp_path):
     p = tmp_path / "det.json"
-    save_detections(
-        tiny_detections(), str(p), metas={1: VideoMeta(length=2, height=4, width=4)}
-    )
+    save_detections(tiny_detections(), str(p), embedding_dim=2)
     return p, json.loads(p.read_text())
 
 
@@ -1787,7 +1823,7 @@ def test_public_names_resolve_lazily_to_their_defining_modules():
 @pytest.mark.parametrize(
     "stage, module, command",
     [
-        ("generate", "synth", "synth"),
+        ("generate_videos", "synth", "synth"),
         ("track_video", "association", "track"),
         ("evaluate", "evaluation", "eval"),
         ("fuse_tracks", "fusion", "fuse"),
