@@ -29,12 +29,16 @@ Results and detections files are read one value at a time from a
 window of their text (``_scan``): ``load_results`` one record at a
 time, holding the tracks it has built and the text of one record, and
 ``read_detections`` one frame at a time, handing each video on once its
-object closes, so ``track`` holds one video's detections. Neither ever
-reports an error of its own: a file they cannot stream is parsed whole,
-which raises that parse's error. The other loaders parse their whole
-file first. The detections writer takes its videos one at a time too,
-so ``synth`` writes each video as it is generated, and it checks each
-video by the loader's rules as it writes it.
+object closes, so ``track`` holds one video's detections. ``_scan`` is
+their only reader, and they raise the first fault in file order. Text
+that is not JSON raises ``_read_json``'s message with its line and
+column, a parse that only names the syntax fault. A key repeated in the
+root or in a video of a detections file is a fault, as is ``videos``
+before ``embedding_dim``. The other loaders parse their whole file
+first. The writers check what they write by the loaders' rules, so a
+refusal raises SchemaError and leaves no file. The detections writer
+takes its videos one at a time too, so ``synth`` writes each video as
+it is generated.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
@@ -90,7 +94,7 @@ from .core import (
     bbox_of_mask,
     ints,
 )
-from .errors import ConfigError, SchemaError, ToolkitError
+from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -312,7 +316,7 @@ _READ_WINDOW = 1 << 17
 _OPEN, _CLOSE = object(), object()
 
 
-def _scan(path: str, spec: tuple) -> Iterator[tuple[tuple, Any]]:
+def _scan(path: str, spec: tuple, root: str) -> Iterator[tuple[tuple, Any]]:
     """The JSON text of ``path`` as ``(keys, value)`` events, decoded from
     a window of the text, one value at a time.
 
@@ -327,102 +331,104 @@ def _scan(path: str, spec: tuple) -> Iterator[tuple[tuple, Any]]:
     path. A value is taken once a character other than whitespace follows
     it.
 
-    Text that cannot be streamed (bad JSON, a BOM, text after the root,
-    invalid UTF-8, anything but the expected container where ``spec``
-    streams one) raises ValueError, possibly after some events; the
-    callers then parse the whole file."""
+    A fault raises SchemaError where the reading reaches it, after the
+    events before it. Text that is not JSON (bad syntax, a BOM, text after
+    the root) gives ``_read_json``'s located message; invalid UTF-8 gives
+    it once the window that holds it is read. Anything but the expected
+    container where ``spec`` streams one gives ``<JSON path>: expected a
+    JSON array`` (or object), the root named ``root``, unless the text is
+    not JSON, whose message comes first."""
     decode = json.JSONDecoder().raw_decode
     skip = WHITESPACE.match
     stack: list[list] = []  # the open streamed containers: [keys, closer, items so far, state]
     done = False  # the root has closed
-    with open(path, "r", encoding="utf-8") as fh:
-        text, pos, eof = "", 0, False
-        while not eof:
-            more = fh.read(max(_READ_WINDOW, len(text) - pos))
-            text, pos, eof = text[pos:] + more, 0, not more
-            # Until the end of the file, half a window stays ahead of each
-            # value, so only a value longer than that is decoded twice.
-            ahead = 0 if eof else _READ_WINDOW // 2
-            while (pos := skip(text, pos).end()) < len(text) - ahead:
-                char = text[pos]
-                if not stack:
-                    if done or char != ("[" if spec[0] is None else "{"):
-                        raise ValueError  # text after the root, or a root of the other kind
-                    stack.append([(), "]" if spec[0] is None else "}", 0, "first"])
-                    pos += 1
-                    yield (), _OPEN
-                    continue
-                top = stack[-1]
-                keys, closer, n, state = top  # state: "first" after the opener, "more" after ",", "next" after a value
-                if state == "next" and char == ",":
-                    top[3], pos = "more", pos + 1
-                    continue
-                if state == "next" or (state == "first" and char == closer):
-                    if char != closer:
-                        raise ValueError
-                    stack.pop()
-                    pos, done = pos + 1, not stack
-                    yield keys, _CLOSE
-                    continue
-                depth = len(stack)  # of the value: spec[depth - 1] is its container's entry
-                if closer == "]":
-                    key, start, streamed = n, pos, depth < len(spec)
-                else:
-                    if char != '"':
-                        raise ValueError
-                    try:
-                        key, start = decode(text, pos)
-                    except json.JSONDecodeError:
-                        break  # the rest of the key may be unread
-                    start = skip(text, start).end()
-                    if start == len(text):
-                        break
-                    if text[start] != ":":
-                        raise ValueError
-                    start = skip(text, start + 1).end()
-                    if start == len(text):
-                        break
-                    streamed = depth < len(spec) and key == spec[depth - 1]
-                if streamed:
-                    opener = "[" if spec[depth] is None else "{"
-                    if text[start] != opener:
-                        raise ValueError
-                    top[2], top[3] = n + 1, "next"
-                    stack.append([keys + (key,), "]" if opener == "[" else "}", 0, "first"])
-                    pos = start + 1
-                    yield keys + (key,), _OPEN
-                    continue
-                try:
-                    value, end = decode(text, start)
-                except json.JSONDecodeError:
-                    break  # the rest of the value may be unread
-                if skip(text, end).end() == len(text):
-                    break  # so may more digits of a number
-                top[2], top[3] = n + 1, "next"
-                pos = end
-                yield keys + (key,), value
-    if not done:
-        raise ValueError  # the text ends inside the root
-
-
-def _array_items(path: str, where: str) -> Iterator[Any]:
-    """The items of the JSON array that ``path`` holds, as ``_read_json``
-    would parse them, decoded one at a time (``_scan``).
-
-    Text that ``_scan`` cannot stream sends the file to ``_read_json``
-    and ``_expect_list``, which raise the error of a whole-file parse;
-    should they parse the file, the remaining items come from that
-    parse."""
-    count = 0  # items yielded
     try:
-        for keys, value in _scan(path, (None,)):
-            if len(keys) == 1:
-                count += 1
-                yield value
-        return
-    except ValueError:  # also JSONDecodeError and UnicodeDecodeError
-        pass
-    yield from _expect_list(_read_json(path), where)[count:]
+        with open(path, "r", encoding="utf-8") as fh:
+            text, pos, eof = "", 0, False
+            while not eof:
+                more = fh.read(max(_READ_WINDOW, len(text) - pos))
+                text, pos, eof = text[pos:] + more, 0, not more
+                # Until the end of the file, half a window stays ahead of
+                # each value, so only a value longer than that is decoded
+                # twice.
+                ahead = 0 if eof else _READ_WINDOW // 2
+                while (pos := skip(text, pos).end()) < len(text) - ahead:
+                    char = text[pos]
+                    if not stack:
+                        if done:
+                            raise ValueError  # text after the root
+                        if char != ("[" if spec[0] is None else "{"):
+                            _wrong_kind(path, root, (), spec[0])
+                        stack.append([(), "]" if spec[0] is None else "}", 0, "first"])
+                        pos += 1
+                        yield (), _OPEN
+                        continue
+                    top = stack[-1]
+                    # state: "first" after the opener, "more" after ",", "next" after a value
+                    keys, closer, n, state = top
+                    if state == "next" and char == ",":
+                        top[3], pos = "more", pos + 1
+                        continue
+                    if state == "next" or (state == "first" and char == closer):
+                        if char != closer:
+                            raise ValueError
+                        stack.pop()
+                        pos, done = pos + 1, not stack
+                        yield keys, _CLOSE
+                        continue
+                    depth = len(stack)  # of the value: spec[depth - 1] is its container's entry
+                    if closer == "]":
+                        key, start, streamed = n, pos, depth < len(spec)
+                    else:
+                        if char != '"':
+                            raise ValueError
+                        try:
+                            key, start = decode(text, pos)
+                        except json.JSONDecodeError:
+                            break  # the rest of the key may be unread
+                        start = skip(text, start).end()
+                        if start == len(text):
+                            break
+                        if text[start] != ":":
+                            raise ValueError
+                        start = skip(text, start + 1).end()
+                        if start == len(text):
+                            break
+                        streamed = depth < len(spec) and key == spec[depth - 1]
+                    if streamed:
+                        opener = "[" if spec[depth] is None else "{"
+                        if text[start] != opener:
+                            _wrong_kind(path, root, keys + (key,), spec[depth])
+                        top[2], top[3] = n + 1, "next"
+                        stack.append([keys + (key,), "]" if opener == "[" else "}", 0, "first"])
+                        pos = start + 1
+                        yield keys + (key,), _OPEN
+                        continue
+                    try:
+                        value, end = decode(text, start)
+                    except json.JSONDecodeError:
+                        break  # the rest of the value may be unread
+                    if skip(text, end).end() == len(text):
+                        break  # so may more digits of a number
+                    top[2], top[3] = n + 1, "next"
+                    pos = end
+                    yield keys + (key,), value
+        if not done:
+            raise ValueError  # the text ends inside the root
+    except ValueError:  # also JSONDecodeError and UnicodeDecodeError: the text is not JSON
+        _read_json(path)  # raises the fault's located message
+        raise
+
+
+def _wrong_kind(path: str, root: str, keys: tuple, item: str | None) -> None:
+    """Raise the fault of a value at ``keys`` that is not the container
+    ``_scan`` streams there: an array if ``item`` is None, else an object.
+    Text that is not JSON raises its own fault instead."""
+    _read_json(path)
+    where = "" if keys and isinstance(keys[0], str) else root  # a root object's members go by their own names
+    for key in keys:
+        where += f"[{key}]" if isinstance(key, int) else f".{key}" if where else key
+    raise SchemaError(f"{where}: expected a JSON {'array' if item is None else 'object'}")
 
 
 def _expect_object(value: Any, where: str, error: type[Exception] = SchemaError) -> dict:
@@ -496,17 +502,36 @@ def _fit_size(mask: RleMask, size: list, vid: int, where: str) -> None:
         )
 
 
-def _entries_json(t: Track, length: int) -> dict[str, _Sparse]:
-    """A track's per-frame ``segmentations`` and ``bboxes`` arrays, null
-    where the track has no entry."""
+def _track_json(where: str, vid: int, t: Track, length: int, size: list, seen: set[tuple[int, int]]) -> dict:
+    """A track's record in video ``vid``: ``video_id``, ``id``,
+    ``category_id`` and per-frame ``segmentations`` and ``bboxes`` arrays
+    of ``length`` slots, null where the track has no entry. The track is
+    checked by ``_track_from``'s rules, so that its loader takes it: a new
+    (video, track) id (``seen`` holds those written before) and masks of
+    the video's ``size`` (``_fit_size``)."""
+    _new_track(vid, t.track_id, seen, where)
     for f in t.entries:
         if f >= length:
             raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
     entries = sorted(t.entries.items())
+    for f, e in entries:
+        if e.mask is not None:
+            _fit_size(e.mask, size, vid, f"{where}.segmentations[{f}]")
     return {
+        "video_id": vid,
+        "id": t.track_id,
+        "category_id": t.category_id,
         "segmentations": _Sparse((length, [(f, _rle_json(e.mask)) for f, e in entries if e.mask is not None])),
         "bboxes": _Sparse((length, [(f, _bbox_json(e.bbox)) for f, e in entries])),
     }
+
+
+def _new_track(vid: int, tid: int, seen: set[tuple[int, int]], where: str) -> None:
+    """The rule that a file holds one record per (video, track) id; ``seen``
+    holds the ids of the records before it."""
+    if (vid, tid) in seen:
+        raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
+    seen.add((vid, tid))
 
 
 def _track_from(
@@ -533,9 +558,7 @@ def _track_from(
     obj = _expect_object(value, where)
     vid = _get(obj, "video_id", where, ints)
     tid = _get(obj, "id", where, ints)
-    if (vid, tid) in seen:
-        raise SchemaError(f"{where}: duplicate track id {tid} for video {vid}")
-    seen.add((vid, tid))
+    _new_track(vid, tid, seen, where)
     cid = _get(obj, "category_id", where, ints)  # Track's message would not name the field
     if categories is None:
         score = _get(obj, "score", where)
@@ -582,10 +605,16 @@ def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> Non
         for c in g.category_set:
             cat_names.setdefault(c, g.category_names.get(c, f"category_{c}"))
     categories = [{"id": c, "name": cat_names[c]} for c in sorted(cat_names)]
-    annotations = (
-        {"id": t.track_id, "video_id": g.video_id, "category_id": t.category_id, **_entries_json(t, g.length)}
+    sizes = {g.video_id: [g.height, g.width] for g in ground_truth}
+    ordered = (
+        (g, t)
         for g in sorted(ground_truth, key=lambda g: g.video_id)
         for t in sorted(g.gt_tracks, key=lambda t: t.track_id)
+    )
+    seen: set[tuple[int, int]] = set()
+    annotations = (
+        _track_json(f"annotations[{i}]", g.video_id, t, g.length, sizes[g.video_id], seen)
+        for i, (g, t) in enumerate(ordered)
     )
     _write({"videos": videos, "annotations": annotations, "categories": categories}, path)
 
@@ -709,12 +738,18 @@ def _frames_json(
         fwhere = f"{where}.frames[{j}]"
         last = _frame_order(fr.frame_index, last, fwhere)
         for k, d in enumerate(fr.detections):
-            dwhere = f"{fwhere}.detections[{k}]"
-            _embedding_length(d.embedding, dim, dwhere)
-            if d.mask is not None:
-                _fit_size(d.mask, size, vid, f"{dwhere}.segmentation")
+            _embedding_length(d.embedding, dim, f"{fwhere}.detections[{k}]")
         yield {"frame_index": fr.frame_index, "detections": [_detection_json(d) for d in fr.detections]}
+    _fit_masks(frames, size, vid, where)
     _video_length(length, where, last)
+
+
+def _fit_masks(frames: Sequence[FrameDetections], size: list, vid: int, where: str) -> None:
+    """``_fit_size`` over the masks of video ``vid``'s frames, in order."""
+    for j, fr in enumerate(frames):
+        for k, d in enumerate(fr.detections):
+            if d.mask is not None:
+                _fit_size(d.mask, size, vid, f"{where}.frames[{j}].detections[{k}].segmentation")
 
 
 def load_detections(path: str) -> DetectionsFile:
@@ -724,104 +759,68 @@ def load_detections(path: str) -> DetectionsFile:
     return DetectionsFile(embedding_dim=dim, videos=videos, metas=metas)
 
 
+# The containers of a detections file that ``_scan`` streams: the root,
+# its ``videos``, each video and its ``frames``.
+_DETECTIONS = ("videos", None, "frames", None)
+
+
 def read_detections(
     path: str, each: Callable[[list[FrameDetections], VideoMeta], Any]
 ) -> tuple[int, dict[int, VideoMeta], dict[int, Any]]:
     """The embedding width of the detections file at ``path``, and per
     video id in file order its geometry and ``each(frames, meta)``.
 
-    Frames are decoded and checked one at a time (``_scan``). A video goes
-    to ``each`` once its JSON object closes and the whole of it has been
-    checked, and its frames are dropped when ``each`` returns, so memory
-    follows one video and what ``each`` returns, not the file.
+    The file is read one value at a time (``_scan``), and each frame is
+    checked as it is read. In a sorted-key file a video's ``video_id`` and
+    declared sides follow its frames, so once its JSON object closes the
+    video's ``video_id``, a new id, its declared sides, the size rule over
+    its masks (``_fit_size``) and its length are checked, in that order.
+    The video then goes to ``each``, and its frames are dropped when
+    ``each`` returns, so memory follows one video and what ``each``
+    returns, not the file.
 
-    The stream reports no error itself. On a fault, on a layout it cannot
-    stream (``videos`` before ``embedding_dim``, a repeated key, of which
-    a whole-file parse keeps the last value) or on an error of ``each``,
-    the file is parsed and checked whole (``_parse_detections``), which
-    raises that parse's error, and ``each`` runs over the videos of that
-    parse. So the errors and their order are those of a whole-file parse
-    followed by ``each`` on each video."""
-    try:
-        return _stream_detections(path, each)
-    except (ValueError, ToolkitError):  # ValueError covers JSONDecodeError and UnicodeDecodeError
-        pass
-    whole = _parse_detections(path)
-    return whole.embedding_dim, whole.metas, {vid: each(fr, whole.metas[vid]) for vid, fr in whole.videos.items()}
-
-
-# The containers of a detections file that ``_scan`` streams: the root,
-# its ``videos``, each video and its ``frames``.
-_DETECTIONS = ("videos", None, "frames", None)
-
-
-def _stream_detections(path: str, each: Callable) -> tuple[int, dict[int, VideoMeta], dict[int, Any]]:
-    """``read_detections`` on the stream; ValueError or a ToolkitError
-    wherever a whole-file parse could read the file otherwise. In a
-    sorted-key file a video's ``video_id`` and declared sides follow its
-    frames, so its masks are checked against its first mask's size and
-    the declared sides against that size once the video closes."""
+    The first fault in file order is raised, and an error of ``each``
+    propagates at once. A key repeated in the root or in a video is a
+    fault, and so is ``videos`` before ``embedding_dim``: a video handed
+    on cannot take a value that comes after it."""
     dim = 0
     root: dict[str, Any] = {}  # the root's members so far
     metas: dict[int, VideoMeta] = {}
     values: dict[int, Any] = {}
-    for keys, value in _scan(path, _DETECTIONS):
+    for keys, value in _scan(path, _DETECTIONS, "detections"):
         depth = len(keys)
         if depth == 4:  # ("videos", i, "frames", j): a frame
-            # (no message of this path is shown, so the video id can wait)
-            frame = _frame_from(value, f"videos[{keys[1]}].frames[{keys[3]}]", dim, size, None, last)
+            frame = _frame_from(value, f"videos[{keys[1]}].frames[{keys[3]}]", dim, last)
             frames.append(frame)
             last = frame.frame_index
         elif depth == 2 and value is _OPEN:  # ("videos", i): a video
             members: dict[str, Any] = {}
             frames: list[FrameDetections] = []
-            size, last = [None, None], -1
+            last = -1
         elif depth == 2:  # the end of video i: check its members, then hand it on
             where = f"videos[{keys[1]}]"
             vid = _get(members, "video_id", where, ints)
+            if vid in values:
+                raise SchemaError(f"{where}: duplicate video_id {vid}")
             height, width = (_positive_int(members, key, where) for key in ("height", "width"))
-            if vid in values or "frames" not in members:
-                raise ValueError
-            if any(side is not None and found not in (None, side) for side, found in zip((height, width), size)):
-                raise ValueError
+            _get(members, "frames", where)
+            _fit_masks(frames, [height, width], vid, where)
             length = _video_length(_positive_int(members, "length", where), where, last)
             meta = VideoMeta(length=length, height=height, width=width)
             values[vid], metas[vid] = each(frames, meta), meta
             frames = []
         elif depth in (1, 3) and value is not _CLOSE:  # a member of the root or of a video
-            obj = root if depth == 1 else members
-            if keys[-1] in obj or (keys == ("videos",) and not dim):
-                raise ValueError  # a repeated key, or videos before their embedding width
+            obj, where = (root, "detections") if depth == 1 else (members, f"videos[{keys[1]}]")
+            if keys[-1] in obj:
+                raise SchemaError(f"{where}: repeated key '{keys[-1]}'")
+            if keys == ("videos",) and not dim:
+                raise SchemaError("detections: embedding_dim must come before videos")
             obj[keys[-1]] = value
             if keys == ("embedding_dim",):
                 dim = _embedding_dim(value)
-    if "videos" not in root:
-        raise ValueError
+    _get(root, "embedding_dim", "detections")
+    _get(root, "videos", "detections")
     return dim, metas, values
-
-
-def _parse_detections(path: str) -> DetectionsFile:
-    """The detections file at ``path`` parsed whole, then checked in file
-    order: ``read_detections``' errors."""
-    root = _expect_object(_read_json(path), "detections")
-    out = DetectionsFile(embedding_dim=_embedding_dim(_get(root, "embedding_dim", "detections")))
-    for i, v in enumerate(_expect_list(_get(root, "videos", "detections"), "videos")):
-        where = f"videos[{i}]"
-        obj = _expect_object(v, where)
-        vid = _get(obj, "video_id", where, ints)
-        if vid in out.videos:
-            raise SchemaError(f"{where}: duplicate video_id {vid}")
-        height, width = (_positive_int(obj, key, where) for key in ("height", "width"))
-        size = [height, width]
-        frames: list[FrameDetections] = []
-        last = -1
-        for j, fr in enumerate(_expect_list(_get(obj, "frames", where), f"{where}.frames")):
-            frames.append(_frame_from(fr, f"{where}.frames[{j}]", out.embedding_dim, size, vid, last))
-            last = frames[-1].frame_index
-        out.videos[vid] = frames
-        length = _video_length(_positive_int(obj, "length", where), where, last)
-        out.metas[vid] = VideoMeta(length=length, height=height, width=width)
-    return out
 
 
 def _embedding_dim(value: Any) -> int:
@@ -859,12 +858,12 @@ def _frame_order(frame_index: int, last: int, where: str) -> int:
     return frame_index
 
 
-def _frame_from(value: Any, where: str, dim: int, size: list, vid: int | None, last: int) -> FrameDetections:
+def _frame_from(value: Any, where: str, dim: int, last: int) -> FrameDetections:
     """One frame of a video whose frames so far end at ``last``."""
     obj = _expect_object(value, where)
     fidx = _get(obj, "frame_index", where)
     dets = [
-        _detection_from(d, f"{where}.detections[{k}]", dim, size, vid)
+        _detection_from(d, f"{where}.detections[{k}]", dim)
         for k, d in enumerate(_expect_list(_get(obj, "detections", where), f"{where}.detections"))
     ]
     frame = _build(FrameDetections, where, frame_index=fidx, detections=dets)
@@ -880,7 +879,7 @@ def _embedding_length(emb: Sequence, dim: int, where: str) -> None:
         )
 
 
-def _detection_from(value: Any, where: str, dim: int, size: list, vid: int | None) -> Detection:
+def _detection_from(value: Any, where: str, dim: int) -> Detection:
     obj = _expect_object(value, where)
     bbox = _bbox_from(_get(obj, "bbox", where), where)
     score = _get(obj, "score", where)
@@ -889,10 +888,7 @@ def _detection_from(value: Any, where: str, dim: int, size: list, vid: int | Non
     emb = _expect_list(_get(obj, "embedding", where), f"{where}.embedding")
     _embedding_length(emb, dim, where)
     seg = obj.get("segmentation")
-    mask = None
-    if seg is not None:
-        mask = _rle_from(seg, f"{where}.segmentation")
-        _fit_size(mask, size, vid, f"{where}.segmentation")
+    mask = None if seg is None else _rle_from(seg, f"{where}.segmentation")
     return _build(
         Detection, where, bbox=bbox, score=score, category_id=cid, class_probs=probs, embedding=emb, mask=mask
     )
@@ -907,28 +903,26 @@ def save_results(
     path: str,
     video_lengths: Mapping[int, int],
 ) -> None:
-    """One record per track, sorted by (video, descending score, id)."""
+    """One record per track, sorted by (video, descending score, id). The
+    tracks are checked by the loader's rules as they are written
+    (``_track_json``); a refusal raises SchemaError and leaves no file."""
     for vid in sorted(tracks):
         if vid not in video_lengths:
             raise SchemaError(f"no video length provided for video {vid}")
+    sizes = {vid: [None, None] for vid in tracks}
+    ordered = ((vid, t) for vid in sorted(tracks) for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id)))
+    seen: set[tuple[int, int]] = set()
     records = (
-        {
-            "video_id": vid,
-            "id": t.track_id,
-            "category_id": t.category_id,
-            "score": _q(t.score),
-            **_entries_json(t, video_lengths[vid]),
-        }
-        for vid in sorted(tracks)
-        for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id))
+        {"score": _q(t.score), **_track_json(f"results[{i}]", vid, t, video_lengths[vid], sizes[vid], seen)}
+        for i, (vid, t) in enumerate(ordered)
     )
     _write(records, path)
 
 
 def load_results(path: str, videos: dict[int, tuple[int, list]] | None = None) -> dict[int, list[Track]]:
-    """Tracks grouped per video, in file order. The records are read and
-    converted one at a time; the errors are those of a whole-file parse
-    followed by the conversion, and each starts with ``path``.
+    """Tracks grouped per video, in file order. The records are read one
+    at a time (``_scan``) and converted as they are read; the first fault
+    in file order is raised, and its message starts with ``path``.
     ``videos`` (``_track_from``) holds the lengths and sizes known before
     the file, from the ground truth or earlier inputs: each record must
     agree with it, and the file's own videos are added to it, the size
@@ -937,13 +931,11 @@ def load_results(path: str, videos: dict[int, tuple[int, list]] | None = None) -
     tracks: dict[int, list[Track]] = {}
     videos = {} if videos is None else videos
     seen: set[tuple[int, int]] = set()
-    try:
-        for i, r in enumerate(_array_items(path, "results")):
-            vid, track = _track_from(r, f"results[{i}]", videos, seen)
+    where = f"{path}: results"
+    for keys, value in _scan(path, (None,), where):
+        if len(keys) == 1:
+            vid, track = _track_from(value, f"{where}[{keys[0]}]", videos, seen)
             tracks.setdefault(vid, []).append(track)
-    except SchemaError as e:
-        _read_json(path)  # malformed JSON reports that first, as a whole-file parse did, and names the path
-        raise SchemaError(f"{path}: {e}") from e
     return tracks
 
 

@@ -558,6 +558,72 @@ def test_save_detections_writes_only_files_that_load(tmp_path, videos, embedding
     assert list(tmp_path.iterdir()) == []
 
 
+_FULL_EIGHT = rle_encode(np.ones((8, 8), dtype=bool))
+
+
+def _track(tid, *masks, score=0.5):
+    """A track with one entry per mask, at frames 0, 1, ..."""
+    entries = {f: TrackEntry(bbox_of_mask(m), m) for f, m in enumerate(masks)}
+    return Track(track_id=tid, category_id=1, score=score, entries=entries)
+
+
+def _write_unchecked(monkeypatch, save, *args):
+    """``save(*args)`` with the size and duplicate-id rules switched off,
+    which writes the file the checked writer refuses."""
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_fit_size", lambda *a: None)
+        m.setattr(formats, "_new_track", lambda *a: None)
+        save(*args)
+
+
+_TRACK_FAULTS = {
+    "two-mask-sizes": (
+        [_track(1, tiny_mask()), _track(2, _FULL_EIGHT, score=0.25)],
+        "[1].segmentations[0]: mask size [8, 8] differs from [4, 4], the size of video 1",
+    ),
+    "two-mask-sizes-in-a-track": (
+        [_track(1, tiny_mask(), _FULL_EIGHT)],
+        "[0].segmentations[1]: mask size [8, 8] differs from [4, 4], the size of video 1",
+    ),
+    "duplicate-track-id": ([_track(1, tiny_mask()), _track(1, tiny_mask())], "[1]: duplicate track id 1 for video 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRACK_FAULTS))
+def test_save_results_writes_only_files_that_load(tmp_path, monkeypatch, name):
+    """Tracks that load_results would reject are refused, with the
+    loader's message, while they are written, and no file is left."""
+    tracks, message = _TRACK_FAULTS[name]
+    p = tmp_path / "res.json"
+    with pytest.raises(SchemaError) as e:
+        save_results({1: tracks}, str(p), video_lengths={1: 2})
+    assert str(e.value) == f"results{message}"
+    assert list(tmp_path.iterdir()) == []
+    _write_unchecked(monkeypatch, save_results, {1: tracks}, str(p), {1: 2})
+    with pytest.raises(SchemaError) as e:
+        load_results(str(p))
+    assert str(e.value) == f"{p}: results{message}"
+
+
+@pytest.mark.parametrize("name", [*_TRACK_FAULTS, "mask-size-not-declared"])
+def test_save_annotations_writes_only_files_that_load(tmp_path, monkeypatch, name):
+    """As for results, with the video's declared size the size rule's
+    start: an 8x8 mask in a 4x4 video is refused too."""
+    tracks, message = _TRACK_FAULTS.get(
+        name, ([_track(1, _FULL_EIGHT)], "[0].segmentations[0]: mask size [8, 8] differs from [4, 4], the size of video 1")
+    )
+    gt = [VideoGroundTruth(video_id=1, height=4, width=4, length=2, gt_tracks=tracks, category_set=[1])]
+    p = tmp_path / "ann.json"
+    with pytest.raises(SchemaError) as e:
+        save_annotations(gt, str(p))
+    assert str(e.value) == f"annotations{message}"
+    assert list(tmp_path.iterdir()) == []
+    _write_unchecked(monkeypatch, save_annotations, gt, str(p))
+    with pytest.raises(SchemaError) as e:
+        load_annotations(str(p))
+    assert str(e.value) == f"annotations{message}"
+
+
 def test_write_through_a_symlink_keeps_the_link(tmp_path):
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     target.write_text("old\n")

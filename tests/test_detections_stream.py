@@ -1,7 +1,6 @@
-"""The detections reader one frame at a time: the same file as a
-whole-file parse at every window size, memory that follows one video,
-and the whole-file errors through ``track`` for every layout the stream
-hands back to that parse."""
+"""The detections reader one frame at a time: the file as written at
+every window size, memory that follows one video, and the first fault in
+file order through ``track``."""
 
 import json
 import os
@@ -12,25 +11,41 @@ import pytest
 
 from vistrack import SchemaError, formats
 from vistrack.cli import entrypoint
-from vistrack.core import VideoMeta
+from vistrack.core import BBox, Detection, FrameDetections, VideoMeta
 from vistrack.errors import ToolkitError
-from vistrack.formats import load_detections, read_detections, save_detections
+from vistrack.formats import DetectionsFile, load_detections, read_detections, save_detections
 from vistrack.synth import SynthConfig, generate_videos
 
 WINDOWS = [1, 2, 3, 7, 64, 4096]
 
 
-def no_whole_file_parse(path):
-    raise AssertionError(f"{path} was parsed whole")
+def q(x):
+    """A float as written: rounded to 6 significant digits."""
+    return float(f"{x:.6g}")
+
+
+def as_written(d):
+    b = d.bbox
+    return Detection(
+        bbox=BBox(q(b.x), q(b.y), q(b.w), q(b.h)),
+        score=q(d.score),
+        category_id=d.category_id,
+        class_probs=tuple(map(q, d.class_probs)),
+        embedding=tuple(map(q, d.embedding)),
+        mask=d.mask,
+    )
 
 
 # ---------------------------------------------------------------------------
-# the same file at every window size
+# the file as written, at every window size
 
 
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
-    """Four videos with clutter, one of them without declared geometry."""
+    """Four videos with clutter, one of them without declared geometry,
+    and the file they make by definition: the generated frames with every
+    float rounded to 6 significant digits, and the undeclared video one
+    frame longer than its last frame."""
     p = tmp_path_factory.mktemp("det") / "detections.json"
     cfg = SynthConfig(n_videos=4, frames_per_video=12, objects_per_video=3, clutter_rate=1.0, rng_seed=5)
     videos = [
@@ -38,16 +53,20 @@ def corpus_file(tmp_path_factory):
         for g, frames, _ in generate_videos(cfg)
     ]
     save_detections(videos, str(p), embedding_dim=cfg.embedding_dim)
-    return p, formats._parse_detections(str(p))
+    expected = DetectionsFile(embedding_dim=cfg.embedding_dim)
+    for vid, frames, meta in videos:
+        expected.videos[vid] = [FrameDetections(fr.frame_index, list(map(as_written, fr.detections))) for fr in frames]
+        expected.metas[vid] = meta or VideoMeta(length=frames[-1].frame_index + 1)
+    return p, expected
 
 
 @pytest.mark.parametrize("window", WINDOWS + [None])
 def test_detections_load_the_same_at_every_window(corpus_file, window):
     path, expected = corpus_file
     assert len(expected.videos) == 4 and expected.metas[2] == VideoMeta(length=12)
+    assert sum(d.mask is not None for frames in expected.videos.values() for fr in frames for d in fr.detections) > 50
     with mock.patch.object(formats, "_READ_WINDOW", window or formats._READ_WINDOW):
-        with mock.patch.object(formats, "_parse_detections", no_whole_file_parse):
-            assert load_detections(str(path)) == expected
+        assert load_detections(str(path)) == expected
 
 
 def test_any_key_order_streams(tmp_path, corpus_file):
@@ -59,8 +78,7 @@ def test_any_key_order_streams(tmp_path, corpus_file):
     p = tmp_path / "det.json"
     p.write_text(json.dumps(doc))
     assert list(doc["videos"][0]) == ["width", "video_id", "length", "height", "frames"]
-    with mock.patch.object(formats, "_parse_detections", no_whole_file_parse):
-        assert load_detections(str(p)) == expected
+    assert load_detections(str(p)) == expected
 
 
 def test_read_detections_hands_on_each_video_once_it_closes(corpus_file):
@@ -98,7 +116,7 @@ def test_read_detections_memory_follows_a_video(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# layouts the stream hands to the whole-file parse
+# faults, the first in file order
 
 DET = {
     "bbox": [0, 0, 1, 1],
@@ -121,16 +139,11 @@ def text(obj):
 GOOD = text(video(1))
 FRAMES = text(video(1)["frames"])
 OUT_OF_ORDER = text(video(1)["frames"][::-1])
+FRAME_0, FRAME_1 = (text(video(2)["frames"][f : f + 1]) for f in (0, 1))
 
-# Each file breaks an invariant where the stream cannot check it, or in a
-# layout it cannot stream; the message is the one the whole-file loader
-# gave before the stream existed.
-FALLBACKS = {
-    "videos-before-embedding-dim": (
-        json.dumps({"videos": [video(1)], "embedding_dim": 3}),
-        "videos[0].frames[0].detections[0].embedding: length 2 violates the declared embedding_dim 3 "
-        "(dimension must be constant per file)",
-    ),
+# Each file exits 2 with its first fault in file order; "{path}" stands
+# for the file's path.
+FAULTS = {
     "height-after-frames": (
         text({"embedding_dim": 2, "videos": [video(1), video(2, height=8)]}),
         "videos[1].frames[0].detections[0].segmentation: mask size [4, 4] differs from [8, 4], the size of video 2",
@@ -138,15 +151,6 @@ FALLBACKS = {
     "length-after-frames": (
         text({"embedding_dim": 2, "videos": [video(1), video(2, length=1)]}),
         "videos[1]: frame_index 1 outside declared length 1",
-    ),
-    "repeated-frames": (
-        f'{{"embedding_dim": 2, "videos": [{{"frames": {FRAMES}, "video_id": 1, "frames": {OUT_OF_ORDER}}}]}}',
-        "videos[0].frames[1]: frame_index must be strictly increasing within a video",
-    ),
-    "repeated-embedding-dim": (
-        f'{{"embedding_dim": 2, "videos": [{GOOD}], "embedding_dim": 3}}',
-        "videos[0].frames[0].detections[0].embedding: length 2 violates the declared embedding_dim 3 "
-        "(dimension must be constant per file)",
     ),
     "duplicate-video-id": (
         text({"embedding_dim": 2, "videos": [video(1), video(2), video(1)]}),
@@ -156,78 +160,118 @@ FALLBACKS = {
         f'{{"embedding_dim": 2, "videos": [{GOOD}, {{"video_id": 2, "frames": [}}]}}',
         "{path}: line 1 column 467: Expecting value",
     ),
+    "videos-before-embedding-dim": (
+        f'{{"videos": [{GOOD}, {text(video(2))}], "embedding_dim": 2}}',
+        "detections: embedding_dim must come before videos",
+    ),
+    "no-embedding-dim": (text({"videos": [video(1)]}), "detections: embedding_dim must come before videos"),
+    "no-videos": (text({"embedding_dim": 2}), "detections: missing required field 'videos'"),
+    "no-frames": (text({"embedding_dim": 2, "videos": [{"video_id": 1}]}), "videos[0]: missing required field 'frames'"),
+    "repeated-embedding-dim": (
+        f'{{"embedding_dim": 2, "embedding_dim": 3, "videos": [{GOOD}]}}',
+        "detections: repeated key 'embedding_dim'",
+    ),
+    "repeated-embedding-dim-after-videos": (
+        f'{{"embedding_dim": 2, "videos": [{GOOD}], "embedding_dim": 3}}',
+        "detections: repeated key 'embedding_dim'",
+    ),
+    "repeated-videos": (
+        f'{{"embedding_dim": 2, "videos": [{text(video(3))}], "videos": [{GOOD}, {text(video(2))}]}}',
+        "detections: repeated key 'videos'",
+    ),
+    "repeated-frames": (
+        f'{{"embedding_dim": 2, "videos": [{{"frames": {FRAMES}, "video_id": 1, "frames": {FRAMES}}}]}}',
+        "videos[0]: repeated key 'frames'",
+    ),
+    "repeated-frames-that-continue": (
+        f'{{"embedding_dim": 2, "videos": [{GOOD}, {{"frames": {FRAME_0}, "video_id": 2, "frames": {FRAME_1}}}]}}',
+        "videos[1]: repeated key 'frames'",
+    ),
+    "repeated-video-id": (
+        f'{{"embedding_dim": 2, "videos": [{{"video_id": 1, "frames": {FRAMES}, "video_id": 2}}]}}',
+        "videos[0]: repeated key 'video_id'",
+    ),
+    "out-of-order-frames-then-repeated": (
+        f'{{"embedding_dim": 2, "videos": [{{"frames": {OUT_OF_ORDER}, "video_id": 1, "frames": {FRAMES}}}]}}',
+        "videos[0].frames[1]: frame_index must be strictly increasing within a video",
+    ),
+    "embedding-then-bad-json": (
+        f'{{"embedding_dim": 3, "videos": [{GOOD}, x]}}',
+        "videos[0].frames[0].detections[0].embedding: length 2 violates the declared embedding_dim 3 "
+        "(dimension must be constant per file)",
+    ),
+    "root-array": (text([video(1)]), "detections: expected a JSON object"),
+    "videos-object": (text({"embedding_dim": 2, "videos": {"1": video(1)}}), "videos: expected a JSON array"),
+    "video-number": (text({"embedding_dim": 2, "videos": [video(1), 5]}), "videos[1]: expected a JSON object"),
+    "frames-object": (
+        text({"embedding_dim": 2, "videos": [{"video_id": 1, "frames": {}}]}),
+        "videos[0].frames: expected a JSON array",
+    ),
+    "frames-object-then-bad-json": (
+        '{"embedding_dim": 2, "videos": [{"video_id": 1, "frames": {}}, x]}',
+        "{path}: line 1 column 64: Expecting value",
+    ),
 }
 
 
 @pytest.mark.parametrize("window", [1, None], ids=["window-1", "default-window"])
-@pytest.mark.parametrize("name", list(FALLBACKS))
-def test_a_fault_the_stream_cannot_check_gives_the_whole_file_error(tmp_path, capsys, name, window):
-    data, message = FALLBACKS[name]
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_a_fault_exits_2_with_its_message(tmp_path, capsys, name, window):
+    data, message = FAULTS[name]
     det, out = tmp_path / "det.json", tmp_path / "res.json"
     det.write_text(data)
     message = message.format(path=det)
-    with pytest.raises(SchemaError) as e:
-        formats._parse_detections(str(det))
-    assert str(e.value) == message
     with mock.patch.object(formats, "_READ_WINDOW", window or formats._READ_WINDOW):
         assert entrypoint(["track", "--detections", str(det), "--out", str(out)]) == 2
+        with pytest.raises(SchemaError) as e:
+            load_detections(str(det))
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert str(e.value) == message
     assert not out.exists()
 
 
-PLAIN = text({"embedding_dim": 2, "videos": [video(1), video(2)]})
-FRAME_0, FRAME_1 = (text(video(2)["frames"][f : f + 1]) for f in (0, 1))
+def test_a_fault_in_video_3_is_found_without_a_whole_file_parse(tmp_path, capsys):
+    """With ``_read_json`` made to fail, a bad frame in the last of three
+    videos still exits 2 with its own message."""
+    bad = video(3)
+    bad["frames"][1] = {"frame_index": 1, "detections": [{**DET, "score": 2.0, "class_probs": [2.0]}]}
+    det, out = tmp_path / "det.json", tmp_path / "res.json"
+    det.write_text(text({"embedding_dim": 2, "videos": [video(1), video(2), bad]}))
 
-# (file, the file a whole-file parse reads it as)
-WHOLE_FILE_LAYOUTS = {
-    "repeated-videos": (
-        f'{{"embedding_dim": 2, "videos": [{text(video(3))}], "videos": [{GOOD}, {text(video(2))}]}}',
-        PLAIN,
-    ),
-    "repeated-frames": (
-        f'{{"embedding_dim": 2, "videos": [{{"frames": {OUT_OF_ORDER}, "video_id": 1, "frames": {FRAMES}}}, '
-        f'{text(video(2))}]}}',
-        PLAIN,
-    ),
-    "repeated-frames-that-continue": (
-        f'{{"embedding_dim": 2, "videos": [{GOOD}, {{"frames": {FRAME_0}, "video_id": 2, "frames": {FRAME_1}}}]}}',
-        f'{{"embedding_dim": 2, "videos": [{GOOD}, {{"frames": {FRAME_1}, "video_id": 2}}]}}',
-    ),
-    "videos-before-embedding-dim": (f'{{"videos": [{GOOD}, {text(video(2))}], "embedding_dim": 2}}', PLAIN),
-}
+    def no_whole_file_parse(path):
+        raise AssertionError(f"{path} was parsed whole")
+
+    with mock.patch.object(formats, "_read_json", no_whole_file_parse):
+        assert entrypoint(["track", "--detections", str(det), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: videos[2].frames[1].detections[0]: class probabilities must sum to at most 1\n"
+    )
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("name", list(WHOLE_FILE_LAYOUTS))
-def test_a_layout_the_stream_cannot_take_is_read_as_a_whole_file(tmp_path, name):
-    """A repeated key keeps its last value, as in a whole-file parse, even
-    after the stream has handed on videos of an earlier one; ``track``
-    writes what it writes for the file without the earlier values."""
-    det, plain = tmp_path / "det.json", tmp_path / "plain.json"
-    for p, data in zip((det, plain), WHOLE_FILE_LAYOUTS[name]):
-        p.write_text(data)
-    assert load_detections(str(det)) == load_detections(str(plain))
-    for p in (det, plain):
-        assert entrypoint(["track", "--detections", str(p), "--out", str(p.with_suffix(".out"))]) == 0
-    assert det.with_suffix(".out").read_bytes() == plain.with_suffix(".out").read_bytes()
-
-
-def test_a_fault_in_the_file_comes_before_an_error_of_each(tmp_path):
-    """As when the file was parsed before any video was tracked: a fault
-    in video 2 wins over an error ``each`` raises on video 1, which
-    comes only from a file without faults."""
+def test_the_first_error_in_file_order_wins(tmp_path):
+    """An error of ``each`` on video 1 propagates before a fault in video
+    2 is read, and a fault in video 2's frames comes before ``each`` sees
+    video 2."""
     bad = dict(video(2))
     bad["frames"] = [{"frame_index": 0, "detections": [{**DET, "embedding": [1.0]}]}]
     p = tmp_path / "det.json"
+    p.write_text(text({"embedding_dim": 2, "videos": [video(1), bad]}))
+    seen = []
 
     def each(frames, meta):
-        raise ToolkitError("each failed")
+        seen.append(len(frames))
+        if len(seen) == fails_at:
+            raise ToolkitError("each failed")
 
-    p.write_text(text({"embedding_dim": 2, "videos": [video(1), bad]}))
-    with pytest.raises(SchemaError, match=r"^videos\[1\]\.frames\[0\]\.detections\[0\]\.embedding: length 1 "):
-        read_detections(str(p), each)
-    p.write_text(text({"embedding_dim": 2, "videos": [video(1), video(2)]}))
+    fails_at = 1
     with pytest.raises(ToolkitError, match="^each failed$"):
         read_detections(str(p), each)
+    assert seen == [2]
+    fails_at, seen = 2, []
+    with pytest.raises(SchemaError, match=r"^videos\[1\]\.frames\[0\]\.detections\[0\]\.embedding: length 1 "):
+        read_detections(str(p), each)
+    assert seen == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The results format at the cost of its entries: the writer's sparse
 per-frame arrays against the dense list, and the record-at-a-time reader
-against a whole-file parse (results, error messages, memory)."""
+(the same tracks at every window size, the first fault in file order,
+memory)."""
 
 import json
-import re
 import tracemalloc
 from unittest import mock
 
@@ -161,36 +161,25 @@ def test_round_trip_loads_the_same_at_every_window(tmp_path_factory, results):
     assert again.read_text() == text
 
 
-def test_a_text_the_window_cannot_take_yields_the_whole_file_parse(tmp_path):
-    """With whitespace unknown to the window, the items after the first
-    come from a whole-file parse, so the result is the same."""
-    record = {"video_id": 1, "id": 1, "category_id": 1, "score": 0.5, "segmentations": [None], "bboxes": [[0, 0, 1, 1]]}
-    p = tmp_path / "res.json"
-    p.write_text(json.dumps([record, {**record, "id": 2}, {**record, "id": 3}]))  # ", " between items
-    expected = loaded(p)
-    with mock.patch.object(formats, "WHITESPACE", re.compile("")):
-        assert loaded(p) == expected
-    assert [t.track_id for t in expected[0][1]] == [1, 2, 3]
-
-
 # ---------------------------------------------------------------------------
-# the reader: the errors of a whole-file parse
+# the reader: the first fault in file order
 
 GOOD = json.dumps(
     {"video_id": 1, "id": 1, "category_id": 1, "score": 0.5, "segmentations": [None, None], "bboxes": [[0, 0, 1, 1], None]}
 )
 
-# The messages load_results gave when it parsed the whole file first,
-# recorded from that version, with the file's path now in front of the
-# conversion errors too; "{path}" stands for the file's path.
+# Each file's first fault in file order: text that is not JSON gives the
+# located message of a parse of the text, a record its own fault; "{path}"
+# stands for the file's path.
 MALFORMED = {
     "empty": (b"", "{path}: line 1 column 1: Expecting value"),
     "blank": (b"  ", "{path}: line 1 column 3: Expecting value"),
     "object": (b"{}", "{path}: results: expected a JSON array"),
+    "truncated-object": (b'{"a": 1', "{path}: line 1 column 8: Expecting ',' delimiter"),
     "open": (b"[", "{path}: line 1 column 2: Expecting value"),
     "close": (b"]", "{path}: line 1 column 1: Expecting value"),
-    "trailing-comma": (b"[1,]", "{path}: line 1 column 4: Expecting value"),
-    "missing-comma": (b"[1 2]", "{path}: line 1 column 4: Expecting ',' delimiter"),
+    "trailing-comma": (b"[1,]", "{path}: results[0]: expected a JSON object"),
+    "missing-comma": (b"[1 2]", "{path}: results[0]: expected a JSON object"),
     "bom": (b"\xef\xbb\xbf[]", "{path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "text-after": (b"[] x", "{path}: line 1 column 4: Extra data"),
     "text-after-record": (f"[{GOOD}] x".encode(), "{path}: line 1 column 123: Extra data"),
@@ -200,8 +189,8 @@ MALFORMED = {
         f'[{GOOD}, "\xff"]'.encode("latin-1"),
         "{path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 123: invalid start byte",
     ),
-    "schema-then-malformed": (b'[{"video_id": 1}, 1 2]', "{path}: line 1 column 21: Expecting ',' delimiter"),
-    "schema-then-truncated": (f'[{{"id": 1}}, {GOOD[:20]}'.encode(), "{path}: line 1 column 33: Expecting ':' delimiter"),
+    "schema-then-malformed": (b'[{"video_id": 1}, 1 2]', "{path}: results[0]: missing required field 'id'"),
+    "schema-then-truncated": (f'[{{"id": 1}}, {GOOD[:20]}'.encode(), "{path}: results[0]: missing required field 'video_id'"),
     "number-record": (b"[1]", "{path}: results[0]: expected a JSON object"),
     "nan-record": (b"[NaN]", "{path}: results[0]: expected a JSON object"),
 }
@@ -209,7 +198,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("window", [1, 3, None], ids=["window-1", "window-3", "default-window"])
 @pytest.mark.parametrize("name", list(MALFORMED))
-def test_malformed_results_give_the_whole_file_message(tmp_path, name, window):
+def test_malformed_results_give_the_first_fault_in_file_order(tmp_path, name, window):
     data, message = MALFORMED[name]
     p = tmp_path / "res.json"
     p.write_bytes(data)
@@ -217,6 +206,20 @@ def test_malformed_results_give_the_whole_file_message(tmp_path, name, window):
         with pytest.raises(SchemaError) as e:
             load_results(str(p))
     assert str(e.value) == message.format(path=p)
+
+
+def test_a_record_fault_is_found_without_a_whole_file_parse(tmp_path):
+    p = tmp_path / "res.json"
+    record = json.loads(GOOD)
+    p.write_text(json.dumps([record, {**record, "id": 2}, {**record, "id": 3, "score": 2.0}]))
+
+    def no_whole_file_parse(path):
+        raise AssertionError(f"{path} was parsed whole")
+
+    with mock.patch.object(formats, "_read_json", no_whole_file_parse):
+        with pytest.raises(SchemaError) as e:
+            load_results(str(p))
+    assert str(e.value) == f"{p}: results[2]: track score must lie in [0, 1]"
 
 
 # ---------------------------------------------------------------------------
