@@ -25,20 +25,22 @@ slots, so a record costs what its entries cost, not its video's length.
 The text goes to a sibling file that replaces the path only once it is
 complete, so a write that fails leaves the path as it was.
 
-Results and detections files are read one value at a time from a
-window of their text (``_scan``): ``load_results`` one record at a
-time, holding the tracks it has built and the text of one record, and
+Results and detections files are read in order from a window of their
+text by one pull reader (``_Reader``), whose callers' loops follow the
+file's nesting: ``load_results`` reads one record at a time, holding
+the tracks it has built and the text of one record, and
 ``read_detections`` one frame at a time, handing each video on once its
-object closes, so ``track`` holds one video's detections. ``_scan`` is
-their only reader, and they raise the first fault in file order. Text
-that is not JSON raises ``_read_json``'s message with its line and
-column, a parse that only names the syntax fault. A key repeated in the
-root or in a video of a detections file is a fault, as is ``videos``
-before ``embedding_dim``. The other loaders parse their whole file
-first. The writers check what they write by the loaders' rules, so a
-refusal raises SchemaError and leaves no file. The detections writer
-takes its videos one at a time too, so ``synth`` writes each video as
-it is generated.
+object closes, so ``track`` holds one video's detections. They raise
+the first fault in file order. Text that is not JSON raises
+``_read_json``'s message with its line and column, a parse that only
+names the syntax fault. A key repeated in the root or in a video of a
+detections file is a fault, as is ``videos`` before ``embedding_dim``.
+The other loaders parse their whole file first. Every loader turns an
+integer longer than ``int`` takes, and nesting deeper than the decoder
+goes, into SchemaError too. The writers check what they write by the
+loaders' rules, so a refusal raises SchemaError and leaves no file. The
+detections writer takes its videos one at a time too, so ``synth``
+writes each video as it is generated.
 
 Loaders accept and ignore unknown object keys, but reject values that
 violate a documented invariant with an error naming it; malformed JSON
@@ -73,13 +75,14 @@ import importlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from operator import is_not, or_
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .core import (
     _INT,
@@ -295,6 +298,10 @@ def _stream(obj: Any, fh) -> None:
 
 
 def _read_json(path: str) -> Any:
+    """The JSON text of ``path``, parsed whole. Text that is not JSON, or
+    that the decoder cannot take (an integer too long for ``int``, nesting
+    too deep), raises SchemaError naming ``path`` and the fault, a syntax
+    fault with its line and column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -302,9 +309,13 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not valid UTF-8: {e}") from e
+    except ValueError as e:  # json's one other ValueError: an integer longer than int() converts
+        raise SchemaError(f"{path}: an integer of more than {sys.get_int_max_str_digits()} digits") from e
+    except RecursionError as e:
+        raise SchemaError(f"{path}: JSON nested too deeply to decode") from e
 
 
-# Characters ``_scan`` reads at a time. A value that does not fit in the
+# Characters ``_Reader`` reads at a time. A value that does not fit in the
 # text held doubles it, so decoding a value longer than this costs at most
 # about twice one decode of it. The benchmark's detections frames and
 # results records are 20-30 KB. With half a window kept ahead of each
@@ -312,123 +323,114 @@ def _read_json(path: str) -> Any:
 # on `wide` held 0.8 MB less than at 256 KiB.
 _READ_WINDOW = 1 << 17
 
-# The values ``_scan`` yields as a streamed container opens and closes.
-_OPEN, _CLOSE = object(), object()
+_decode = json.JSONDecoder().raw_decode
 
 
-def _scan(path: str, spec: tuple, root: str) -> Iterator[tuple[tuple, Any]]:
-    """The JSON text of ``path`` as ``(keys, value)`` events, decoded from
-    a window of the text, one value at a time.
+class _Reader:
+    """A pull reader of the JSON text of the open file ``fh``, in order,
+    from a window of its text: ``value`` decodes the next value whole,
+    ``members`` and ``items`` step through the object or array that comes
+    next, whose values the caller reads in turn and whose JSON paths it
+    names, and ``end`` checks that nothing follows the root.
 
-    ``spec`` names the containers to stream, from the root down: ``None``
-    each item of an array, a string that member of an object. So
-    ``(None,)`` streams a root array, and ``("videos", None, "frames",
-    None)`` a root object, its ``videos`` array, each of that array's
-    items (objects) and their ``frames`` arrays. Every other value is
-    decoded whole, as ``_read_json`` would parse it, and yielded with
-    ``keys``, its path from the root (member names and item indices); a
-    streamed container yields ``_OPEN`` and ``_CLOSE`` under its own
-    path. A value is taken once a character other than whitespace follows
-    it.
+    Half a window of text is kept ahead of each value until the file
+    ends. A value is taken once a character other than whitespace follows
+    it, and before the end of the file one other than ``.eE`` (which could
+    go on with a number); one that does not decode is tried again with
+    more text, and is a fault at the end of the file. Only the reader's
+    own faults raise ``_read_json``'s message: what the caller raises
+    passes untouched."""
 
-    A fault raises SchemaError where the reading reaches it, after the
-    events before it. Text that is not JSON (bad syntax, a BOM, text after
-    the root) gives ``_read_json``'s located message; invalid UTF-8 gives
-    it once the window that holds it is read. Anything but the expected
-    container where ``spec`` streams one gives ``<JSON path>: expected a
-    JSON array`` (or object), the root named ``root``, unless the text is
-    not JSON, whose message comes first."""
-    decode = json.JSONDecoder().raw_decode
-    skip = WHITESPACE.match
-    stack: list[list] = []  # the open streamed containers: [keys, closer, items so far, state]
-    done = False  # the root has closed
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text, pos, eof = "", 0, False
-            while not eof:
-                more = fh.read(max(_READ_WINDOW, len(text) - pos))
-                text, pos, eof = text[pos:] + more, 0, not more
-                # Until the end of the file, half a window stays ahead of
-                # each value, so only a value longer than that is decoded
-                # twice.
-                ahead = 0 if eof else _READ_WINDOW // 2
-                while (pos := skip(text, pos).end()) < len(text) - ahead:
-                    char = text[pos]
-                    if not stack:
-                        if done:
-                            raise ValueError  # text after the root
-                        if char != ("[" if spec[0] is None else "{"):
-                            _wrong_kind(path, root, (), spec[0])
-                        stack.append([(), "]" if spec[0] is None else "}", 0, "first"])
-                        pos += 1
-                        yield (), _OPEN
-                        continue
-                    top = stack[-1]
-                    # state: "first" after the opener, "more" after ",", "next" after a value
-                    keys, closer, n, state = top
-                    if state == "next" and char == ",":
-                        top[3], pos = "more", pos + 1
-                        continue
-                    if state == "next" or (state == "first" and char == closer):
-                        if char != closer:
-                            raise ValueError
-                        stack.pop()
-                        pos, done = pos + 1, not stack
-                        yield keys, _CLOSE
-                        continue
-                    depth = len(stack)  # of the value: spec[depth - 1] is its container's entry
-                    if closer == "]":
-                        key, start, streamed = n, pos, depth < len(spec)
-                    else:
-                        if char != '"':
-                            raise ValueError
-                        try:
-                            key, start = decode(text, pos)
-                        except json.JSONDecodeError:
-                            break  # the rest of the key may be unread
-                        start = skip(text, start).end()
-                        if start == len(text):
-                            break
-                        if text[start] != ":":
-                            raise ValueError
-                        start = skip(text, start + 1).end()
-                        if start == len(text):
-                            break
-                        streamed = depth < len(spec) and key == spec[depth - 1]
-                    if streamed:
-                        opener = "[" if spec[depth] is None else "{"
-                        if text[start] != opener:
-                            _wrong_kind(path, root, keys + (key,), spec[depth])
-                        top[2], top[3] = n + 1, "next"
-                        stack.append([keys + (key,), "]" if opener == "[" else "}", 0, "first"])
-                        pos = start + 1
-                        yield keys + (key,), _OPEN
-                        continue
-                    try:
-                        value, end = decode(text, start)
-                    except json.JSONDecodeError:
-                        break  # the rest of the value may be unread
-                    if skip(text, end).end() == len(text):
-                        break  # so may more digits of a number
-                    top[2], top[3] = n + 1, "next"
-                    pos = end
-                    yield keys + (key,), value
-        if not done:
-            raise ValueError  # the text ends inside the root
-    except ValueError:  # also JSONDecodeError and UnicodeDecodeError: the text is not JSON
-        _read_json(path)  # raises the fault's located message
-        raise
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.text, self.pos, self.eof = "", 0, False
 
+    def value(self) -> Any:
+        """The next value, decoded whole."""
+        self._next()
+        while True:
+            try:
+                value, end = _decode(self.text, self.pos)
+            except (ValueError, RecursionError):  # the rest may be unread
+                self._more()
+                continue
+            if WHITESPACE.match(self.text, end).end() < len(self.text) and (self.eof or self.text[end] not in ".eE"):
+                self.pos = end
+                return value
+            self._more()  # more of a number may be unread; at the end of the file, its container is unclosed
 
-def _wrong_kind(path: str, root: str, keys: tuple, item: str | None) -> None:
-    """Raise the fault of a value at ``keys`` that is not the container
-    ``_scan`` streams there: an array if ``item`` is None, else an object.
-    Text that is not JSON raises its own fault instead."""
-    _read_json(path)
-    where = "" if keys and isinstance(keys[0], str) else root  # a root object's members go by their own names
-    for key in keys:
-        where += f"[{key}]" if isinstance(key, int) else f".{key}" if where else key
-    raise SchemaError(f"{where}: expected a JSON {'array' if item is None else 'object'}")
+    def members(self, where: str) -> Iterator[str]:
+        """The keys of the object that comes next, in order; anything else
+        raises ``<where>: expected a JSON object`` at once."""
+        return map(self._key, self._each(self._open("{", where)))
+
+    def items(self, where: str) -> Iterator[int]:
+        """The indices of the items of the array that comes next; anything
+        else raises ``<where>: expected a JSON array`` at once."""
+        return self._each(self._open("[", where))
+
+    def end(self) -> None:
+        """Check that only whitespace follows the root."""
+        if self._next():
+            self._fault()
+
+    def _open(self, opener: str, where: str) -> str:
+        """Step into the container that comes next and return its closer.
+        Text that is not JSON gives its own fault before a wrong kind."""
+        if self._next() != opener:
+            _read_json(self.fh.name)
+            raise SchemaError(f"{where}: expected a JSON {'object' if opener == '{' else 'array'}")
+        self.pos += 1
+        return "}" if opener == "{" else "]"
+
+    def _each(self, closer: str) -> Iterator[int]:
+        """Step to each item of the open container, past the comma before
+        it, and at last past its ``closer``."""
+        i = 0
+        while (char := self._next()) != closer:
+            if i:
+                if char != ",":
+                    self._fault()
+                self.pos += 1
+            yield i
+            i += 1
+        self.pos += 1
+
+    def _key(self, _: int) -> str:
+        """The key of the member that comes next, past its colon."""
+        if self._next() != '"':
+            self._fault()
+        key = self.value()
+        if self._next() != ":":
+            self._fault()
+        self.pos += 1
+        return key
+
+    def _next(self) -> str:
+        """The next character other than whitespace, with half a window of
+        text beyond it until the file ends; "" at the end."""
+        while True:
+            self.pos = WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) - (0 if self.eof else _READ_WINDOW // 2):
+                return self.text[self.pos]
+            if self.eof:
+                return ""
+            self._more()
+
+    def _more(self) -> None:
+        """Drop the text before ``pos`` and read a window more, or as much
+        as is held if that is more; past the end, the text is not JSON."""
+        if self.eof:
+            self._fault()
+        try:
+            more = self.fh.read(max(_READ_WINDOW, len(self.text) - self.pos))
+        except UnicodeDecodeError:
+            self._fault()
+        self.text, self.pos, self.eof = self.text[self.pos :] + more, 0, not more
+
+    def _fault(self) -> NoReturn:
+        _read_json(self.fh.name)  # raises the fault's message
+        raise SchemaError(f"{self.fh.name}: not valid JSON")
 
 
 def _expect_object(value: Any, where: str, error: type[Exception] = SchemaError) -> dict:
@@ -759,68 +761,70 @@ def load_detections(path: str) -> DetectionsFile:
     return DetectionsFile(embedding_dim=dim, videos=videos, metas=metas)
 
 
-# The containers of a detections file that ``_scan`` streams: the root,
-# its ``videos``, each video and its ``frames``.
-_DETECTIONS = ("videos", None, "frames", None)
-
-
 def read_detections(
     path: str, each: Callable[[list[FrameDetections], VideoMeta], Any]
 ) -> tuple[int, dict[int, VideoMeta], dict[int, Any]]:
     """The embedding width of the detections file at ``path``, and per
     video id in file order its geometry and ``each(frames, meta)``.
 
-    The file is read one value at a time (``_scan``), and each frame is
-    checked as it is read. In a sorted-key file a video's ``video_id`` and
-    declared sides follow its frames, so once its JSON object closes the
-    video's ``video_id``, a new id, its declared sides, the size rule over
-    its masks (``_fit_size``) and its length are checked, in that order.
-    The video then goes to ``each``, and its frames are dropped when
-    ``each`` returns, so memory follows one video and what ``each``
-    returns, not the file.
+    The file is read in order (``_Reader``), and each frame is checked as
+    it is read. In a sorted-key file a video's ``video_id`` and declared
+    sides follow its frames, so once its JSON object closes the video's
+    ``video_id``, a new id, its declared sides, the size rule over its
+    masks (``_fit_size``) and its length are checked, in that order. The
+    video then goes to ``each``, and its frames are dropped when ``each``
+    returns, so memory follows one video and what ``each`` returns, not
+    the file.
 
     The first fault in file order is raised, and an error of ``each``
     propagates at once. A key repeated in the root or in a video is a
     fault, and so is ``videos`` before ``embedding_dim``: a video handed
-    on cannot take a value that comes after it."""
+    on cannot take a value that comes after it. Where ``videos`` or
+    ``frames`` is not an array, that fault comes before both."""
     dim = 0
     root: dict[str, Any] = {}  # the root's members so far
     metas: dict[int, VideoMeta] = {}
     values: dict[int, Any] = {}
-    for keys, value in _scan(path, _DETECTIONS, "detections"):
-        depth = len(keys)
-        if depth == 4:  # ("videos", i, "frames", j): a frame
-            frame = _frame_from(value, f"videos[{keys[1]}].frames[{keys[3]}]", dim, last)
-            frames.append(frame)
-            last = frame.frame_index
-        elif depth == 2 and value is _OPEN:  # ("videos", i): a video
-            members: dict[str, Any] = {}
-            frames: list[FrameDetections] = []
-            last = -1
-        elif depth == 2:  # the end of video i: check its members, then hand it on
-            where = f"videos[{keys[1]}]"
-            vid = _get(members, "video_id", where, ints)
-            if vid in values:
-                raise SchemaError(f"{where}: duplicate video_id {vid}")
-            height, width = (_positive_int(members, key, where) for key in ("height", "width"))
-            _get(members, "frames", where)
-            _fit_masks(frames, [height, width], vid, where)
-            length = _video_length(_positive_int(members, "length", where), where, last)
-            meta = VideoMeta(length=length, height=height, width=width)
-            values[vid], metas[vid] = each(frames, meta), meta
-            frames = []
-        elif depth in (1, 3) and value is not _CLOSE:  # a member of the root or of a video
-            obj, where = (root, "detections") if depth == 1 else (members, f"videos[{keys[1]}]")
-            if keys[-1] in obj:
-                raise SchemaError(f"{where}: repeated key '{keys[-1]}'")
-            if keys == ("videos",) and not dim:
-                raise SchemaError("detections: embedding_dim must come before videos")
-            obj[keys[-1]] = value
-            if keys == ("embedding_dim",):
+    with open(path, "r", encoding="utf-8") as fh:
+        r = _Reader(fh)
+        for key in r.members("detections"):
+            value = r.items("videos") if key == "videos" else r.value()
+            _member(root, key, value, "detections")
+            if key == "embedding_dim":
                 dim = _embedding_dim(value)
+            elif key == "videos" and not dim:
+                raise SchemaError("detections: embedding_dim must come before videos")
+            for i in value if key == "videos" else ():
+                where = f"videos[{i}]"
+                video: dict[str, Any] = {}  # the video's members so far
+                frames: list[FrameDetections] = []
+                last = -1
+                for name in r.members(where):
+                    member = r.items(f"{where}.frames") if name == "frames" else r.value()
+                    _member(video, name, member, where)
+                    for j in member if name == "frames" else ():
+                        frames.append(_frame_from(r.value(), f"{where}.frames[{j}]", dim, last))
+                        last = frames[-1].frame_index
+                vid = _get(video, "video_id", where, ints)
+                if vid in values:
+                    raise SchemaError(f"{where}: duplicate video_id {vid}")
+                height, width = (_positive_int(video, side, where) for side in ("height", "width"))
+                _get(video, "frames", where)
+                _fit_masks(frames, [height, width], vid, where)
+                length = _video_length(_positive_int(video, "length", where), where, last)
+                meta = VideoMeta(length=length, height=height, width=width)
+                values[vid], metas[vid] = each(frames, meta), meta
+        r.end()
     _get(root, "embedding_dim", "detections")
     _get(root, "videos", "detections")
     return dim, metas, values
+
+
+def _member(obj: dict, key: str, value: Any, where: str) -> None:
+    """``obj[key] = value`` in the object at ``where``, where ``key`` is new."""
+    if key in obj:
+        raise SchemaError(f"{where}: repeated key '{key}'")
+    obj[key] = value
 
 
 def _embedding_dim(value: Any) -> int:
@@ -921,7 +925,7 @@ def save_results(
 
 def load_results(path: str, videos: dict[int, tuple[int, list]] | None = None) -> dict[int, list[Track]]:
     """Tracks grouped per video, in file order. The records are read one
-    at a time (``_scan``) and converted as they are read; the first fault
+    at a time (``_Reader``) and converted as they are read; the first fault
     in file order is raised, and its message starts with ``path``.
     ``videos`` (``_track_from``) holds the lengths and sizes known before
     the file, from the ground truth or earlier inputs: each record must
@@ -932,10 +936,12 @@ def load_results(path: str, videos: dict[int, tuple[int, list]] | None = None) -
     videos = {} if videos is None else videos
     seen: set[tuple[int, int]] = set()
     where = f"{path}: results"
-    for keys, value in _scan(path, (None,), where):
-        if len(keys) == 1:
-            vid, track = _track_from(value, f"{where}[{keys[0]}]", videos, seen)
+    with open(path, "r", encoding="utf-8") as fh:
+        r = _Reader(fh)
+        for i in r.items(where):
+            vid, track = _track_from(r.value(), f"{where}[{i}]", videos, seen)
             tracks.setdefault(vid, []).append(track)
+        r.end()
     return tracks
 
 

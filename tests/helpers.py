@@ -13,8 +13,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from unittest import mock
 
 import numpy as np
+from hypothesis import strategies as st
 
 from vistrack import (
     CLUTTER,
@@ -30,7 +32,7 @@ from vistrack import (
 )
 from vistrack.association import _keep_top, _majority_category, bisoftmax_scores, cosine_scores
 from vistrack.core import VideoMeta
-from vistrack.errors import ToolkitError
+from vistrack.errors import SchemaError, ToolkitError
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,67 @@ def streamed_json(obj) -> str:
     out = io.StringIO()
     formats._stream(obj, out)
     return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The streamed readers at every window
+
+
+# Characters and snippets a mutation puts into a JSON text: structure,
+# the pieces of numbers, members of the detections format, an integer longer
+# than int() takes and nesting deeper than the decoder goes.
+MUTATION_CHARS = '0123456789.eE+- ,:[]{}"\\\nanx'
+MUTATION_SNIPPETS = [
+    '"videos": 5,',
+    '"videos": [],',
+    '"frames": [],',
+    '"frames": 5,',
+    '"video_id": 1,',
+    '"embedding_dim": 2,',
+    '"height": 8,',
+    '"gain": 1.5e-3,',
+    "null",
+    "0.",
+    "1e",
+    "-",
+    "[",
+    "}",
+    "9" * 5000,
+    "[" * 3000,
+]
+
+
+@st.composite
+def mutated_texts(draw, text: str) -> str:
+    """``text`` after one to three edits: a character replaced, a run of
+    up to 8 characters deleted, or a character or snippet inserted."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["replace", "delete", "insert", "snippet"]))
+        if edit == "replace":
+            text = text[:i] + draw(st.sampled_from(MUTATION_CHARS)) + text[i + 1 :]
+        elif edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 8)) :]
+        else:
+            piece = draw(st.sampled_from(MUTATION_CHARS if edit == "insert" else MUTATION_SNIPPETS))
+            text = text[:i] + piece + text[i:]
+    return text
+
+
+READ_WINDOWS = [1, 5, 64, formats._READ_WINDOW]
+
+
+def read_at_windows(load, path) -> list[str]:
+    """What ``load(path)`` gives at each of ``READ_WINDOWS``: the repr of
+    its result or the message of its SchemaError."""
+    outcomes = []
+    for window in READ_WINDOWS:
+        with mock.patch.object(formats, "_READ_WINDOW", window):
+            try:
+                outcomes.append(repr(load(path)))
+            except SchemaError as e:
+                outcomes.append(f"SchemaError: {e}")
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

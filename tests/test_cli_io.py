@@ -791,6 +791,64 @@ def test_identity_rows_that_differ_in_one_key_are_both_kept(tmp_path, other):
     assert load_identity(str(p)) == {(1, 0, 0): 1, tuple(other[:3]): 1}
 
 
+# Each loader's file with "{x}" where a value goes, and two values past a
+# limit of the JSON decoder: an integer longer than int() takes (none on
+# a Python without the limit) and nesting deeper than its recursion goes.
+_LIMIT_FILES = {
+    "detections": (load_detections, '{{"embedding_dim": {x}, "videos": []}}'),
+    "results": (load_results, "[{x}]"),
+    "annotations": (load_annotations, '{{"videos": [], "annotations": [{x}], "categories": []}}'),
+    "identity": (load_identity, "[{x}]"),
+    "config": (load_run_config, '{{"synth": {{"n_videos": {x}}}}}'),
+}
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LIMITS = {
+    "huge-integer": ("9" * (_INT_DIGITS + 1), f"an integer of more than {_INT_DIGITS} digits"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to decode"),
+}
+
+
+def _past_a_limit(limit):
+    if limit == "huge-integer" and not _INT_DIGITS:
+        pytest.skip("this Python converts integers of any length")
+    return _LIMITS[limit]
+
+
+@pytest.mark.parametrize("limit", list(_LIMITS))
+@pytest.mark.parametrize("loader", list(_LIMIT_FILES))
+def test_a_value_past_the_decoders_limits_is_a_schema_error(tmp_path, loader, limit):
+    value, message = _past_a_limit(limit)
+    load, doc = _LIMIT_FILES[loader]
+    p = tmp_path / "in.json"
+    p.write_text(doc.format(x=value))
+    with pytest.raises(SchemaError) as e:
+        load(str(p))
+    assert str(e.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("limit", list(_LIMITS))
+@pytest.mark.parametrize(
+    "loader, argv",
+    [
+        ("detections", ["track", "--detections", "{bad}", "--out", "{out}"]),
+        ("results", ["eval", "--gt", "{gt}", "--results", "{bad}", "--out", "{out}"]),
+        ("results", ["fuse", "--inputs", "{bad}", "--out", "{out}"]),
+        ("annotations", ["eval", "--gt", "{bad}", "--results", "{results}", "--out", "{out}"]),
+        ("config", ["synth", "--config", "{bad}", "--out-dir", "{out}"]),
+    ],
+    ids=["track", "eval-results", "fuse", "eval-annotations", "synth-config"],
+)
+def test_a_value_past_the_decoders_limits_exits_2(tmp_path, capsys, loader, argv, limit):
+    value, message = _past_a_limit(limit)
+    bad, gt, results, out = (tmp_path / name for name in ("bad.json", "gt.json", "results.json", "out"))
+    bad.write_text(_LIMIT_FILES[loader][1].format(x=value))
+    gt.write_text('{"videos": [], "annotations": [], "categories": []}')
+    results.write_text("[]")
+    assert entrypoint([a.format(bad=bad, gt=gt, results=results, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
 def test_duplicate_annotation_id_rejected(tmp_path):
     p = tmp_path / "ann.json"
     save_annotations(tiny_gt(), str(p))

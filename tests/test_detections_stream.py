@@ -8,7 +8,9 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import mutated_texts, read_at_windows
 from vistrack import SchemaError, formats
 from vistrack.cli import entrypoint
 from vistrack.core import BBox, Detection, FrameDetections, VideoMeta
@@ -211,6 +213,19 @@ FAULTS = {
         '{"embedding_dim": 2, "videos": [{"video_id": 1, "frames": {}}, x]}',
         "{path}: line 1 column 64: Expecting value",
     ),
+    "not-a-colon": ('{"embedding_dim"= 2, "videos": []}', "{path}: line 1 column 17: Expecting ':' delimiter"),
+    "not-a-comma": ('{"embedding_dim": 2; "videos": []}', "{path}: line 1 column 20: Expecting ',' delimiter"),
+    # a streamed container's kind is checked where its key is reached,
+    # before the key order and repeated keys
+    "videos-number-before-embedding-dim": (text({"videos": 5}), "videos: expected a JSON array"),
+    "repeated-videos-of-the-wrong-kind": (
+        f'{{"embedding_dim": 2, "videos": [{GOOD}], "videos": 5}}',
+        "videos: expected a JSON array",
+    ),
+    "repeated-frames-of-the-wrong-kind": (
+        f'{{"embedding_dim": 2, "videos": [{{"frames": {FRAMES}, "video_id": 1, "frames": 5}}]}}',
+        "videos[0].frames: expected a JSON array",
+    ),
 }
 
 
@@ -272,6 +287,37 @@ def test_the_first_error_in_file_order_wins(tmp_path):
     with pytest.raises(SchemaError, match=r"^videos\[1\]\.frames\[0\]\.detections\[0\]\.embedding: length 1 "):
         read_detections(str(p), each)
     assert seen == [2]
+
+
+def test_a_number_the_window_cuts_is_read_whole(tmp_path):
+    """Numbers with a fraction or an exponent among the members, with the
+    window's end after each of their characters in turn: ``0.`` or ``1e``
+    is not taken as a number before the text after it is read."""
+    p = tmp_path / "det.json"
+    p.write_text(
+        '{"embedding_dim": 2, "scale": 0.125, "videos": [{"frames": [], "gain": 1.5e-3, "shift": 2E+1, "video_id": 1}]}'
+    )
+    expected = DetectionsFile(embedding_dim=2, videos={1: []}, metas={1: VideoMeta(length=1)})
+    for window in range(1, 40):
+        with mock.patch.object(formats, "_READ_WINDOW", window):
+            assert load_detections(str(p)) == expected
+
+
+SMALL = text({"embedding_dim": 2, "videos": [video(1), video(2, height=4, width=4, length=3), video(3, frames=1)]})
+
+
+@given(mutated_texts(SMALL))
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_file_reads_the_same_at_every_window(tmp_path_factory, data):
+    """Whatever the edits, every window gives the same detections or the
+    same fault: the window only decides how much text is held.
+    What is read without a fault is JSON."""
+    p = tmp_path_factory.mktemp("mutated") / "det.json"
+    p.write_text(data)
+    outcomes = read_at_windows(load_detections, str(p))
+    assert outcomes == outcomes[:1] * len(outcomes)
+    if not outcomes[0].startswith("SchemaError"):
+        json.loads(data)  # what is read is JSON
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_dumps, streamed_json
+from helpers import mutated_texts, read_at_windows, reference_dumps, streamed_json
 from vistrack import SchemaError, Track, TrackEntry, bbox_of_mask, formats, rle_encode, track_video
 from vistrack.association import AssociationConfig
 from vistrack.core import BBox, RleMask, VideoMeta
@@ -177,12 +177,14 @@ MALFORMED = {
     "object": (b"{}", "{path}: results: expected a JSON array"),
     "truncated-object": (b'{"a": 1', "{path}: line 1 column 8: Expecting ',' delimiter"),
     "open": (b"[", "{path}: line 1 column 2: Expecting value"),
+    "unclosed-after-a-record": (b'[{"id": 1}', "{path}: line 1 column 11: Expecting ',' delimiter"),
     "close": (b"]", "{path}: line 1 column 1: Expecting value"),
     "trailing-comma": (b"[1,]", "{path}: results[0]: expected a JSON object"),
     "missing-comma": (b"[1 2]", "{path}: results[0]: expected a JSON object"),
     "bom": (b"\xef\xbb\xbf[]", "{path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "text-after": (b"[] x", "{path}: line 1 column 4: Extra data"),
     "text-after-record": (f"[{GOOD}] x".encode(), "{path}: line 1 column 123: Extra data"),
+    "not-a-comma": (f"[{GOOD}x{GOOD}]".encode(), "{path}: line 1 column 121: Expecting ',' delimiter"),
     "unterminated-string": (b'["abc', "{path}: line 1 column 2: Unterminated string starting at"),
     "truncated-last": (f"[{GOOD}, {GOOD[:-7]}".encode(), "{path}: line 1 column 235: Expecting value"),
     "invalid-utf8": (
@@ -220,6 +222,36 @@ def test_a_record_fault_is_found_without_a_whole_file_parse(tmp_path):
         with pytest.raises(SchemaError) as e:
             load_results(str(p))
     assert str(e.value) == f"{p}: results[2]: track score must lie in [0, 1]"
+
+
+MUTABLE = json.dumps(
+    [
+        json.loads(GOOD),
+        {**json.loads(GOOD), "id": 2, "score": 0.25},
+        {
+            "video_id": 2,
+            "id": 1,
+            "category_id": 2,
+            "score": 1.0,
+            "segmentations": [{"size": [2, 2], "counts": [1, 3]}, None, None],
+            "bboxes": [None, None, [1, 1.5, 2, 2.5]],
+        },
+    ]
+)
+
+
+@given(mutated_texts(MUTABLE))
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_file_reads_the_same_at_every_window(tmp_path_factory, data):
+    """Whatever the edits, every window gives the same tracks and videos
+    or the same fault: the window only decides how much text is held.
+    What is read without a fault is JSON."""
+    p = tmp_path_factory.mktemp("mutated") / "res.json"
+    p.write_text(data)
+    outcomes = read_at_windows(loaded, p)
+    assert outcomes == outcomes[:1] * len(outcomes)
+    if not outcomes[0].startswith("SchemaError"):
+        json.loads(data)  # what is read is JSON
 
 
 # ---------------------------------------------------------------------------
