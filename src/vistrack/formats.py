@@ -1,20 +1,21 @@
 """Bit-exact JSON formats for annotations, detections, results, crop
 pairs, evaluation reports, and run configuration.
 
-All writers quantize floats to 6 significant digits and serialize with
-sorted keys and 2-space indentation, so repeated runs produce
+The writer quantizes every float to 6 significant digits and serializes
+with sorted keys and 2-space indentation, so repeated runs produce
 byte-identical files. Every writer goes through ``_write``, and the
 bytes it writes for ``obj`` are exactly
-``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
-where a generator (``types.GeneratorType``) stands for the list of its
-items and a ``_Quantized`` tuple for the list of its items' ``_q``
-values and a ``_Sparse`` pair ``(length, [(frame, value), ...])`` for
-the list of ``length`` slots that holds each value at its frame and
-``None`` elsewhere: ASCII-escaped strings, ``int.__repr__`` and
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
+of ``obj`` with every float ``x`` replaced by ``_q(x)``, where a
+generator (``types.GeneratorType``) stands for the list of its items and
+a ``_Sparse`` pair ``(length, [(frame, value), ...])`` for the list of
+``length`` slots that holds each value at its frame and ``None``
+elsewhere: ASCII-escaped strings, ``int.__repr__`` and
 ``float.__repr__`` for numbers, ValueError for NaN and infinities and
-TypeError for any other type, sets and other iterators included. It is
-a specialized writer because ``json.dumps`` with an indent runs the
-pure-Python encoder, one generator step per value.
+TypeError for any other type, sets and other iterators included, and
+for a key that is not a string. It is a specialized writer because
+``json.dumps`` with an indent runs the pure-Python encoder, one
+generator step per value.
 
 Writers stream record by record: each passes its arrays of records as
 generators, and ``_write`` hands the text to the file between records,
@@ -85,6 +86,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .core import (
+    _FLOAT,
     _INT,
     BBox,
     Detection,
@@ -109,16 +111,9 @@ if TYPE_CHECKING:
 
 
 def _q(x: float) -> float:
-    """Quantize to 6 significant digits; the idempotent float grid all
-    writers share."""
+    """Quantize to 6 significant digits; the idempotent float grid of
+    every float the writer writes (``_qtext``)."""
     return float(f"{float(x):.6g}")
-
-
-class _Quantized(tuple):
-    """Floats that ``_emit`` writes as the array of their ``_q`` values,
-    each formatted once (``_qtext``)."""
-
-    __slots__ = ()
 
 
 class _Sparse(tuple):
@@ -130,22 +125,26 @@ class _Sparse(tuple):
 
 
 def _qtext(x: float) -> str:
-    """``_scalar(_q(x))`` from one format call. A decimal of at most 6
-    significant digits round-trips through a normal float, so repr prints
-    the digits that ``.6g`` prints; only the notation can differ. Where
-    ``.6g`` writes plain decimals (magnitudes 1e-4 to 1e6), repr does too
-    and adds ``.0`` to an integer; text with an exponent, NaN or an
-    infinity takes the two-step path, which raises for the last two."""
+    """The JSON text of every float the writer writes: ``float.__repr__``
+    of ``_q(x)``, from one format call. A decimal of at most 6 significant
+    digits round-trips through a normal float, so repr prints the digits
+    that ``.6g`` prints; only the notation can differ. Where ``.6g`` writes
+    plain decimals (magnitudes 1e-4 to 1e6), repr does too and adds ``.0``
+    to an integer; text with an exponent is parsed back and printed by
+    repr, and NaN and the infinities raise json's ValueError."""
     text = f"{x:.6g}"
     if "e" in text or "n" in text:
-        return _scalar(_q(x))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
     return text if "." in text else text + ".0"
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
-# A streamed write hands its pieces to the file between the elements of a
-# generator once it holds more than this many. A results record of a
+# A streamed write hands its pieces to the file between the elements of an
+# array once it holds more than this many. A results record of a
 # one-entry track is ~25 pieces, most of its bytes in two runs of nulls.
 _FLUSH_PIECES = 256
 
@@ -158,7 +157,8 @@ _NULL_PIECE = 4096
 def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is a newline
     plus the indentation of the line ``obj`` starts on. ``flush`` takes
-    and empties ``out`` between the items of a generator."""
+    and empties ``out`` between the items of an array once it holds more
+    than ``_FLUSH_PIECES`` pieces; an array of scalars is one piece."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -193,40 +193,25 @@ def _emit(obj: Any, nl: str, out: list[str], flush: Callable[[list[str]], None])
                 lead = sep
                 done = f + 1
         out.append(nl + "]")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, (list, tuple, GeneratorType)):
         inner = nl + "  "
         sep = "," + inner
-        if type(obj) is _Quantized:
-            out.append("[" + inner + sep.join(map(_qtext, obj)) + nl + "]")
-            return
-        kinds = set(map(type, obj))
-        if kinds <= _SCALAR_TYPES:
-            # One join per array of scalars; all-int arrays skip the
-            # per-element dispatch.
-            text = map(int.__repr__ if kinds == _INT else _scalar, obj)
-            out.append("[" + inner + sep.join(text) + nl + "]")
-            return
+        if type(obj) is not GeneratorType:
+            kinds = set(map(type, obj))
+            if kinds and kinds <= _SCALAR_TYPES:
+                # One join per array of scalars; all-int and all-float
+                # arrays skip the per-element dispatch.
+                text = map(int.__repr__ if kinds == _INT else _qtext if kinds == _FLOAT else _scalar, obj)
+                out.append("[" + inner + sep.join(text) + nl + "]")
+                return
         lead = "[" + inner
         for item in obj:
             out.append(lead)
             _emit(item, inner, out, flush)
             lead = sep
-        out.append(nl + "]")
-    elif isinstance(obj, GeneratorType):
-        inner = nl + "  "
-        lead = "[" + inner
-        empty = True
-        for item in obj:
-            out.append(lead)
-            _emit(item, inner, out, flush)
-            lead = "," + inner
-            empty = False
             if len(out) > _FLUSH_PIECES:
                 flush(out)
-        out.append("[]" if empty else nl + "]")
+        out.append(nl + "]" if lead == sep else "[]")
     else:
         out.append(_scalar(obj))
 
@@ -243,18 +228,14 @@ def _scalar(value: Any) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return _qtext(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _key(key: Any) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
 def _write(obj: Any, path: str) -> None:
@@ -317,10 +298,13 @@ def _read_json(path: str) -> Any:
 
 # Characters ``_Reader`` reads at a time. A value that does not fit in the
 # text held doubles it, so decoding a value longer than this costs at most
-# about twice one decode of it. The benchmark's detections frames and
-# results records are 20-30 KB. With half a window kept ahead of each
-# value, 128 KiB read them as fast as 1 MiB did without it, while `track`
-# on `wide` held 0.8 MB less than at 256 KiB.
+# about twice one decode of it. In the benchmark's seed-1 files (each
+# value's JSON at indent 2), `wide`'s detections frames have a median of
+# ~20 KB and a maximum of ~36 KB; 17 of its 390 results records exceed
+# 64 KiB, the largest ~85 KB; and 4 of `long`'s 469 records are ~400-560
+# KB, which are decoded again after each doubling. With half a window
+# kept ahead of each value, 128 KiB read the files as fast as 1 MiB did
+# without it, while `track` on `wide` held 0.8 MB less than at 256 KiB.
 _READ_WINDOW = 1 << 17
 
 _decode = json.JSONDecoder().raw_decode
@@ -464,8 +448,8 @@ def _build(cls: type, where: str, *args, **kwargs):
         raise SchemaError(f"{where}: {e}") from e
 
 
-def _bbox_json(b: BBox) -> _Quantized:
-    return _Quantized((b.x, b.y, b.w, b.h))
+def _bbox_json(b: BBox) -> tuple[float, ...]:
+    return (b.x, b.y, b.w, b.h)
 
 
 def _bbox_from(value: Any, where: str) -> BBox:
@@ -476,7 +460,7 @@ def _bbox_from(value: Any, where: str) -> BBox:
 
 
 def _rle_json(m: RleMask) -> dict:
-    return {"size": [m.height, m.width], "counts": list(m.counts)}
+    return {"size": [m.height, m.width], "counts": m.counts}
 
 
 def _rle_from(value: Any, where: str) -> RleMask:
@@ -514,7 +498,7 @@ def _track_json(where: str, vid: int, t: Track, length: int, size: list, seen: s
     _new_track(vid, t.track_id, seen, where)
     for f in t.entries:
         if f >= length:
-            raise SchemaError(f"track {t.track_id} entry frame {f} outside video length {length}")
+            raise SchemaError(f"{where}: track {t.track_id} entry frame {f} outside video length {length}")
     entries = sorted(t.entries.items())
     for f, e in entries:
         if e.mask is not None:
@@ -685,11 +669,11 @@ class DetectionsFile:
 def _detection_json(d: Detection) -> dict:
     return {
         "bbox": _bbox_json(d.bbox),
-        "score": _q(d.score),
+        "score": d.score,
         "category_id": d.category_id,
-        "class_probs": _Quantized(d.class_probs),
+        "class_probs": d.class_probs,
         "segmentation": _rle_json(d.mask) if d.mask is not None else None,
-        "embedding": _Quantized(d.embedding),
+        "embedding": d.embedding,
     }
 
 
@@ -917,7 +901,7 @@ def save_results(
     ordered = ((vid, t) for vid in sorted(tracks) for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id)))
     seen: set[tuple[int, int]] = set()
     records = (
-        {"score": _q(t.score), **_track_json(f"results[{i}]", vid, t, video_lengths[vid], sizes[vid], seen)}
+        {"score": t.score, **_track_json(f"results[{i}]", vid, t, video_lengths[vid], sizes[vid], seen)}
         for i, (vid, t) in enumerate(ordered)
     )
     _write(records, path)
@@ -953,10 +937,10 @@ def _metrics_json(m) -> dict | None:
     if m is None:
         return None
     return {
-        "ap": _q(m.ap),
-        "ap50": _q(m.ap50),
-        "ap75": _q(m.ap75),
-        "ar": {str(k): _q(v) for k, v in m.ar.items()},
+        "ap": m.ap,
+        "ap50": m.ap50,
+        "ap75": m.ap75,
+        "ar": {str(k): v for k, v in m.ar.items()},
     }
 
 
@@ -973,7 +957,7 @@ def save_report(report: EvalReport, path: str) -> None:
 def _view_json(view) -> dict:
     w = view.window
     return {
-        "window": _Quantized((w.x0, w.y0, w.x1, w.y1)),
+        "window": (w.x0, w.y0, w.x1, w.y1),
         "annotations": [
             {
                 "instance_id": a.instance_id,

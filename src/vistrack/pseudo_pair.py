@@ -27,6 +27,8 @@ class CropWindow:
     y1: float
 
     def __post_init__(self):
+        for name in ("x0", "y0", "x1", "y1"):
+            object.__setattr__(self, name, reals((getattr(self, name),), f"crop window {name}")[0])
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("crop window must have positive extent")
         if self.x0 < 0.0 or self.y0 < 0.0:
@@ -104,7 +106,7 @@ def sample_crop(image_w: int, image_h: int, cfg: CropConfig, rng: SplitMix64) ->
     h = min(max(h, 1), image_h)
     x0 = min(image_w - w, int(rng.next_float() * (image_w - w + 1)))
     y0 = min(image_h - h, int(rng.next_float() * (image_h - h + 1)))
-    return CropWindow(float(x0), float(y0), float(x0 + w), float(y0 + h))
+    return CropWindow(x0, y0, x0 + w, y0 + h)
 
 
 def transform_annotations(

@@ -40,8 +40,25 @@ from vistrack.errors import SchemaError, ToolkitError
 
 
 def reference_dumps(obj) -> str:
-    """The byte contract of ``formats._write``, by the stdlib encoder."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The byte contract of ``formats._write``, by the stdlib encoder: the
+    text of ``obj`` with every float quantized by ``formats._q``. A key
+    that is not a string raises TypeError."""
+    return json.dumps(_quantized(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _quantized(obj):
+    """``obj`` with every float ``x``, numpy's included, replaced by
+    ``formats._q(x)``; a tuple becomes a list."""
+    if isinstance(obj, float):
+        return formats._q(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_quantized(v) for v in obj]
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return {key: _quantized(v) for key, v in obj.items()}
+    return obj
 
 
 def streamed_json(obj) -> str:

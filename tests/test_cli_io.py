@@ -329,9 +329,9 @@ def test_stream_matches_reference(obj):
         [None, [], None, None, {}, [None, [2]], None],
         [{"a": None}, None, [0.5], None, None],
         {"ar": {"1": 0.5, "10": 0.25}, "ap": 0.75},
-        {3: "c", 1: None, 2: [1.5]},
-        {2.5: 1, -1.0: 0},
-        {None: 0},
+        {"score": 0.123456789, "ap": 1e-7, "n": 3},
+        [1, 0.1234567, "x", None, 123456789.0, True],
+        [np.float64(0.1234567), np.float64(1e-05), np.float64(-0.0)],
         (1, (2.0, "x")),
     ],
 )
@@ -351,7 +351,19 @@ def test_stream_rejects_non_finite_floats(obj):
 
 
 @pytest.mark.parametrize(
-    "obj", [{1, 2}, [0, {1}], {"a": frozenset()}, {(1, 2): 0}, np.int64(3), map(int, "12"), iter([1, 2])]
+    "obj",
+    [
+        {1, 2},
+        [0, {1}],
+        {"a": frozenset()},
+        {(1, 2): 0},
+        np.int64(3),
+        map(int, "12"),
+        iter([1, 2]),
+        {3: "c", 1: None, 2: [1.5]},
+        {2.5: 1, -1.0: 0},
+        {None: 0},
+    ],
 )
 def test_stream_rejects_other_types(obj):
     with pytest.raises(TypeError):
@@ -361,13 +373,13 @@ def test_stream_rejects_other_types(obj):
 
 
 # ---------------------------------------------------------------------------
-# quantized float arrays, each float formatted once
+# float arrays, each float quantized and formatted once
 
 
 def _quantized_text(values) -> str:
     """The arrays' text by definition: quantize each float, then write
     the list with json.dumps (float.__repr__)."""
-    return reference_dumps([formats._q(v) for v in values])
+    return json.dumps([formats._q(v) for v in values], indent=2, allow_nan=False) + "\n"
 
 
 # mantissa x 10^exponent over magnitudes 1e-12 to 1e17, either sign
@@ -388,7 +400,7 @@ _magnitudes = st.builds(
     )
 )
 def test_quantized_floats_are_written_as_quantize_then_repr(values):
-    assert streamed_json(formats._Quantized(values)) == _quantized_text(values)
+    assert streamed_json(tuple(values)) == streamed_json(values) == _quantized_text(values)
 
 
 @pytest.mark.parametrize(
@@ -400,20 +412,22 @@ def test_quantized_floats_are_written_as_quantize_then_repr(values):
     ],
 )
 def test_quantized_float_edge_cases(x):
-    assert streamed_json(formats._Quantized((x, -x))) == _quantized_text((x, -x))
+    assert streamed_json((x, -x)) == streamed_json([x, -x]) == _quantized_text((x, -x))
+    assert streamed_json({"x": x}) == json.dumps({"x": formats._q(x)}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_quantized_non_finite_float_raises_the_same_error(x):
-    with pytest.raises(ValueError) as two_step:
-        streamed_json([formats._q(1.5), formats._q(x)])
-    with pytest.raises(ValueError) as one_pass:
-        streamed_json(formats._Quantized((1.5, x)))
-    assert str(one_pass.value) == str(two_step.value)
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps([1.5, x], indent=2, allow_nan=False)
+    for obj in [(1.5, x), [1.5, x], [1, x], {"x": x}]:
+        with pytest.raises(ValueError) as streamed:
+            streamed_json(obj)
+        assert str(streamed.value) == str(stdlib.value)
 
 
 def test_empty_quantized_array():
-    assert streamed_json({"a": formats._Quantized(())}) == '{\n  "a": []\n}\n'
+    assert streamed_json({"a": (), "b": []}) == '{\n  "a": [],\n  "b": []\n}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +491,7 @@ def _past_the_end():
 
 def test_failed_write_leaves_a_missing_path_missing(tmp_path):
     p = tmp_path / "res.json"
-    with pytest.raises(SchemaError, match="entry frame 5 outside video length 2"):
+    with pytest.raises(SchemaError, match=r"^results\[1\]: track 2 entry frame 5 outside video length 2$"):
         save_results(_past_the_end(), str(p), video_lengths={1: 2})
     assert list(tmp_path.iterdir()) == []
 
@@ -485,7 +499,7 @@ def test_failed_write_leaves_a_missing_path_missing(tmp_path):
 def test_failed_write_leaves_an_existing_file_as_it_was(tmp_path):
     p = tmp_path / "res.json"
     p.write_bytes(b"earlier bytes\n")
-    with pytest.raises(SchemaError, match="entry frame 5 outside video length 2"):
+    with pytest.raises(SchemaError, match=r"^results\[1\]: track 2 entry frame 5 outside video length 2$"):
         save_results(_past_the_end(), str(p), video_lengths={1: 2})
     assert p.read_bytes() == b"earlier bytes\n"
     assert list(tmp_path.iterdir()) == [p]

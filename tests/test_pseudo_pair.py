@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import streamed_json
 from vistrack import (
     BBox,
     ConfigError,
     CropConfig,
+    CropView,
     CropWindow,
     ImageMeta,
     SchemaError,
     SourceAnnotation,
     SplitMix64,
     ToolkitError,
+    formats,
     make_pair,
     rle_decode,
     rle_encode,
@@ -82,6 +85,29 @@ def test_crop_window_validation():
         CropWindow(5.0, 0.0, 5.0, 10.0)
     with pytest.raises(ValueError):
         CropWindow(-1.0, 0.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "sides, name",
+    [
+        ((True, 0, 5, 5), "x0"),
+        ((0, 0, 5, False), "y1"),
+        (("a", "b", "c", "d"), "x0"),
+        ((0, None, 5, 5), "y0"),
+        ((0, 0, float("inf"), 5), "x1"),
+        ((0, float("nan"), 5, 5), "y0"),
+    ],
+)
+def test_crop_window_sides_must_be_finite_real_numbers(sides, name):
+    with pytest.raises(ValueError, match=f"^crop window {name}: "):
+        CropWindow(*sides)
+
+
+def test_an_int_crop_window_is_stored_and_written_as_floats():
+    window = CropWindow(0, np.int64(0), 5, 5)
+    assert [type(v) for v in (window.x0, window.y0, window.x1, window.y1)] == [float] * 4
+    text = streamed_json(formats._view_json(CropView(window, ())))
+    assert '"window": [\n    0.0,\n    0.0,\n    5.0,\n    5.0\n  ]' in text
 
 
 def test_crop_config_validation():
