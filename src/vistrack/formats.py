@@ -6,7 +6,8 @@ with sorted keys and 2-space indentation, so repeated runs produce
 byte-identical files. Every writer goes through ``_write``, and the
 bytes it writes for ``obj`` are exactly
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
-of ``obj`` with every float ``x`` replaced by ``_q(x)``, where a
+of ``obj`` with every float ``x`` replaced by ``float(f"{x:.6g}")``,
+its value on the grid of 6 significant digits (``_qtext``), where a
 generator (``types.GeneratorType``) stands for the list of its items and
 a ``_Sparse`` pair ``(length, [(frame, value), ...])`` for the list of
 ``length`` slots that holds each value at its frame and ``None``
@@ -110,12 +111,6 @@ if TYPE_CHECKING:
 # Primitive encoding helpers
 
 
-def _q(x: float) -> float:
-    """Quantize to 6 significant digits; the idempotent float grid of
-    every float the writer writes (``_qtext``)."""
-    return float(f"{float(x):.6g}")
-
-
 class _Sparse(tuple):
     """``(length, [(frame, value), ...])`` in ascending frame order, which
     ``_emit`` writes as the array of ``length`` slots holding each value
@@ -126,9 +121,10 @@ class _Sparse(tuple):
 
 def _qtext(x: float) -> str:
     """The JSON text of every float the writer writes: ``float.__repr__``
-    of ``_q(x)``, from one format call. A decimal of at most 6 significant
-    digits round-trips through a normal float, so repr prints the digits
-    that ``.6g`` prints; only the notation can differ. Where ``.6g`` writes
+    of ``float(f"{x:.6g}")``, x on the grid of 6 significant digits, from
+    one format call. A decimal of at most 6 significant digits
+    round-trips through a normal float, so repr prints the digits that
+    ``.6g`` prints; only the notation can differ. Where ``.6g`` writes
     plain decimals (magnitudes 1e-4 to 1e6), repr does too and adds ``.0``
     to an integer; text with an exponent is parsed back and printed by
     repr, and NaN and the infinities raise json's ValueError."""
@@ -488,14 +484,19 @@ def _fit_size(mask: RleMask, size: list, vid: int, where: str) -> None:
         )
 
 
-def _track_json(where: str, vid: int, t: Track, length: int, size: list, seen: set[tuple[int, int]]) -> dict:
+def _track_json(
+    where: str, vid: int, t: Track, length: int, size: list, seen: set[tuple[int, int]], categories: Mapping | None
+) -> dict:
     """A track's record in video ``vid``: ``video_id``, ``id``,
     ``category_id`` and per-frame ``segmentations`` and ``bboxes`` arrays
     of ``length`` slots, null where the track has no entry. The track is
-    checked by ``_track_from``'s rules, so that its loader takes it: a new
-    (video, track) id (``seen`` holds those written before) and masks of
-    the video's ``size`` (``_fit_size``)."""
+    checked by ``_track_from``'s rules, in its order, so that its loader
+    takes it: a new (video, track) id (``seen`` holds those written
+    before), with ``categories`` (an annotations file) a declared
+    category, and masks of the video's ``size`` (``_fit_size``)."""
     _new_track(vid, t.track_id, seen, where)
+    if categories is not None and t.category_id not in categories:
+        raise SchemaError(f"{where}: unknown category_id {t.category_id}")
     for f in t.entries:
         if f >= length:
             raise SchemaError(f"{where}: track {t.track_id} entry frame {f} outside video length {length}")
@@ -582,24 +583,24 @@ def _track_from(
 
 
 def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> None:
-    videos = [
-        {"id": g.video_id, "width": g.width, "height": g.height, "length": g.length}
-        for g in sorted(ground_truth, key=lambda g: g.video_id)
-    ]
+    ground_truth = sorted(ground_truth, key=lambda g: g.video_id)
+    for i in range(1, len(ground_truth)):
+        if ground_truth[i].video_id == ground_truth[i - 1].video_id:
+            raise SchemaError(f"videos[{i}]: duplicate video id {ground_truth[i].video_id}")
+    videos = [{"id": g.video_id, "width": g.width, "height": g.height, "length": g.length} for g in ground_truth]
     cat_names: dict[int, str] = {}
     for g in ground_truth:
         for c in g.category_set:
             cat_names.setdefault(c, g.category_names.get(c, f"category_{c}"))
     categories = [{"id": c, "name": cat_names[c]} for c in sorted(cat_names)]
+    for i, c in enumerate(categories):
+        if not isinstance(c["name"], str):
+            raise SchemaError(f"categories[{i}].name: expected a string")
     sizes = {g.video_id: [g.height, g.width] for g in ground_truth}
-    ordered = (
-        (g, t)
-        for g in sorted(ground_truth, key=lambda g: g.video_id)
-        for t in sorted(g.gt_tracks, key=lambda t: t.track_id)
-    )
+    ordered = ((g, t) for g in ground_truth for t in sorted(g.gt_tracks, key=lambda t: t.track_id))
     seen: set[tuple[int, int]] = set()
     annotations = (
-        _track_json(f"annotations[{i}]", g.video_id, t, g.length, sizes[g.video_id], seen)
+        _track_json(f"annotations[{i}]", g.video_id, t, g.length, sizes[g.video_id], seen, cat_names)
         for i, (g, t) in enumerate(ordered)
     )
     _write({"videos": videos, "annotations": annotations, "categories": categories}, path)
@@ -901,7 +902,7 @@ def save_results(
     ordered = ((vid, t) for vid in sorted(tracks) for t in sorted(tracks[vid], key=lambda t: (-t.score, t.track_id)))
     seen: set[tuple[int, int]] = set()
     records = (
-        {"score": t.score, **_track_json(f"results[{i}]", vid, t, video_lengths[vid], sizes[vid], seen)}
+        {"score": t.score, **_track_json(f"results[{i}]", vid, t, video_lengths[vid], sizes[vid], seen, None)}
         for i, (vid, t) in enumerate(ordered)
     )
     _write(records, path)
@@ -986,7 +987,10 @@ def save_pairs(samples: Sequence[CropPairSample], path: str) -> None:
 
 
 def save_identity(identity_key: Mapping[tuple[int, int, int], int], path: str) -> None:
-    _write(([v, f, d, t] for (v, f, d), t in sorted(identity_key.items())), path)
+    """Rows [video, frame, detection, track] in key order, each checked
+    by the loader's rule: four integers (numpy's are written as ints)."""
+    rows = enumerate(sorted(identity_key.items()))
+    _write((ints((v, f, d, t), f"identity[{i}]", SchemaError) for i, ((v, f, d), t) in rows), path)
 
 
 def load_identity(path: str) -> dict[tuple[int, int, int], int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BBox, RleMask, config_numbers, reals, rle_crop
+from .core import BBox, RleMask, config_numbers, ints, reals, rle_crop
 from .errors import ConfigError, SchemaError, ToolkitError
 from .rng import SplitMix64
 
@@ -49,6 +49,10 @@ class ImageMeta:
     width: int
     height: int
 
+    def __post_init__(self):
+        for name in ("image_id", "width", "height"):
+            object.__setattr__(self, name, ints((getattr(self, name),), name)[0])
+
 
 @dataclass(frozen=True)
 class SourceAnnotation:
@@ -58,6 +62,10 @@ class SourceAnnotation:
     category_id: int
     bbox: BBox
     mask: RleMask | None = None
+
+    def __post_init__(self):
+        for name in ("instance_id", "category_id"):
+            object.__setattr__(self, name, ints((getattr(self, name),), name)[0])
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ little or not at all; identity must come from the embeddings.
 
 Masks are encoded straight from each shape's box: a rect or an
 inscribed ellipse (sampled at pixel centers) covers one run of rows per
-column, so the run-length counts and the tight box come from those
-column runs without drawing a canvas. The runs of a shape depend only
-on its kind, its size and the canvas height, not on where it sits: they
-are computed once per shape and size (in closed form for a rect) and
-each frame shifts them to the box's position.
+column, and no shape spans the canvas height (no side exceeds a third
+of the shorter canvas side), so each column's run is one run of the
+mask and the counts and the tight box come from those runs without
+drawing a canvas. The runs of a shape depend only on its kind, its size
+and the canvas height, not on where it sits: they are computed once per
+shape and size (in closed form for a rect) and each frame shifts them
+to the box's position.
 
 Dropout models occlusion: a dropped (video, object, frame) cell has
 neither a detection nor a ground-truth entry. Clutter detections carry
@@ -131,18 +133,16 @@ def _sample_bases(rng: SplitMix64, count: int, dim: int) -> list[np.ndarray]:
         cand = _unit_gaussian(rng, dim)
         if all(float(np.dot(cand, b)) <= _BASE_SEPARATION for b in bases):
             bases.append(cand)
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            assert float(np.dot(bases[i], bases[j])) <= _BASE_SEPARATION
     return bases
 
 
 def _shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: int, canvas_h: int) -> tuple[RleMask, BBox]:
     """Mask and tight box of a rect or of the ellipse inscribed in the box
-    [x, x + w) x [y, y + h): the shape's runs at the origin, shifted."""
+    [x, x + w) x [y, y + h): the shape's runs at the origin, shifted. The
+    domain is h < canvas_h; a taller shape's column runs can meet, and
+    RleMask refuses the empty run between them."""
     if shape == "rect":
-        # a full-height rect's columns meet in one run
-        runs = [w * h] if h == canvas_h else [h, canvas_h - h] * (w - 1) + [h]
+        runs = [h, canvas_h - h] * (w - 1) + [h]
         first, end, dx, dy, bw, bh = 0, (w - 1) * canvas_h + h, 0, 0, w, h
     else:
         runs, first, end, dx, dy, bw, bh = _ellipse_runs(w, h, canvas_h)
@@ -178,10 +178,6 @@ def _ellipse_runs(w: int, h: int, canvas_h: int) -> tuple[tuple[int, ...], int, 
     bottom = h - inside[::-1].argmax(axis=0)
     starts = cols * canvas_h + top
     ends = cols * canvas_h + bottom
-    if h == canvas_h:  # runs can meet across columns: merge them
-        apart = ends[:-1] != starts[1:]
-        starts = starts[np.concatenate(([True], apart))]
-        ends = ends[np.concatenate((apart, [True]))]
     bounds = np.empty(2 * len(starts), dtype=np.int64)
     bounds[0::2] = starts
     bounds[1::2] = ends
@@ -208,6 +204,17 @@ def _noisy_embedding(base: np.ndarray, rng: SplitMix64, sigma: float, scale: flo
     else:
         vec = base
     return tuple((vec * scale).tolist())
+
+
+def _detection(
+    bbox: BBox, mask: RleMask, score: float, category: int, n_cats: int, embedding: tuple[float, ...]
+) -> Detection:
+    """A detection of ``category`` with all of its ``score`` on it in ``class_probs``."""
+    probs = [0.0] * (n_cats + 1)
+    probs[category] = score
+    return Detection(
+        bbox=bbox, score=score, category_id=category, class_probs=tuple(probs), embedding=embedding, mask=mask
+    )
 
 
 def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, list[FrameDetections], dict]:
@@ -254,20 +261,8 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
             x, y = pos[k]
             w, h = sizes[k]
             mask, bbox = _shape_mask(shapes[k], x, y, w, h, cw, ch)
-            cat = k + 1
-            probs = [0.0] * (n_cats + 1)
-            probs[cat] = score
             identity[(video_id, f, len(dets))] = k + 1
-            dets.append(
-                Detection(
-                    bbox=bbox,
-                    score=score,
-                    category_id=cat,
-                    class_probs=tuple(probs),
-                    embedding=emb,
-                    mask=mask,
-                )
-            )
+            dets.append(_detection(bbox, mask, score, k + 1, n_cats, emb))
             entries[k][f] = TrackEntry(bbox=bbox, mask=mask)
         if cfg.clutter_rate > 0.0:
             for _ in range(rng.poisson(cfg.clutter_rate)):
@@ -279,19 +274,8 @@ def _generate_video(cfg: SynthConfig, video_id: int) -> tuple[VideoGroundTruth, 
                 emb = tuple(_unit_gaussian(rng, cfg.embedding_dim).tolist())
                 score = 0.05 + 0.25 * rng.next_float()
                 mask, bbox = _shape_mask("rect", x, y, w, h, cw, ch)
-                probs = [0.0] * (n_cats + 1)
-                probs[cat] = score
                 identity[(video_id, f, len(dets))] = CLUTTER
-                dets.append(
-                    Detection(
-                        bbox=bbox,
-                        score=score,
-                        category_id=cat,
-                        class_probs=tuple(probs),
-                        embedding=emb,
-                        mask=mask,
-                    )
-                )
+                dets.append(_detection(bbox, mask, score, cat, n_cats, emb))
         frames.append(FrameDetections(frame_index=f, detections=dets))
 
     tracks = [

@@ -39,18 +39,24 @@ from vistrack.errors import SchemaError, ToolkitError
 # JSON writer oracle
 
 
+def quantize(x: float) -> float:
+    """``x`` on the grid of 6 significant digits, the value of every float
+    the writer writes."""
+    return float(f"{x:.6g}")
+
+
 def reference_dumps(obj) -> str:
     """The byte contract of ``formats._write``, by the stdlib encoder: the
-    text of ``obj`` with every float quantized by ``formats._q``. A key
+    text of ``obj`` with every float quantized by ``quantize``. A key
     that is not a string raises TypeError."""
     return json.dumps(_quantized(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _quantized(obj):
     """``obj`` with every float ``x``, numpy's included, replaced by
-    ``formats._q(x)``; a tuple becomes a list."""
+    ``quantize(x)``; a tuple becomes a list."""
     if isinstance(obj, float):
-        return formats._q(obj)
+        return quantize(obj)
     if isinstance(obj, (list, tuple)):
         return [_quantized(v) for v in obj]
     if isinstance(obj, dict):
@@ -193,10 +199,6 @@ def reference_shape_mask(shape: str, x: int, y: int, w: int, h: int, canvas_w: i
         bottom = y + h - inside[::-1].argmax(axis=0)
     starts = cols * canvas_h + top
     ends = cols * canvas_h + bottom
-    if h == canvas_h:
-        apart = ends[:-1] != starts[1:]
-        starts = starts[np.concatenate(([True], apart))]
-        ends = ends[np.concatenate((apart, [True]))]
     bounds = np.zeros(2 * len(starts) + 1, dtype=np.int64)
     bounds[1::2] = starts
     bounds[2::2] = ends

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vistrack
-from helpers import reference_dumps, streamed_json
+from helpers import quantize, reference_dumps, streamed_json
 from vistrack import (
     BBox,
     ConfigError,
@@ -379,7 +379,7 @@ def test_stream_rejects_other_types(obj):
 def _quantized_text(values) -> str:
     """The arrays' text by definition: quantize each float, then write
     the list with json.dumps (float.__repr__)."""
-    return json.dumps([formats._q(v) for v in values], indent=2, allow_nan=False) + "\n"
+    return json.dumps([quantize(v) for v in values], indent=2, allow_nan=False) + "\n"
 
 
 # mantissa x 10^exponent over magnitudes 1e-12 to 1e17, either sign
@@ -413,7 +413,7 @@ def test_quantized_floats_are_written_as_quantize_then_repr(values):
 )
 def test_quantized_float_edge_cases(x):
     assert streamed_json((x, -x)) == streamed_json([x, -x]) == _quantized_text((x, -x))
-    assert streamed_json({"x": x}) == json.dumps({"x": formats._q(x)}, indent=2) + "\n"
+    assert streamed_json({"x": x}) == json.dumps({"x": quantize(x)}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
@@ -619,23 +619,69 @@ def test_save_results_writes_only_files_that_load(tmp_path, monkeypatch, name):
     assert str(e.value) == f"{p}: results{message}"
 
 
-@pytest.mark.parametrize("name", [*_TRACK_FAULTS, "mask-size-not-declared"])
+def _video(*tracks, names=None) -> VideoGroundTruth:
+    """Video 1, 4x4 and 2 frames long, of category 1."""
+    return VideoGroundTruth(
+        video_id=1, height=4, width=4, length=2, gt_tracks=list(tracks), category_set=[1], category_names=names or {}
+    )
+
+
+_VIDEO_JSON = {"id": 1, "width": 4, "height": 4, "length": 2}
+_CATEGORY_JSON = {"id": 1, "name": "thing"}
+
+# Faults of the ground truth that no track rule catches: each with the
+# annotations file, written by hand, that shows the loader's message.
+_ANNOTATION_FAULTS = {
+    "unknown-category": (
+        [_video(Track(track_id=1, category_id=9, score=1.0, entries={0: TrackEntry(BBox(0, 0, 1, 1), None)}))],
+        {
+            "videos": [_VIDEO_JSON],
+            "annotations": [
+                {"id": 1, "video_id": 1, "category_id": 9, "segmentations": [None, None], "bboxes": [[0, 0, 1, 1], None]}
+            ],
+            "categories": [_CATEGORY_JSON],
+        },
+        "annotations[0]: unknown category_id 9",
+    ),
+    "duplicate-video": (
+        [_video(), _video()],
+        {"videos": [_VIDEO_JSON, _VIDEO_JSON], "annotations": [], "categories": [_CATEGORY_JSON]},
+        "videos[1]: duplicate video id 1",
+    ),
+    "category-name-not-a-string": (
+        [_video(names={1: 7})],
+        {"videos": [_VIDEO_JSON], "annotations": [], "categories": [{"id": 1, "name": 7}]},
+        "categories[0].name: expected a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [*_TRACK_FAULTS, "mask-size-not-declared", *_ANNOTATION_FAULTS])
 def test_save_annotations_writes_only_files_that_load(tmp_path, monkeypatch, name):
     """As for results, with the video's declared size the size rule's
-    start: an 8x8 mask in a 4x4 video is refused too."""
-    tracks, message = _TRACK_FAULTS.get(
-        name, ([_track(1, _FULL_EIGHT)], "[0].segmentations[0]: mask size [8, 8] differs from [4, 4], the size of video 1")
-    )
-    gt = [VideoGroundTruth(video_id=1, height=4, width=4, length=2, gt_tracks=tracks, category_set=[1])]
+    start: an 8x8 mask in a 4x4 video is refused too. So are a track of
+    an undeclared category, a repeated video id and a category name that
+    is not a string, each with the message the loader gives its file."""
     p = tmp_path / "ann.json"
+    if name in _ANNOTATION_FAULTS:
+        gt, doc, message = _ANNOTATION_FAULTS[name]
+    else:
+        tracks, message = _TRACK_FAULTS.get(
+            name,
+            ([_track(1, _FULL_EIGHT)], "[0].segmentations[0]: mask size [8, 8] differs from [4, 4], the size of video 1"),
+        )
+        gt, message = [_video(*tracks)], f"annotations{message}"
     with pytest.raises(SchemaError) as e:
         save_annotations(gt, str(p))
-    assert str(e.value) == f"annotations{message}"
+    assert str(e.value) == message
     assert list(tmp_path.iterdir()) == []
-    _write_unchecked(monkeypatch, save_annotations, gt, str(p))
+    if name in _ANNOTATION_FAULTS:
+        p.write_text(json.dumps(doc))
+    else:
+        _write_unchecked(monkeypatch, save_annotations, gt, str(p))
     with pytest.raises(SchemaError) as e:
         load_annotations(str(p))
-    assert str(e.value) == f"annotations{message}"
+    assert str(e.value) == message
 
 
 def test_write_through_a_symlink_keeps_the_link(tmp_path):
@@ -731,6 +777,33 @@ def test_identity_round_trip(tmp_path):
     key = {(1, 0, 0): 1, (1, 0, 1): -1, (2, 3, 0): 2}
     save_identity(key, str(p))
     assert load_identity(str(p)) == key
+
+
+@pytest.mark.parametrize(
+    "key,row",
+    [({(1, 0, 0): True}, [1, 0, 0, True]), ({(1, 0, 0): 1, (1, 0.0, 1): 2}, [1, 0.0, 1, 2]), ({("1", 0, 0): 1}, ["1", 0, 0, 1])],
+    ids=["bool", "float", "string"],
+)
+def test_save_identity_writes_only_files_that_load(tmp_path, key, row):
+    """A value that is not an integer is refused with the message that
+    load_identity gives the row written by hand, and no file is left."""
+    p = tmp_path / "id.json"
+    index = len(key) - 1
+    with pytest.raises(SchemaError) as e:
+        save_identity(key, str(p))
+    assert str(e.value) == f"identity[{index}]: expected an integer"
+    assert list(tmp_path.iterdir()) == []
+    p.write_text(json.dumps([[1, 0, 0, 1]] * index + [row]))
+    with pytest.raises(SchemaError) as loaded:
+        load_identity(str(p))
+    assert str(loaded.value) == str(e.value)
+
+
+def test_save_identity_writes_numpy_integers_as_ints(tmp_path):
+    p = tmp_path / "id.json"
+    save_identity({(np.int64(1), np.int32(0), np.uint8(2)): np.int64(-1)}, str(p))
+    assert p.read_text() == "[\n  [\n    1,\n    0,\n    2,\n    -1\n  ]\n]\n"
+    assert load_identity(str(p)) == {(1, 0, 2): -1}
 
 
 # ---------------------------------------------------------------------------

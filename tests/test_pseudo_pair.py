@@ -110,6 +110,34 @@ def test_an_int_crop_window_is_stored_and_written_as_floats():
     assert '"window": [\n    0.0,\n    0.0,\n    5.0,\n    5.0\n  ]' in text
 
 
+_BOX = BBox(0.0, 0.0, 1.0, 1.0)
+
+
+# each integer field, with a builder that puts a value in it
+_INTEGER_FIELDS = {
+    "instance_id": lambda v: SourceAnnotation(instance_id=v, category_id=1, bbox=_BOX),
+    "category_id": lambda v: SourceAnnotation(instance_id=1, category_id=v, bbox=_BOX),
+    "image_id": lambda v: ImageMeta(image_id=v, width=4, height=4),
+    "width": lambda v: ImageMeta(image_id=1, width=v, height=4),
+    "height": lambda v: ImageMeta(image_id=1, width=4, height=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("name", list(_INTEGER_FIELDS))
+def test_source_annotation_and_image_meta_take_only_integers(name, bad):
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer$"):
+        _INTEGER_FIELDS[name](bad)
+
+
+def test_numpy_integer_ids_and_sides_are_stored_as_ints():
+    a = SourceAnnotation(instance_id=np.int64(2), category_id=np.int32(1), bbox=_BOX)
+    meta = ImageMeta(image_id=np.uint8(1), width=np.int64(4), height=np.int16(4))
+    values = (a.instance_id, a.category_id, meta.image_id, meta.width, meta.height)
+    assert [type(v) for v in values] == [int] * 5
+    assert values == (2, 1, 1, 4, 4)
+
+
 def test_crop_config_validation():
     with pytest.raises(ConfigError):
         CropConfig(min_scale=0.0)
