@@ -157,6 +157,11 @@ def _cmd_fuse(args) -> int:
     from . import formats
 
     cfg = formats.load_run_config(args.config)
+    weights = cfg.fusion.source_weights
+    if weights is not None and len(weights) != len(args.inputs):
+        raise ConfigError(
+            f"{args.config}: config.fusion: source_weights has {len(weights)} weights, but --inputs names {len(args.inputs)} files"
+        )
     videos: dict[int, tuple[int, list]] = {}  # each input must agree with those before it
     loaded = [formats.load_results(p, videos) for p in args.inputs]
     lengths = {vid: length for vid, (length, _) in videos.items()}

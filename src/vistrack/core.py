@@ -253,10 +253,10 @@ class VideoGroundTruth:
     category_names: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.video_id, self.height, self.width, self.length = ints(
+        self.video_id, self.height, self.width, self.length, *self.category_set = ints(
             (self.video_id, self.height, self.width, self.length, *self.category_set),
             "video_id, height, width, length and category_set",
-        )[:4]
+        )
         if self.height <= 0 or self.width <= 0 or self.length <= 0:
             raise ValueError("video dimensions and length must be positive")
 

@@ -9,8 +9,8 @@ divided by the sum of per-frame unions, with absent entries (or absent
 masks) counting as empty frames. Matching is greedy per video and
 category in descending score order; precision/recall curves follow the
 standard envelope construction sampled at evenly spaced recall points.
-Ties between equal scores break on the stable key (video id, track
-emission order).
+Equal scores are ranked by a stable sort, so they keep (video id, track
+emission) order.
 
 AP and the means are computed in plain Python, without numpy: the
 running counts of the precision/recall curve are exact integer ratios,
@@ -150,9 +150,9 @@ def _overlap_index(
 # Matching and average precision
 
 
-def _score_order(tracks: Sequence[Track]) -> list[int]:
-    """Indices in descending score; equal scores keep emission order."""
-    return sorted(range(len(tracks)), key=lambda i: (-tracks[i].score, i))
+def _score_order(tracks: Sequence[Track]) -> list[Track]:
+    """The tracks in descending score; equal scores keep emission order."""
+    return sorted(tracks, key=lambda t: -t.score)
 
 
 def _st_iou_matrix(
@@ -264,11 +264,39 @@ def _pairwise_sum(xs: Sequence[float], lo: int, hi: int) -> float:
 
 @dataclass
 class _CategoryPool:
+    """One category's predictions pooled over the corpus: ``add`` is the
+    per-video step and ``metrics`` the final AP/AR step."""
+
     n_gt: int = 0
-    # one row per prediction: (score, video_id, emission index, {thr: tp})
-    rows: list[tuple[float, int, int, dict[float, bool]]] = field(default_factory=list)
+    # the score of each prediction added, in (video, rank) order
+    scores: list[float] = field(default_factory=list)
+    # thr -> whether each prediction of ``scores`` matched at that threshold
+    hits: dict[float, list[bool]] = field(default_factory=lambda: {thr: [] for thr in IOU_THRESHOLDS})
     # (thr, k) -> matched ground-truth count
     recalled: Counter[tuple[float, int]] = field(default_factory=Counter)
+
+    def add(self, ranked: Sequence[Track], gts: Sequence[Track], length: int, dims: tuple[int, int]) -> None:
+        """Match one video's predictions of this category, in
+        ``_score_order``, against its ground-truth tracks."""
+        self.n_gt += len(gts)
+        self.scores += [t.score for t in ranked]
+        iou = _st_iou_matrix(ranked, gts, length, dims)
+        for thr in IOU_THRESHOLDS:
+            flags = [j >= 0 for j in _greedy_match(iou, thr)]
+            self.hits[thr] += flags
+            for k in MAX_DETECTIONS:
+                self.recalled[(thr, k)] += sum(flags[:k])
+
+    def metrics(self) -> Metrics | None:
+        """AP over every prediction added in descending score, and AR@k;
+        None when no video had ground truth of this category."""
+        if self.n_gt == 0:
+            return None
+        # Stable: equal scores keep the (video, rank) order they were added in.
+        order = sorted(range(len(self.scores)), key=lambda i: -self.scores[i])
+        ap = {thr: _ap_from_flags([flags[i] for i in order], self.n_gt) for thr, flags in self.hits.items()}
+        ar = {k: _mean([self.recalled[(thr, k)] / self.n_gt for thr in IOU_THRESHOLDS]) for k in MAX_DETECTIONS}
+        return Metrics(ap=_mean([ap[thr] for thr in IOU_THRESHOLDS]), ap50=ap[0.5], ap75=ap[0.75], ar=ar)
 
 
 def evaluate(
@@ -304,49 +332,12 @@ def evaluate(
             if t.category_id not in known:
                 raise ToolkitError(f"video {g.video_id} ground-truth track {t.track_id}: category {t.category_id} not in category set")
 
-    pools: dict[int, _CategoryPool] = {c: _CategoryPool() for c in categories}
-
-    for vid in sorted(gt_by_vid):
-        g = gt_by_vid[vid]
-        dims = (g.height, g.width)
-        vid_preds = list(predictions.get(vid, ()))
-        for c in categories:
-            gts = [t for t in g.gt_tracks if t.category_id == c]
-            pool = pools[c]
-            pool.n_gt += len(gts)
-            emitted = [(i, t) for i, t in enumerate(vid_preds) if t.category_id == c]
-            ranked = [emitted[e] for e in _score_order([t for _, t in emitted])]
-            iou = _st_iou_matrix([t for _, t in ranked], gts, g.length, dims)
-            flags = {t: [j >= 0 for j in _greedy_match(iou, t)] for t in IOU_THRESHOLDS}
-            for t in IOU_THRESHOLDS:
-                for k in MAX_DETECTIONS:
-                    pool.recalled[(t, k)] += sum(flags[t][:k])
-            for r, (emission_idx, track) in enumerate(ranked):
-                pool.rows.append((track.score, vid, emission_idx, {t: flags[t][r] for t in IOU_THRESHOLDS}))
-
-    per_category: dict[int, Metrics | None] = {}
-    for c in categories:
-        pool = pools[c]
-        if pool.n_gt == 0:
-            per_category[c] = None
-            continue
-        order = sorted(
-            range(len(pool.rows)),
-            key=lambda i: (-pool.rows[i][0], pool.rows[i][1], pool.rows[i][2]),
-        )
-        ap_by_thr = {
-            t: _ap_from_flags([pool.rows[i][3][t] for i in order], pool.n_gt) for t in IOU_THRESHOLDS
-        }
-        ar = {
-            k: _mean([pool.recalled[(t, k)] / pool.n_gt for t in IOU_THRESHOLDS])
-            for k in MAX_DETECTIONS
-        }
-        per_category[c] = Metrics(
-            ap=_mean([ap_by_thr[t] for t in IOU_THRESHOLDS]),
-            ap50=ap_by_thr[0.5],
-            ap75=ap_by_thr[0.75],
-            ar=ar,
-        )
+    pools = {c: _CategoryPool() for c in categories}
+    for vid, g in sorted(gt_by_vid.items()):
+        for c, pool in pools.items():
+            ranked = _score_order([t for t in predictions.get(vid, ()) if t.category_id == c])
+            pool.add(ranked, [t for t in g.gt_tracks if t.category_id == c], g.length, (g.height, g.width))
+    per_category = {c: pool.metrics() for c, pool in pools.items()}
 
     scored = [m for m in per_category.values() if m is not None]
     overall = None

@@ -988,9 +988,11 @@ def save_pairs(samples: Sequence[CropPairSample], path: str) -> None:
 
 def save_identity(identity_key: Mapping[tuple[int, int, int], int], path: str) -> None:
     """Rows [video, frame, detection, track] in key order, each checked
-    by the loader's rule: four integers (numpy's are written as ints)."""
-    rows = enumerate(sorted(identity_key.items()))
-    _write((ints((v, f, d, t), f"identity[{i}]", SchemaError) for i, ((v, f, d), t) in rows), path)
+    by the loader's rule before any is sorted or written: four integers
+    (numpy's are written as ints). A bad row is named by its place in
+    ``identity_key``'s iteration order."""
+    rows = [ints((v, f, d, t), f"identity[{i}]", SchemaError) for i, ((v, f, d), t) in enumerate(identity_key.items())]
+    _write(sorted(rows), path)
 
 
 def load_identity(path: str) -> dict[tuple[int, int, int], int]:

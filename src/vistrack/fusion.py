@@ -5,7 +5,8 @@ clustered per category by greedy spatio-temporal non-maximum
 suppression: each unclaimed track seeds a cluster and absorbs every
 remaining same-category track whose ST-IoU with the seed reaches the
 merge threshold. The seed's geometry is kept; the cluster score is
-either the weight-averaged or the maximum member score.
+either the weight-averaged or the maximum member score. Every source
+weight must be positive, so each cluster's weighted mean is defined.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class FusionConfig:
         if self.source_weights is not None:
             ws = reals(self.source_weights, "source_weights", ConfigError)
             object.__setattr__(self, "source_weights", ws)
-            if any(w < 0 for w in ws) or sum(ws) <= 0:
-                raise ConfigError("source_weights must be non-negative with positive sum")
+            if not all(w > 0 for w in ws):
+                raise ConfigError("source_weights must all be positive")
 
 
 def fuse_tracks(track_sets: Sequence[Sequence[Track]], video_length: int, cfg: FusionConfig) -> list[Track]:
@@ -61,31 +62,25 @@ def fuse_tracks(track_sets: Sequence[Sequence[Track]], video_length: int, cfg: F
         raise ConfigError("source_weights must match the number of track sets")
     weights = cfg.source_weights or tuple(1.0 for _ in track_sets)
 
-    # Pool in descending score; ties keep (source, position) order.
-    pool = [
-        (t, weights[s], s, p)
-        for s, ts in enumerate(track_sets)
-        for p, t in enumerate(ts)
-    ]
-    pool.sort(key=lambda row: (-row[0].score, row[2], row[3]))
-    pixels = [_track_pixels(t, video_length, None) for t, _, _, _ in pool]
+    # Pool in descending score; the stable sort keeps ties in (source, position) order.
+    pool = sorted(((t, w) for ts, w in zip(track_sets, weights) for t in ts), key=lambda row: -row[0].score)
+    pixels = [_track_pixels(t, video_length, None) for t, _ in pool]
     # A pair that shares no overlap key has ST-IoU 0, below merge_iou > 0.
-    keys, holders = _overlap_index([t for t, _, _, _ in pool], pixels)
+    keys, holders = _overlap_index([t for t, _ in pool], pixels)
 
     claimed = [False] * len(pool)
     fused: list[Track] = []
-    for i, (seed, w_i, _, _) in enumerate(pool):
+    for i, (seed, _) in enumerate(pool):
         if claimed[i]:
             continue
         claimed[i] = True
-        members = [(seed, w_i)]
+        members = [pool[i]]
         for j in sorted(set().union(*(holders[key] for key in keys[i]))):  # ascending pool order
             if j <= i or claimed[j]:
                 continue
-            cand, w_j, _, _ = pool[j]
             if _pixel_iou(pixels[i], pixels[j]) >= cfg.merge_iou:
                 claimed[j] = True
-                members.append((cand, w_j))
+                members.append(pool[j])
         if cfg.score_rule is ScoreRule.MAX:
             score = max(t.score for t, _ in members)
         else:
@@ -93,8 +88,7 @@ def fuse_tracks(track_sets: Sequence[Sequence[Track]], video_length: int, cfg: F
             score = sum(t.score * w for t, w in members) / wsum
         fused.append(replace(seed, score=score))
 
-    order = sorted(range(len(fused)), key=lambda i: (-fused[i].score, i))
-    out = [fused[i] for i in order[: cfg.max_output_tracks]]
+    out = sorted(fused, key=lambda t: -t.score)[: cfg.max_output_tracks]
 
     # Same id arriving from different sources must not collide downstream.
     seen: set[int] = set()

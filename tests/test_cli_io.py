@@ -736,6 +736,15 @@ def test_annotations_round_trip(tmp_path):
     assert filecmp.cmp(a, b, shallow=False)
 
 
+def test_save_annotations_writes_a_numpy_category_id_as_an_int(tmp_path):
+    p = tmp_path / "a.json"
+    gt = VideoGroundTruth(video_id=1, height=4, width=4, length=2, gt_tracks=[], category_set=[np.int64(1)])
+    assert type(gt.category_set[0]) is int
+    save_annotations([gt], str(p))
+    assert json.loads(p.read_text())["categories"] == [{"id": 1, "name": "category_1"}]
+    assert load_annotations(str(p))[0].category_set == [1]
+
+
 def test_detections_round_trip(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_detections(tiny_detections(), str(a), embedding_dim=2)
@@ -781,12 +790,19 @@ def test_identity_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "key,row",
-    [({(1, 0, 0): True}, [1, 0, 0, True]), ({(1, 0, 0): 1, (1, 0.0, 1): 2}, [1, 0.0, 1, 2]), ({("1", 0, 0): 1}, ["1", 0, 0, 1])],
-    ids=["bool", "float", "string"],
+    [
+        ({(1, 0, 0): True}, [1, 0, 0, True]),
+        ({(1, 0, 0): 1, (1, 0.0, 1): 2}, [1, 0.0, 1, 2]),
+        ({("1", 0, 0): 1}, ["1", 0, 0, 1]),
+        ({(1, 0, 0): 2, ("1", 0, 0): 1}, ["1", 0, 0, 1]),
+    ],
+    ids=["bool", "float", "string", "mixed"],
 )
 def test_save_identity_writes_only_files_that_load(tmp_path, key, row):
     """A value that is not an integer is refused with the message that
-    load_identity gives the row written by hand, and no file is left."""
+    load_identity gives the row written by hand, and no file is left.
+    Rows are checked before they are sorted, so a string key next to an
+    int key is this refusal too, not sorted's TypeError."""
     p = tmp_path / "id.json"
     index = len(key) - 1
     with pytest.raises(SchemaError) as e:
@@ -1097,6 +1113,30 @@ def test_fuse_names_the_input_and_record_that_disagree_with_those_before(tmp_pat
     b.write_text(json.dumps([_result_record(1, {0}, (4, 4), vid=2), _result_record(2, {0}, (4, 4), length=3)]))
     assert entrypoint(["fuse", "--inputs", str(a), str(a), str(b), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {b}: results[1]: segmentations and bboxes must have video 1's length, 2\n"
+    assert not out.exists()
+
+
+def test_fuse_refuses_a_zero_source_weight(tmp_path, capsys):
+    """A cluster of zero-weight members alone would have no weighted mean:
+    every weight must be positive, and the config error names the file."""
+    a, b, cfg, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "w.json", tmp_path / "fused.json"
+    a.write_text(json.dumps([_result_record(1, {0}, (4, 4))]))
+    b.write_text(json.dumps([_result_record(1, {1}, (4, 4))]))
+    cfg.write_text(json.dumps({"fusion": {"source_weights": [1.0, 0.0]}}))
+    assert entrypoint(["fuse", "--inputs", str(a), str(b), "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {cfg}: config.fusion: source_weights must all be positive\n"
+    assert not out.exists()
+
+
+def test_fuse_checks_the_weight_count_before_reading_any_input(tmp_path, capsys):
+    """The inputs do not exist: the count is checked against --inputs first."""
+    cfg, out = tmp_path / "w.json", tmp_path / "fused.json"
+    cfg.write_text(json.dumps({"fusion": {"source_weights": [1.0, 2.0]}}))
+    inputs = [str(tmp_path / f"missing_{i}.json") for i in range(3)]
+    assert entrypoint(["fuse", "--inputs", *inputs, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: config.fusion: source_weights has 2 weights, but --inputs names 3 files\n"
+    )
     assert not out.exists()
 
 

@@ -178,7 +178,7 @@ def test_match_higher_score_wins():
     lo = track_from_grids(1, 1, 0.8, {0: square(8, 8, 0, 0, 6)})
     hi = track_from_grids(2, 1, 0.9, {0: square(8, 8, 0, 0, 5)})
     preds = [lo, hi]
-    ranked = [preds[i] for i in _score_order(preds)]
+    ranked = _score_order(preds)
     assert ranked == [hi, lo]
     # lo overlaps g better, but hi is matched first and takes it
     assert _greedy_match(_st_iou_matrix(ranked, [g], 2, None), 0.5) == [0, -1]
@@ -198,7 +198,7 @@ def test_match_count_monotone_in_threshold(seed):
         track_from_grids(k + 1, 1, float(rng.uniform(0.1, 1.0)), {f: rng.random((h, w)) < 0.5 for f in range(length)})
         for k in range(int(rng.integers(1, 4)))
     ]
-    ranked = [preds[i] for i in _score_order(preds)]
+    ranked = _score_order(preds)
     iou = _st_iou_matrix(ranked, gts, length, None)
     last = None
     for thr in (0.1, 0.3, 0.5, 0.7, 0.9):

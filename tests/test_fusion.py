@@ -146,6 +146,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         FusionConfig(source_weights=(0.0, 0.0))
     with pytest.raises(ConfigError):
+        FusionConfig(source_weights=(1.0, 0.0))
+    with pytest.raises(ConfigError):
         FusionConfig(score_rule="median")
 
 
