@@ -12,9 +12,9 @@ the corpus of each.
 Each row prints mAP, AP50, AP75, AR@1 and AR@10 plus the identity
 switches counted against the corpus's identity key and the number of
 switch-free videos; over several seeds, each column prints the median
-and ``[min, max]``. A file that cannot be read exits 1, a malformed
-file 2 and a bad value 3, each with ``error: ...``, as the command line
-does.
+and ``[min, max]``. A file that cannot be read exits 1, and any other
+fault with its error type's exit code (a malformed file 2, a bad value
+3), each with ``error: ...``, as the command line does.
 
 Usage:
     python3 scripts/sweep_association.py defaults.json tuned.json --corpus corpus.json --seed 5 6 7
@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import replace
 
-from vistrack import ConfigError, SchemaError, evaluate, generate, id_switches, track_video_with_trace
+from vistrack import ToolkitError, evaluate, generate, id_switches, track_video_with_trace
 from vistrack.core import VideoMeta
 from vistrack.formats import load_run_config
 
@@ -71,12 +71,9 @@ def main():
         settings = [(path, load_run_config(path).association) for path in args.configs]
         settings = settings or [("defaults", load_run_config(None).association)]
         corpora = [generate(s) for s in synths]
-    except SchemaError as e:
+    except ToolkitError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ never removed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,20 +154,17 @@ def assign(scores: np.ndarray, threshold: float) -> list[int]:
 
 
 def _keep_top(detections: list[Detection], cap: int) -> list[int]:
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)  # stable: ties keep index order
     return sorted(order[:cap])
 
 
 def _majority_category(entries: list[tuple[int, Detection]]) -> int:
-    counts = Counter(det.category_id for _, det in entries)
-    best_score: dict[int, float] = {}
+    scores: dict[int, list[float]] = {}  # category -> the scores of its entries
     for _, det in entries:
-        prev = best_score.get(det.category_id)
-        if prev is None or det.score > prev:
-            best_score[det.category_id] = det.score
+        scores.setdefault(det.category_id, []).append(det.score)
     # majority count, then the category holding the highest-scoring entry,
     # then the smallest category id
-    return max(counts, key=lambda c: (counts[c], best_score[c], -c))
+    return max(scores, key=lambda c: (len(scores[c]), max(scores[c]), -c))
 
 
 def track_video_with_trace(

@@ -3,12 +3,12 @@
 Subcommands: track, eval, pseudopair, fuse, synth, losscheck. All file
 outputs go through the deterministic writers in formats, so repeated
 runs on identical inputs are byte-identical. Exit codes: 0 success,
-1 I/O failure, 2 an input fault (``SchemaError``: a malformed file, or
-a video's length or mask size that differs between files, which
-``formats.load_results`` checks against ``eval``'s ground truth or
-``fuse``'s earlier inputs), 3 a bad configuration value
-(``ConfigError``), 4 any other ``ToolkitError`` (an operation contract
-broken by its operands; the commands check their inputs first).
+1 I/O failure, else the raised ``ToolkitError``'s ``exit_code``: 2 an
+input fault (``SchemaError``: a malformed file, or a video's length or
+mask size that differs between files, which ``formats.load_results``
+checks against ``eval``'s ground truth or ``fuse``'s earlier inputs),
+3 a bad configuration value (``ConfigError``), 4 any other (an operation
+contract broken by its operands; the commands check their inputs first).
 
 Each command imports only the modules it runs: ``--help`` loads
 ``cli`` and ``errors``; ``eval`` adds ``formats``, ``core`` and
@@ -128,8 +128,7 @@ def _cmd_pseudopair(args) -> int:
     cfg = formats.load_run_config(args.config)
     ground_truth = formats.load_annotations(args.annotations)
     samples = []
-    image_id = 0
-    for g in sorted(ground_truth, key=lambda g: g.video_id):
+    for g in ground_truth:  # in ascending video id
         for f in range(g.length):
             anns = [
                 SourceAnnotation(
@@ -143,8 +142,7 @@ def _cmd_pseudopair(args) -> int:
             ]
             if not anns:
                 continue
-            image_id += 1
-            meta = ImageMeta(image_id=image_id, width=g.width, height=g.height)
+            meta = ImageMeta(image_id=len(samples) + 1, width=g.width, height=g.height)
             try:
                 samples.append(_cli.make_pair(meta, anns, cfg.crop, rng))
             except SchemaError as e:  # the image is too small to crop
@@ -265,27 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
 def entrypoint(argv=None) -> int:
     # Every array here is small: OpenBLAS's pool of worker threads takes
     # longer to start than it saves. numpy is first imported after this
     # (see _numpy), and a value the user has set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    args = build_parser().parse_args(argv)
     try:
-        return main(argv)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return args.func(args)
     except ToolkitError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

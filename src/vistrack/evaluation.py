@@ -206,9 +206,7 @@ def _greedy_match(iou: Sequence[Sequence[float]], threshold: float) -> list[int]
 
 
 def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
-    """Envelope average precision sampled at evenly spaced recall points."""
-    if n_gt <= 0:
-        raise ValueError("n_gt must be positive")
+    """Envelope average precision at evenly spaced recall points, over ``n_gt`` > 0 ground truths."""
     if not flags:
         return 0.0
     recall = []

@@ -607,6 +607,8 @@ def save_annotations(ground_truth: Sequence[VideoGroundTruth], path: str) -> Non
 
 
 def load_annotations(path: str) -> list[VideoGroundTruth]:
+    """One ground truth per declared video, in ascending video id
+    whatever the file's order."""
     root = _expect_object(_read_json(path), "annotations")
     videos: dict[int, tuple[int, list]] = {}
     for i, v in enumerate(_expect_list(_get(root, "videos", "annotations"), "videos")):
@@ -1036,10 +1038,7 @@ class RunConfig:
     section not given is its dataclass's default, built when first read."""
 
     def __init__(self, **sections):
-        for name, value in sections.items():
-            if name not in _SECTIONS:
-                raise TypeError(f"RunConfig has no section '{name}'")
-            setattr(self, name, value)
+        self.__dict__.update(sections)
 
     def __getattr__(self, name: str):
         if name not in _SECTIONS:
@@ -1068,13 +1067,11 @@ def load_run_config(path: str | None) -> RunConfig:
         cls = _section_class(name)
         obj = _expect_object(value, f"{where}.{name}", ConfigError)
         allowed = {f.name for f in fields(cls)}
-        ctor_kwargs = {}
-        for key, raw in obj.items():
+        for key in obj:
             if key not in allowed:
                 raise ConfigError(f"{where}.{name}: unknown field '{key}'")
-            ctor_kwargs[key] = raw
         try:
-            kwargs[name] = cls(**ctor_kwargs)
+            kwargs[name] = cls(**obj)
         except ConfigError as e:
             raise ConfigError(f"{where}.{name}: {e}") from e
     return RunConfig(**kwargs)

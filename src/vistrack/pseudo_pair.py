@@ -19,7 +19,8 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class CropWindow:
-    """Half-open pixel window [x0, x1) x [y0, y1) in source coordinates."""
+    """Half-open pixel window [x0, x1) x [y0, y1) in source coordinates.
+    Its sides are whole pixels, where masks are cropped."""
 
     x0: float
     y0: float
@@ -28,7 +29,10 @@ class CropWindow:
 
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, reals((getattr(self, name),), f"crop window {name}")[0])
+            side = reals((getattr(self, name),), f"crop window {name}")[0]
+            if not side.is_integer():
+                raise ValueError(f"crop window {name}: must be a whole pixel, got {side}")
+            object.__setattr__(self, name, side)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("crop window must have positive extent")
         if self.x0 < 0.0 or self.y0 < 0.0:

@@ -30,7 +30,7 @@ from vistrack import (
     rle_encode,
     track_video_with_trace,
 )
-from vistrack.association import _keep_top, _majority_category, bisoftmax_scores, cosine_scores
+from vistrack.association import bisoftmax_scores, cosine_scores
 from vistrack.core import VideoMeta
 from vistrack.errors import SchemaError, ToolkitError
 
@@ -591,6 +591,28 @@ class RecordBank:
     next_id: int = 1
 
 
+def reference_keep_top(detections, cap: int) -> list[int]:
+    """The indices, ascending, of the detections that fewer than ``cap``
+    others outrank: detection j outranks detection i when its score is
+    higher, or equal and j < i."""
+    return [
+        i
+        for i, d in enumerate(detections)
+        if sum(e.score > d.score or (e.score == d.score and j < i) for j, e in enumerate(detections)) < cap
+    ]
+
+
+def reference_majority_category(entries) -> int:
+    """The category of the most ``(frame, detection)`` entries; among the
+    categories tied on that count, the one holding the highest-scoring
+    of their entries; among those, the smallest id."""
+    categories = [det.category_id for _, det in entries]
+    most = max(map(categories.count, categories))
+    tied = [(det.category_id, det.score) for _, det in entries if categories.count(det.category_id) == most]
+    best = max(score for _, score in tied)
+    return min(c for c, score in tied if score == best)
+
+
 def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tuple[int, int], int]]:
     """``track_video_with_trace`` over a bank of per-instance records that
     is stacked into a matrix anew for every frame, with the rescanning
@@ -607,7 +629,7 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
         if fd.frame_index >= video_meta.length:
             raise ToolkitError("frame_index must be below the video length")
         last_frame = fd.frame_index
-        kept_indices = _keep_top(fd.detections, cfg.keep_top_n_per_frame)
+        kept_indices = reference_keep_top(fd.detections, cfg.keep_top_n_per_frame)
         dets = [fd.detections[i] for i in kept_indices]
         if not dets:
             continue
@@ -651,7 +673,7 @@ def reference_track_video(frames, cfg, video_meta) -> tuple[list[Track], dict[tu
         recorded = history[tid]
         entries = {f: TrackEntry(det.bbox, det.mask) for f, det in recorded}
         score = sum(det.score for _, det in recorded) / len(recorded)
-        tracks.append(Track(tid, _majority_category(recorded), score, entries))
+        tracks.append(Track(tid, reference_majority_category(recorded), score, entries))
     return tracks, trace
 
 

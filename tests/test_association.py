@@ -425,6 +425,13 @@ def test_keep_top_n_cap():
     assert set(trace) == {(0, 1), (0, 2)}  # the two highest scores survive
 
 
+def test_keep_top_n_tie_keeps_the_lower_index():
+    cfg = AssociationConfig(keep_top_n_per_frame=2)
+    dets = [det(0.5, (1.0, 0.0)), det(0.9, (0.0, 1.0)), det(0.9, (1.0, 1.0)), det(0.9, (-1.0, 0.0))]
+    _, trace = tracked([FrameDetections(0, dets)], cfg)
+    assert set(trace) == {(0, 1), (0, 2)}  # three tie at 0.9: the two lowest indices survive
+
+
 def test_track_video_rejects_disorder():
     frames = [FrameDetections(1, [det(0.9, (1, 0))]), FrameDetections(0, [det(0.9, (1, 0))])]
     with pytest.raises(ToolkitError, match=r"^frames must arrive in ascending frame_index order$"):
@@ -458,3 +465,13 @@ def test_majority_tie_takes_highest_scoring_category():
     ]
     tracks = track_video(frames, CFG, META)
     assert tracks[0].category_id == 3
+
+
+def test_majority_tie_on_count_and_best_score_takes_the_smallest_category():
+    e = (3.0, 0.0)
+    frames = [
+        FrameDetections(0, [det(0.7, e, category=3)]),
+        FrameDetections(1, [det(0.7, e, category=2)]),
+    ]
+    tracks, _ = tracked(frames, CFG)
+    assert [t.category_id for t in tracks] == [2]

@@ -736,6 +736,14 @@ def test_annotations_round_trip(tmp_path):
     assert filecmp.cmp(a, b, shallow=False)
 
 
+def test_load_annotations_returns_videos_in_ascending_id(tmp_path):
+    """``pseudopair`` numbers its images in this order."""
+    p = tmp_path / "a.json"
+    videos = [{"id": vid, "width": 4, "height": 4, "length": 1} for vid in (2, 1)]
+    p.write_text(json.dumps({"videos": videos, "annotations": [], "categories": []}))
+    assert [g.video_id for g in load_annotations(str(p))] == [1, 2]
+
+
 def test_save_annotations_writes_a_numpy_category_id_as_an_int(tmp_path):
     p = tmp_path / "a.json"
     gt = VideoGroundTruth(video_id=1, height=4, width=4, length=2, gt_tracks=[], category_set=[np.int64(1)])

@@ -103,6 +103,22 @@ def test_crop_window_sides_must_be_finite_real_numbers(sides, name):
         CropWindow(*sides)
 
 
+@pytest.mark.parametrize(
+    "sides, name, value",
+    [
+        ((0.5, 0, 9, 9), "x0", "0.5"),
+        ((0, 0.5, 9, 9), "y0", "0.5"),
+        ((0, 0, 9.5, 9), "x1", "9.5"),
+        ((0, 0, 9, np.float64(9.25)), "y1", "9.25"),
+    ],
+)
+def test_crop_window_sides_must_be_whole_pixels(sides, name, value):
+    """Masks are cropped on whole pixels, so a fractional side would crop
+    a box and its mask at different places."""
+    with pytest.raises(ValueError, match=rf"^crop window {name}: must be a whole pixel, got {value}$"):
+        CropWindow(*sides)
+
+
 def test_an_int_crop_window_is_stored_and_written_as_floats():
     window = CropWindow(0, np.int64(0), 5, 5)
     assert [type(v) for v in (window.x0, window.y0, window.x1, window.y1)] == [float] * 4
